@@ -4,13 +4,14 @@ use crate::dataset::{Dataset, Normalizer, BRAM_TARGET, CLASS_TARGET, MAIN_TARGET
 use crate::db::Database;
 use crate::trainer::{train_classifier, train_regression, TrainConfig};
 use design_space::DesignPoint;
-use gdse_gnn::{GraphBatch, GraphInput, ModelConfig, ModelKind, PredictionModel};
-use gdse_tensor::QuantParamSet;
+use gdse_gnn::{GraphBatch, GraphInput, KernelBatch, ModelConfig, ModelKind, PredictionModel};
+use gdse_tensor::{Matrix, QuantParamSet};
 use hls_ir::Kernel;
 use merlin_sim::Utilization;
 use proggraph::ProgramGraph;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Predicted quality of one design point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -165,41 +166,20 @@ impl Predictor {
         &self.bram_model
     }
 
-    /// Predicts a batch of design points of one kernel.
+    /// Predicts a batch of design points of one kernel: the kernel is
+    /// lowered once, and all three models run the tape-free
+    /// [`PredictionModel::infer`].
     pub fn predict_batch(&self, graph: &ProgramGraph, points: &[DesignPoint]) -> Vec<Prediction> {
         if points.is_empty() {
             return Vec::new();
         }
-        let started = std::time::Instant::now();
-        let inputs: Vec<(GraphInput, &DesignPoint)> = points
-            .iter()
-            .map(|p| (GraphInput::from_graph(graph, Some(p)), p))
-            .collect();
-        let refs: Vec<(&GraphInput, &DesignPoint)> =
-            inputs.iter().map(|(gi, p)| (gi, *p)).collect();
-        let batch = GraphBatch::new(&refs);
-
-        let cls = self.classifier.forward(&batch);
-        let reg = self.regressor.forward(&batch);
-        let bram = self.bram_model.forward(&batch);
-
-        let preds: Vec<Prediction> = (0..points.len())
-            .map(|i| {
-                let logit = cls.graph.value(cls.outputs[0]).get(i, 0);
-                let valid_prob = f64::from(1.0 / (1.0 + (-logit).exp()));
-                let t_lat = f64::from(reg.graph.value(reg.outputs[0]).get(i, 0));
-                let util = Utilization {
-                    dsp: f64::from(reg.graph.value(reg.outputs[1]).get(i, 0)),
-                    lut: f64::from(reg.graph.value(reg.outputs[2]).get(i, 0)),
-                    ff: f64::from(reg.graph.value(reg.outputs[3]).get(i, 0)),
-                    bram: f64::from(bram.graph.value(bram.outputs[0]).get(i, 0)),
-                };
-                Prediction { valid_prob, cycles: self.normalizer.inverse(t_lat), util }
-            })
-            .collect();
-        gdse_obs::metrics::counter_add("surrogate.inferences", points.len() as u64);
-        gdse_obs::metrics::counter_add("surrogate.busy_us", started.elapsed().as_micros() as u64);
-        preds
+        let started = Instant::now();
+        let batch = KernelBatch::new(graph, points);
+        let cls = self.classifier.infer(&batch);
+        let reg = self.regressor.infer(&batch);
+        let bram = self.bram_model.infer(&batch);
+        let heads = [&cls, &reg, &bram].map(|m| m.iter().collect::<Vec<_>>());
+        readout(&self.normalizer, &heads, started, false)
     }
 
     /// Predicts a single design point.
@@ -298,7 +278,7 @@ impl QuantPredictor {
         if points.is_empty() {
             return Vec::new();
         }
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let inputs: Vec<(GraphInput, &DesignPoint)> = points
             .iter()
             .map(|p| (GraphInput::from_graph(graph, Some(p)), p))
@@ -310,35 +290,48 @@ impl QuantPredictor {
         let cls = self.base.classifier.forward_quant(&batch, &self.classifier_q);
         let reg = self.base.regressor.forward_quant(&batch, &self.regressor_q);
         let bram = self.base.bram_model.forward_quant(&batch, &self.bram_q);
-
-        let preds: Vec<Prediction> = (0..points.len())
-            .map(|i| {
-                let logit = cls.graph.value(cls.outputs[0]).get(i, 0);
-                let valid_prob = f64::from(1.0 / (1.0 + (-logit).exp()));
-                let t_lat = f64::from(reg.graph.value(reg.outputs[0]).get(i, 0));
-                let util = Utilization {
-                    dsp: f64::from(reg.graph.value(reg.outputs[1]).get(i, 0)),
-                    lut: f64::from(reg.graph.value(reg.outputs[2]).get(i, 0)),
-                    ff: f64::from(reg.graph.value(reg.outputs[3]).get(i, 0)),
-                    bram: f64::from(bram.graph.value(bram.outputs[0]).get(i, 0)),
-                };
-                Prediction {
-                    valid_prob,
-                    cycles: self.base.normalizer.inverse(t_lat),
-                    util,
-                }
-            })
-            .collect();
-        gdse_obs::metrics::counter_add("surrogate.inferences", points.len() as u64);
-        gdse_obs::metrics::counter_add("surrogate.quant_inferences", points.len() as u64);
-        gdse_obs::metrics::counter_add("surrogate.busy_us", started.elapsed().as_micros() as u64);
-        preds
+        let heads = [&cls, &reg, &bram]
+            .map(|o| o.outputs.iter().map(|&id| o.graph.value(id)).collect::<Vec<_>>());
+        readout(self.normalizer(), &heads, started, true)
     }
 
     /// Predicts a single design point through the int8 kernels.
     pub fn predict(&self, graph: &ProgramGraph, point: &DesignPoint) -> Prediction {
         self.predict_batch(graph, std::slice::from_ref(point))[0]
     }
+}
+
+/// Turns the `[B, 1]` head outputs of the classifier, the main regressor
+/// and the BRAM regressor, in that order, into one [`Prediction`] per point,
+/// and books the `surrogate.*` counters of the call that began at
+/// `started`.
+fn readout(
+    normalizer: &Normalizer,
+    [cls, reg, bram]: &[Vec<&Matrix>; 3],
+    started: Instant,
+    quantized: bool,
+) -> Vec<Prediction> {
+    let points = cls[0].rows();
+    let preds: Vec<Prediction> = (0..points)
+        .map(|i| {
+            let logit = cls[0].get(i, 0);
+            let valid_prob = f64::from(1.0 / (1.0 + (-logit).exp()));
+            let t_lat = f64::from(reg[0].get(i, 0));
+            let util = Utilization {
+                dsp: f64::from(reg[1].get(i, 0)),
+                lut: f64::from(reg[2].get(i, 0)),
+                ff: f64::from(reg[3].get(i, 0)),
+                bram: f64::from(bram[0].get(i, 0)),
+            };
+            Prediction { valid_prob, cycles: normalizer.inverse(t_lat), util }
+        })
+        .collect();
+    gdse_obs::metrics::counter_add("surrogate.inferences", points as u64);
+    if quantized {
+        gdse_obs::metrics::counter_add("surrogate.quant_inferences", points as u64);
+    }
+    gdse_obs::metrics::counter_add("surrogate.busy_us", started.elapsed().as_micros() as u64);
+    preds
 }
 
 #[cfg(test)]

@@ -10,6 +10,9 @@ use gdse_tensor::{Graph, NodeId, ParamStore};
 use proggraph::EDGE_FEATS;
 use serde::{Deserialize, Serialize};
 
+/// The `eps` of the LayerNorm after every convolution.
+pub(crate) const LAYER_NORM_EPS: f32 = 1e-5;
+
 /// Which graph convolution the encoder stacks (Table 2: M3 / M4 / M5-M7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ConvKind {
@@ -22,7 +25,7 @@ pub enum ConvKind {
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-enum Conv {
+pub(crate) enum Conv {
     Gcn(GcnConv),
     Gat(GatConv),
     Transformer(TransformerConv),
@@ -30,7 +33,7 @@ enum Conv {
 
 /// Graph-level readout choice.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-enum Readout {
+pub(crate) enum Readout {
     Sum,
     Attention(AttentionPool),
 }
@@ -52,9 +55,9 @@ pub struct EncoderOutput {
 /// (eq. 10).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GnnEncoder {
-    convs: Vec<Conv>,
-    use_jkn: bool,
-    readout: Readout,
+    pub(crate) convs: Vec<Conv>,
+    pub(crate) use_jkn: bool,
+    pub(crate) readout: Readout,
     hidden: usize,
 }
 
@@ -113,7 +116,7 @@ impl GnnEncoder {
             let act = g.elu(lin, 1.0);
             // LayerNorm keeps deep attention stacks from diverging (the
             // standard Transformer recipe; without it some seeds collapse).
-            h = g.layer_norm(act, 1e-5);
+            h = g.layer_norm(act, LAYER_NORM_EPS);
             per_layer.push(h);
         }
         let node_embs = if self.use_jkn && per_layer.len() > 1 {

@@ -4,7 +4,7 @@ use gdse_tensor::{Graph, Init, NodeId, ParamId, ParamStore};
 use serde::{Deserialize, Serialize};
 
 /// Negative slope of the LeakyReLU in the attention logits (GAT default).
-const LEAKY_SLOPE: f32 = 0.2;
+pub(crate) const LEAKY_SLOPE: f32 = 0.2;
 
 /// GAT convolution: attention coefficients
 /// `alpha_ij = softmax_j(LeakyReLU(a^T [W h_i || W h_j]))` weight the
@@ -14,10 +14,10 @@ const LEAKY_SLOPE: f32 = 0.2;
 /// `a1^T W h_i + a2^T W h_j` with `a = [a1; a2]`, like PyTorch Geometric.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GatConv {
-    w: ParamId,
-    a_dst: ParamId,
-    a_src: ParamId,
-    b: ParamId,
+    pub(crate) w: ParamId,
+    pub(crate) a_dst: ParamId,
+    pub(crate) a_src: ParamId,
+    pub(crate) b: ParamId,
 }
 
 impl GatConv {

@@ -10,8 +10,8 @@ use serde::{Deserialize, Serialize};
 /// TransformerConv in §4.3.1.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct GcnConv {
-    w: ParamId,
-    b: ParamId,
+    pub(crate) w: ParamId,
+    pub(crate) b: ParamId,
 }
 
 impl GcnConv {

@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 /// A stack of linear layers with ReLU between them (none after the last).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
-    weights: Vec<ParamId>,
-    biases: Vec<ParamId>,
+    pub(crate) weights: Vec<ParamId>,
+    pub(crate) biases: Vec<ParamId>,
 }
 
 impl Mlp {

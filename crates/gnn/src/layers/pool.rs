@@ -21,8 +21,8 @@ pub fn sum_pool(
 /// within each graph of the batch.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AttentionPool {
-    score_mlp: Mlp,
-    value_mlp: Mlp,
+    pub(crate) score_mlp: Mlp,
+    pub(crate) value_mlp: Mlp,
 }
 
 /// Result of attention pooling: per-graph embeddings plus the per-node

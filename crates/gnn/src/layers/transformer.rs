@@ -14,14 +14,14 @@ use serde::{Deserialize, Serialize};
 /// paper credits with preventing over-smoothing.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TransformerConv {
-    w_query: ParamId,
-    w_key: ParamId,
-    w_value: ParamId,
-    w_edge: ParamId,
-    w_root: ParamId,
-    w_gate: ParamId,
-    b: ParamId,
-    out_dim: usize,
+    pub(crate) w_query: ParamId,
+    pub(crate) w_key: ParamId,
+    pub(crate) w_value: ParamId,
+    pub(crate) w_edge: ParamId,
+    pub(crate) w_root: ParamId,
+    pub(crate) w_gate: ParamId,
+    pub(crate) b: ParamId,
+    pub(crate) out_dim: usize,
 }
 
 impl TransformerConv {

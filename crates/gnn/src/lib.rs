@@ -8,6 +8,10 @@
 //! node-attention graph readout, and per-objective MLP prediction heads —
 //! exactly the architecture of Fig. 4.
 //!
+//! Every model has two forward passes: [`PredictionModel::forward`] records
+//! a tape for training, and [`PredictionModel::infer`] predicts a
+//! [`KernelBatch`] of design points without one, bit-identically.
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -32,13 +36,14 @@
 
 pub mod artifact;
 mod encoder;
+mod infer;
 mod input;
 pub mod layers;
 mod model;
 
 pub use artifact::{Artifact, ArtifactError};
 pub use encoder::{ConvKind, EncoderOutput, GnnEncoder};
-pub use input::{GraphBatch, GraphInput};
+pub use input::{GraphBatch, GraphInput, KernelBatch};
 pub use model::{
     encode_pragmas, ModelConfig, ModelKind, ModelOutput, PredictionModel, MAX_SLOTS, SLOT_FEATS,
 };

@@ -134,7 +134,7 @@ pub fn encode_pragmas(point: &DesignPoint) -> Matrix {
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
-enum Body {
+pub(crate) enum Body {
     /// M1: pragma vector -> MLP trunk.
     PragmaMlp(Mlp),
     /// M2: per-node MLP -> sum pool (+ pragma vector concatenated).
@@ -182,8 +182,8 @@ pub struct PredictionModel {
     kind: ModelKind,
     config: ModelConfig,
     head_names: Vec<String>,
-    body: Body,
-    heads: Vec<Mlp>,
+    pub(crate) body: Body,
+    pub(crate) heads: Vec<Mlp>,
     store: ParamStore,
 }
 
@@ -298,7 +298,9 @@ impl PredictionModel {
     }
 
     /// Runs a forward pass on a batch of designs (M1 reads only the pragma
-    /// encodings; M2-M7 read the graphs).
+    /// encodings; M2-M7 read the graphs), recording the tape that training
+    /// differentiates. Prediction without gradients runs through the
+    /// tape-free [`infer`](Self::infer) instead.
     pub fn forward(&self, batch: &GraphBatch) -> ModelOutput {
         self.forward_on(Graph::new(), batch)
     }
@@ -373,24 +375,6 @@ impl PredictionModel {
     pub fn forward_single(&self, input: &GraphInput, point: &DesignPoint) -> ModelOutput {
         self.forward(&GraphBatch::single(input, point))
     }
-
-    /// Forward passes over `items` in fixed-size chunks, returning one
-    /// [`ModelOutput`] per chunk, in input order.
-    ///
-    /// This is the batch-inference entry point for large candidate
-    /// frontiers: chunking bounds the tensor workspace of a single forward
-    /// pass, and because the pass is item-independent (each row of the
-    /// batch only reads its own features), any chunk size produces the
-    /// same per-item outputs as one monolithic batch — callers may pick
-    /// the chunk to match their parallelism or memory budget.
-    pub fn forward_chunked(
-        &self,
-        items: &[(&GraphInput, &DesignPoint)],
-        chunk: usize,
-    ) -> Vec<ModelOutput> {
-        let chunk = chunk.max(1);
-        items.chunks(chunk).map(|c| self.forward(&GraphBatch::new(c))).collect()
-    }
 }
 
 #[cfg(test)]
@@ -463,31 +447,6 @@ mod tests {
         assert_eq!(dims[0], 64);
         assert_eq!(*dims.last().unwrap(), 1);
         assert_eq!(dims.len(), c.mlp_layers + 1);
-    }
-
-    #[test]
-    fn chunked_forward_matches_one_monolithic_batch() {
-        let (input, p0, p1) = sample();
-        let model = PredictionModel::new(ModelKind::Transformer, ModelConfig::small(), &["latency"]);
-        let items: Vec<(&GraphInput, &DesignPoint)> =
-            vec![(&input, &p0), (&input, &p1), (&input, &p0), (&input, &p1), (&input, &p0)];
-
-        let mono = model.forward(&GraphBatch::new(&items));
-        for chunk in [1, 2, 5, 16] {
-            let outs = model.forward_chunked(&items, chunk);
-            assert_eq!(outs.len(), items.len().div_ceil(chunk.max(1)), "chunk={chunk}");
-            let mut i = 0;
-            for out in &outs {
-                let rows = out.graph.value(out.outputs[0]).shape().0;
-                for r in 0..rows {
-                    let got = out.graph.value(out.outputs[0]).get(r, 0);
-                    let want = mono.graph.value(mono.outputs[0]).get(i, 0);
-                    assert_eq!(got.to_bits(), want.to_bits(), "chunk={chunk} item={i}");
-                    i += 1;
-                }
-            }
-            assert_eq!(i, items.len(), "chunk={chunk} covers every item");
-        }
     }
 
     #[test]

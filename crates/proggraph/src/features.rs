@@ -108,6 +108,19 @@ pub fn node_features(graph: &ProgramGraph, point: Option<&DesignPoint>) -> Matri
     m
 }
 
+/// Encodes only the pragma-node rows of [`node_features`] for `point`:
+/// `[P, NODE_FEATS]`, one row per entry of [`ProgramGraph::pragma_nodes`],
+/// in that order. These are the only rows that differ between design
+/// points, so a batch of points of one kernel can lower the rest once.
+pub fn pragma_node_features(graph: &ProgramGraph, point: &DesignPoint) -> Matrix {
+    let pragma = graph.pragma_nodes();
+    let mut m = Matrix::zeros(pragma.len(), NODE_FEATS);
+    for (r, &(i, _)) in pragma.iter().enumerate() {
+        encode_node(&graph.nodes()[i], Some(point), m.row_mut(r));
+    }
+    m
+}
+
 /// Encodes edge features: `[num_edges, EDGE_FEATS]`.
 pub fn edge_features(graph: &ProgramGraph) -> Matrix {
     let mut m = Matrix::zeros(graph.num_edges(), EDGE_FEATS);
@@ -155,6 +168,20 @@ mod tests {
         assert!(!changed.is_empty());
         for i in &changed {
             assert!(pragma_rows.contains(i), "non-pragma row {i} changed");
+        }
+    }
+
+    #[test]
+    fn pragma_node_features_match_the_full_lowering() {
+        let k = kernels::aes();
+        let space = DesignSpace::from_kernel(&k);
+        let g = build_graph(&k, &space);
+        let p = space.point_at(space.size() - 1);
+        let full = node_features(&g, Some(&p));
+        let rows = pragma_node_features(&g, &p);
+        assert_eq!(rows.rows(), g.pragma_nodes().len());
+        for (r, &(i, _)) in g.pragma_nodes().iter().enumerate() {
+            assert_eq!(rows.row(r), full.row(i), "pragma node {i}");
         }
     }
 

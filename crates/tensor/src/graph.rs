@@ -16,6 +16,7 @@ use crate::gemm::{self, Activation};
 use crate::matrix::Matrix;
 use crate::params::{GradStore, ParamId, ParamStore};
 use crate::quant::{self, QuantParamSet};
+use crate::scalar::{self, stable_sigmoid};
 use std::sync::Arc;
 
 /// Handle to a value recorded on a [`Graph`] tape.
@@ -296,13 +297,13 @@ impl Graph {
 
     /// Leaky ReLU with the given negative slope.
     pub fn leaky_relu(&mut self, a: NodeId, slope: f32) -> NodeId {
-        let v = self.value(a).map(|x| if x > 0.0 { x } else { slope * x });
+        let v = self.value(a).map(|x| scalar::leaky_relu(x, slope));
         self.push(v, Backward::LeakyRelu { a, slope })
     }
 
     /// Exponential linear unit.
     pub fn elu(&mut self, a: NodeId, alpha: f32) -> NodeId {
-        let v = self.value(a).map(|x| if x > 0.0 { x } else { alpha * (x.exp() - 1.0) });
+        let v = self.value(a).map(|x| scalar::elu(x, alpha));
         self.push(v, Backward::Elu { a, alpha })
     }
 
@@ -324,20 +325,8 @@ impl Graph {
     /// Stabilizes deep message-passing stacks the same way LayerNorm does in
     /// Transformers.
     pub fn layer_norm(&mut self, a: NodeId, eps: f32) -> NodeId {
-        let av = self.value(a);
-        let mut v = av.clone();
-        let mut inv_std = Vec::with_capacity(av.rows());
-        let d = av.cols() as f32;
-        for r in 0..v.rows() {
-            let row = v.row_mut(r);
-            let mean: f32 = row.iter().sum::<f32>() / d;
-            let var: f32 = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / d;
-            let istd = 1.0 / (var + eps).sqrt();
-            for x in row.iter_mut() {
-                *x = (*x - mean) * istd;
-            }
-            inv_std.push(istd);
-        }
+        let mut v = self.value(a).clone();
+        let inv_std = (0..v.rows()).map(|r| scalar::layer_norm_row(v.row_mut(r), eps)).collect();
         self.push(v, Backward::LayerNorm { a, inv_std })
     }
 
@@ -772,15 +761,6 @@ fn accumulate(adj: &mut [Option<Matrix>], id: NodeId, g: Matrix) {
     match &mut adj[id.0] {
         Some(existing) => existing.add_assign(&g),
         slot @ None => *slot = Some(g),
-    }
-}
-
-fn stable_sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
     }
 }
 

@@ -43,6 +43,7 @@ mod matrix;
 mod optim;
 mod params;
 pub mod quant;
+pub mod scalar;
 
 pub use gemm::Activation;
 pub use graph::{Graph, NodeId};

@@ -208,6 +208,8 @@ impl Matrix {
 
     /// The pre-blocking scalar i-k-j kernel (with its per-element zero skip),
     /// kept as the parity baseline for tests and the `infer` microbench.
+    /// The skip also makes it the faster kernel for one-hot rows, such as
+    /// the node features the tape-free inference path projects in layer 0.
     ///
     /// # Panics
     ///
@@ -379,7 +381,7 @@ impl Matrix {
     /// Panics if the column counts differ.
     pub fn row_dot(&self, r: usize, other: &Matrix, r_other: usize) -> f32 {
         assert_eq!(self.cols, other.cols, "row_dot column mismatch");
-        self.row(r).iter().zip(other.row(r_other)).map(|(a, b)| a * b).sum()
+        crate::scalar::dot(self.row(r), other.row(r_other))
     }
 }
 

@@ -1,0 +1,153 @@
+//! The tape-free `PredictionModel::infer` against the tape `forward`: bit
+//! for bit, on every model kind and every kernel, at batch sizes that take
+//! both GEMM kernels, before and after training.
+
+use design_space::{DesignPoint, DesignSpace};
+use gdse_gnn::{GraphBatch, GraphInput, KernelBatch, ModelConfig, ModelKind, PredictionModel};
+use gdse_obs::metrics;
+use gdse_tensor::Matrix;
+use gnn_dse::dataset::MAIN_TARGETS;
+use gnn_dse::trainer::{train_regression, TrainConfig};
+use gnn_dse::{dbgen, Dataset, Normalizer, Predictor};
+use hls_ir::kernels;
+use proggraph::{build_graph_bidirectional, ProgramGraph};
+use proptest::prelude::*;
+use std::sync::OnceLock;
+
+const BATCH_SIZES: [usize; 3] = [1, 2, 64];
+
+/// Every kernel's design space and program graph.
+fn targets() -> &'static [(String, DesignSpace, ProgramGraph)] {
+    static TARGETS: OnceLock<Vec<(String, DesignSpace, ProgramGraph)>> = OnceLock::new();
+    TARGETS.get_or_init(|| {
+        kernels::all_kernels()
+            .iter()
+            .map(|k| {
+                let space = DesignSpace::from_kernel(k);
+                let graph = build_graph_bidirectional(k, &space);
+                (k.name().to_string(), space, graph)
+            })
+            .collect()
+    })
+}
+
+/// One model of each kind, in the configuration `gnndse train` ships.
+fn untrained() -> Vec<PredictionModel> {
+    let config = ModelConfig {
+        hidden: 32,
+        gnn_layers: 4,
+        mlp_layers: 4,
+        seed: 42,
+    };
+    ModelKind::ALL
+        .iter()
+        .map(|&kind| PredictionModel::new(kind, config.clone(), &MAIN_TARGETS))
+        .collect()
+}
+
+/// One model of each kind after two epochs of regression training.
+fn trained() -> &'static [PredictionModel] {
+    static MODELS: OnceLock<Vec<PredictionModel>> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        let ks = vec![kernels::gemm_ncubed(), kernels::spmv_ellpack()];
+        let db = dbgen::generate_database(&ks, &[], 16, 5);
+        let ds = Dataset::from_database(&db, &ks);
+        let valid = ds.valid_indices();
+        ModelKind::ALL
+            .iter()
+            .map(|&kind| {
+                let mut m = PredictionModel::new(kind, ModelConfig::small(), &MAIN_TARGETS);
+                train_regression(&mut m, &ds, &valid, &TrainConfig::quick().with_epochs(2));
+                m
+            })
+            .collect()
+    })
+}
+
+fn random_points(space: &DesignSpace, n: usize, seed: u64) -> Vec<DesignPoint> {
+    let mut z = seed;
+    (0..n)
+        .map(|_| {
+            z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut x = z;
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            space.point_at(u128::from(x ^ (x >> 31)) % space.size())
+        })
+        .collect()
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Asserts `infer` equals the tape on every head of every model, on every
+/// kernel, at every batch size.
+fn assert_parity(models: &[PredictionModel], seed: u64) {
+    for (name, space, graph) in targets() {
+        for (bi, &b) in BATCH_SIZES.iter().enumerate() {
+            let points = random_points(space, b, seed ^ ((bi as u64) << 32));
+            let inputs: Vec<GraphInput> = points
+                .iter()
+                .map(|p| GraphInput::from_graph(graph, Some(p)))
+                .collect();
+            let refs: Vec<(&GraphInput, &DesignPoint)> = inputs.iter().zip(&points).collect();
+            let tape_batch = GraphBatch::new(&refs);
+            let kernel_batch = KernelBatch::new(graph, &points);
+            for model in models {
+                let tape = model.forward(&tape_batch);
+                let free = model.infer(&kernel_batch);
+                assert_eq!(free.len(), tape.outputs.len());
+                for (head, (got, &want)) in free.iter().zip(&tape.outputs).enumerate() {
+                    assert_eq!(
+                        bits(got),
+                        bits(tape.graph.value(want)),
+                        "{:?} on {name}, B = {b}, head {head}",
+                        model.kind()
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn infer_matches_the_tape_on_untrained_models(seed in any::<u64>()) {
+        assert_parity(&untrained(), seed);
+    }
+
+    #[test]
+    fn infer_matches_the_tape_on_trained_models(seed in any::<u64>()) {
+        assert_parity(trained(), seed);
+    }
+}
+
+#[test]
+fn predict_batch_books_three_forwards_and_one_inference_per_point() {
+    let predictor = Predictor::untrained(
+        ModelKind::Full,
+        ModelConfig::small(),
+        Normalizer::with_factor(1.0),
+    );
+    let (_, space, graph) = &targets()[0];
+    for b in BATCH_SIZES {
+        let points = random_points(space, b, b as u64);
+        let forwards = metrics::counter_value("gnn.forwards");
+        let inferences = metrics::counter_value("surrogate.inferences");
+        let preds = predictor.predict_batch(graph, &points);
+        assert_eq!(preds.len(), b);
+        assert_eq!(
+            metrics::counter_value("gnn.forwards"),
+            forwards + 3,
+            "B = {b}"
+        );
+        assert_eq!(
+            metrics::counter_value("surrogate.inferences"),
+            inferences + b as u64,
+            "B = {b}"
+        );
+    }
+}

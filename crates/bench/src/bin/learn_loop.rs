@@ -170,6 +170,7 @@ fn main() {
 
     handle.shutdown();
     let first = run.join().unwrap().expect("first daemon run");
+    let first_live = handle.live_metrics().snapshot();
     assert!(first.learner_error.is_none(), "learner died: {:?}", first.learner_error);
     let rounds_first = first.rounds.len();
     assert!(rounds_first >= 2, "two fine-tune rounds must have completed under load");
@@ -230,8 +231,8 @@ fn main() {
         rounds_first_life: rounds_first,
         rounds_total: second.rounds.len(),
         swaps_first_life: swaps_first,
-        reloads: first.serve.reloads,
-        reload_failures: first.serve.reload_failures,
+        reloads: first_live.counter("serve.reloads").unwrap_or(0),
+        reload_failures: first_live.counter("serve.reload_failures").unwrap_or(0),
         epochs_seen: epochs_seen.clone(),
         identical_rows_checked: recorded.len(),
         resumed: true,

@@ -153,13 +153,15 @@ fn main() {
     let server = Server::bind_with_provider("127.0.0.1:0", config, provider).expect("bind");
     let handle = server.handle();
     let addr = handle.addr().to_string();
-    // The server folds its span histograms into the running thread's
+    // The server folds its live registry into the running thread's
     // registry when it returns; snapshot there to read the attribution.
     let run = std::thread::spawn(move || {
         gdse_obs::metrics::reset();
-        let stats = server.run();
-        (stats, gdse_obs::metrics::snapshot())
+        server.run();
+        gdse_obs::metrics::snapshot()
     });
+    let live = handle.live_metrics();
+    let live_count = |name: &str| live.snapshot().counter(name).unwrap_or(0);
 
     let completed = Arc::new(AtomicU64::new(0));
     let failed = Arc::new(AtomicU64::new(0));
@@ -241,13 +243,13 @@ fn main() {
 
     // Don't let shutdown race the kill drill's restart backoff window.
     let deadline = Instant::now() + Duration::from_secs(10);
-    while handle.stats().replica_restarts == 0 && Instant::now() < deadline {
+    while live_count("serve.replica_restarts") == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
 
     let mut admin = Client::connect(&addr).expect("admin connect");
     admin.shutdown_server().expect("shutdown");
-    let (stats, snap) = run.join().unwrap();
+    let snap = run.join().unwrap();
 
     let mut lat = latencies.into_inner().unwrap();
     lat.sort_unstable();
@@ -306,10 +308,10 @@ fn main() {
         throughput_rps: total as f64 / wall.as_secs_f64(),
         latency_p50_us: percentile(&lat, 0.50),
         latency_p99_us: percentile(&lat, 0.99),
-        replica_crashes: stats.replica_crashes,
-        replica_restarts: stats.replica_restarts,
-        reloads: stats.reloads,
-        reload_failures: stats.reload_failures,
+        replica_crashes: live_count("serve.replica_crashes"),
+        replica_restarts: live_count("serve.replica_restarts"),
+        reloads: live_count("serve.reloads"),
+        reload_failures: live_count("serve.reload_failures"),
         epochs_seen: epochs_seen.clone(),
         stages,
         trace_total_mean_us,

@@ -103,7 +103,7 @@ fn main() {
             &space,
             &mut baseline_db,
             Budget::evals(200),
-            &gnn_dse::Explorer::objective(&autodse),
+            &gnn_dse::Objective::latency(),
         );
         let autodse_minutes = log.tool_minutes.min(AUTODSE_LIMIT_MINUTES);
         let autodse_best = log.best.as_ref().map(|(_, r)| r.cycles).unwrap_or(u64::MAX);

@@ -1018,28 +1018,32 @@ fn cmd_serve(args: &[String]) -> CliResult {
     println!("listening on {local}");
     std::io::stdout().flush().ok();
 
-    let stats = {
+    {
         let _serve = obs::span::stage("serve");
-        server.run()
-    };
+        server.run();
+    }
+    // `run` folded the server's counters into this thread's registry.
+    let [served, rejected, errors, rerouted, replica_restarts, reloads, reload_failures] = [
+        "serve.predictions",
+        "serve.rejected",
+        "serve.errors",
+        "serve.rerouted",
+        "serve.replica_restarts",
+        "serve.reloads",
+        "serve.reload_failures",
+    ]
+    .map(obs::metrics::counter_value);
     obs::info!(
         "serve.done",
-        "served {} predictions ({} rejected, {} errors, {} rerouted, \
-         {} replica restarts, {} reloads, {} reload failures)",
-        stats.served,
-        stats.rejected,
-        stats.errors,
-        stats.rerouted,
-        stats.replica_restarts,
-        stats.reloads,
-        stats.reload_failures;
-        served = stats.served,
-        rejected = stats.rejected,
-        errors = stats.errors,
-        rerouted = stats.rerouted,
-        replica_restarts = stats.replica_restarts,
-        reloads = stats.reloads,
-        reload_failures = stats.reload_failures,
+        "served {served} predictions ({rejected} rejected, {errors} errors, {rerouted} rerouted, \
+         {replica_restarts} replica restarts, {reloads} reloads, {reload_failures} reload failures)";
+        served = served,
+        rejected = rejected,
+        errors = errors,
+        rerouted = rerouted,
+        replica_restarts = replica_restarts,
+        reloads = reloads,
+        reload_failures = reload_failures,
     );
     if let Some(p) = metrics_out {
         write_metrics(&p, "serve", started)?;
@@ -1152,22 +1156,22 @@ fn cmd_daemon(args: &[String]) -> CliResult {
     println!("listening on {local}");
     std::io::stdout().flush().ok();
     let report = daemon.run()?;
+    // `run` folded the server's counters into this thread's registry.
+    let [served, errors, reloads, reload_failures] =
+        ["serve.predictions", "serve.errors", "serve.reloads", "serve.reload_failures"]
+            .map(obs::metrics::counter_value);
     obs::info!(
         "daemon.done",
-        "served {} predictions ({} errors, {} reloads, {} reload failures); \
-         completed {} learning round(s){}",
-        report.serve.served,
-        report.serve.errors,
-        report.serve.reloads,
-        report.serve.reload_failures,
+        "served {served} predictions ({errors} errors, {reloads} reloads, \
+         {reload_failures} reload failures); completed {} learning round(s){}",
         report.rounds.len(),
         match &report.learner_error {
             Some(e) => format!("; learner failed: {e}"),
             None => String::new(),
         };
-        served = report.serve.served,
-        errors = report.serve.errors,
-        reloads = report.serve.reloads,
+        served = served,
+        errors = errors,
+        reloads = reloads,
         rounds = report.rounds.len(),
     );
     if let Some(p) = metrics_out {

@@ -31,10 +31,13 @@
 //!
 //! ## Observability
 //!
-//! The learner mirrors its state into the server's live registry —
+//! The learner books its state once, into the server's live registry —
 //! `learn.rounds`, `learn.swaps`, `learn.swap_failures` counters and
 //! `learn.buffer_depth` / `learn.last_loss` gauges show up in
-//! `admin stats` next to the `serve.*` series — and answers the
+//! `admin stats` next to the `serve.*` series and reach the run report
+//! through the server's fold at shutdown. Everything else the learner
+//! books (DSE, training, validation) stays in its own thread's registry,
+//! which the campaign checkpoints and `run` merges. It also answers the
 //! `{"learn-status": true}` admin verb (`gnndse admin ADDR learn-status`)
 //! with a full status document: driver state, rounds completed, serving
 //! epoch, buffer depth, last fine-tune loss, swap counts.
@@ -47,7 +50,7 @@ use crate::parallel::ExecEngine;
 use crate::rounds::{CampaignDriver, RoundReport, RoundsConfig};
 use crate::serving::ArtifactProvider;
 use gdse_obs as obs;
-use gdse_serve::{LearnStatusSource, ModelProvider, ServeConfig, ServeStats, Server, ServerHandle};
+use gdse_serve::{LearnStatusSource, ModelProvider, ServeConfig, Server, ServerHandle};
 use hls_ir::{kernels, Kernel};
 use merlin_sim::MerlinSimulator;
 use serde::Value;
@@ -111,13 +114,11 @@ impl DaemonConfig {
     }
 }
 
-/// What one daemon run did: the serving stats, every completed round, and
-/// whether the learning plane failed (the serving plane outlives learner
-/// failures on purpose).
+/// What one daemon run did: every completed round, and whether the
+/// learning plane failed (the serving plane outlives learner failures on
+/// purpose). The serving counters are in the caller's metrics registry.
 #[derive(Debug)]
 pub struct DaemonReport {
-    /// Lifetime serving stats (same as [`Server::run`]'s return).
-    pub serve: ServeStats,
     /// Reports of every round the campaign completed, including rounds
     /// replayed from a resumed checkpoint.
     pub rounds: Vec<RoundReport>,
@@ -366,30 +367,39 @@ impl Daemon {
         Arc::clone(&self.status)
     }
 
-    /// Runs the serving plane on the current thread until shutdown (admin
-    /// verb, handle, or request limit), then joins the learning plane and
-    /// folds its metrics into the caller's registry.
+    /// Runs the serving plane until shutdown (admin verb, handle, or
+    /// request limit), then joins the learning plane and folds both
+    /// planes' metrics — the live registry with its `serve.*` and `learn.*`
+    /// series, and the learner's own registry — into the caller's.
     ///
     /// # Errors
     ///
     /// Only a panicked learner thread; a learner that failed cleanly is
     /// reported in [`DaemonReport::learner_error`].
     pub fn run(self) -> Result<DaemonReport, String> {
-        let stats = {
+        let Daemon { server, handle, learner, .. } = self;
+        {
             let _serve = obs::span::stage("serve");
-            self.server.run()
-        };
+            // `Server::run` folds the live registry into the thread that
+            // runs it, but the learner books `learn.*` there until it
+            // stops, which can be after the server stopped. So the server
+            // runs on a helper thread whose registry is dropped, and the
+            // live registry is folded below, once both have stopped.
+            if let Err(panic) = std::thread::spawn(move || server.run()).join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
         // `run` returning means shutdown began; make it explicit anyway so
         // the learner cannot outlive the serving plane.
-        self.handle.shutdown();
-        match self.learner.join() {
+        handle.shutdown();
+        let learned = learner.join();
+        obs::metrics::merge(&handle.live_metrics().snapshot());
+        match learned {
             Ok(Ok((rounds, snap))) => {
                 obs::metrics::merge(&snap);
-                Ok(DaemonReport { serve: stats, rounds, learner_error: None })
+                Ok(DaemonReport { rounds, learner_error: None })
             }
-            Ok(Err(e)) => {
-                Ok(DaemonReport { serve: stats, rounds: Vec::new(), learner_error: Some(e) })
-            }
+            Ok(Err(e)) => Ok(DaemonReport { rounds: Vec::new(), learner_error: Some(e) }),
             Err(_) => Err("learner thread panicked".into()),
         }
     }
@@ -397,7 +407,8 @@ impl Daemon {
 
 /// The learning plane: step the campaign, persist, publish, swap, pause —
 /// until the campaign is done or the serving plane shuts down. Returns the
-/// round reports plus this thread's metric registry (the caller merges it).
+/// round reports plus this thread's metric registry (the caller merges it);
+/// the `learn.*` series go to `live` instead.
 #[allow(clippy::too_many_arguments)]
 fn learner_loop(
     mut db: Database,
@@ -413,7 +424,7 @@ fn learner_loop(
     jobs: usize,
     round_pause: Duration,
     handle: &ServerHandle,
-    live: &obs::metrics::SharedMetrics,
+    live: &Arc<obs::metrics::SharedMetrics>,
     status: &DaemonStatus,
 ) -> Result<(Vec<RoundReport>, obs::MetricsSnapshot), String> {
     let fail = |status: &DaemonStatus, e: String| -> String {
@@ -480,6 +491,7 @@ fn learner_loop(
         // artifact, then ask the provider to validate + cut over. A
         // rejected swap is survivable — the old epoch keeps serving and
         // the next round overwrites the artifact again.
+        let mut swap = None;
         if let Some(model) = driver.carried_model() {
             let meta = ArtifactMeta::describe(model, &kernel_names, round);
             if let Err(e) = model.save_artifact(&artifact, &meta) {
@@ -487,8 +499,6 @@ fn learner_loop(
             }
             match handle.reload() {
                 Ok(epoch) => {
-                    obs::metrics::counter_inc("learn.swaps");
-                    live.counter_inc("learn.swaps");
                     status.update(|s| s.swaps += 1);
                     obs::info!(
                         "learn.swapped",
@@ -496,33 +506,37 @@ fn learner_loop(
                         round = round,
                         epoch = epoch,
                     );
+                    swap = Some("learn.swaps");
                 }
                 Err(e) => {
-                    obs::metrics::counter_inc("learn.swap_failures");
-                    live.counter_inc("learn.swap_failures");
-                    status.update(|s| {
-                        s.swap_failures += 1;
-                        s.last_error = Some(e.clone());
-                    });
                     obs::warn!(
                         "learn.swap_failed",
                         "round {round}: artifact rejected ({e}); previous epoch keeps serving"
                     );
+                    status.update(|s| {
+                        s.swap_failures += 1;
+                        s.last_error = Some(e);
+                    });
+                    swap = Some("learn.swap_failures");
                 }
             }
         }
 
-        obs::metrics::counter_inc("learn.rounds");
-        live.counter_inc("learn.rounds");
-        let snap = obs::metrics::snapshot();
-        let loss = snap.gauge("train.epoch_loss");
+        // The fine-tune loss is in this thread's own registry; read it
+        // before binding to the live one.
+        let loss = obs::metrics::gauge_value("train.epoch_loss");
         let (depth, rstats) =
             driver.replay().map_or((0, ReplayStats::default()), |b| (b.len(), b.stats()));
-        live.gauge_set("learn.buffer_depth", depth as f64);
-        obs::metrics::gauge_set("learn.buffer_depth", depth as f64);
-        if let Some(l) = loss {
-            live.gauge_set("learn.last_loss", l);
-            obs::metrics::gauge_set("learn.last_loss", l);
+        {
+            let _live = obs::metrics::bind(live);
+            obs::metrics::counter_inc("learn.rounds");
+            if let Some(counter) = swap {
+                obs::metrics::counter_inc(counter);
+            }
+            obs::metrics::gauge_set("learn.buffer_depth", depth as f64);
+            if let Some(l) = loss {
+                obs::metrics::gauge_set("learn.last_loss", l);
+            }
         }
         status.update(|s| {
             s.rounds_completed = round as u64;

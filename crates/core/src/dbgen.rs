@@ -4,6 +4,7 @@
 use crate::db::Database;
 use crate::explorer::{BottleneckExplorer, Budget, Explorer, HybridExplorer, RandomExplorer};
 use crate::harness::{EvalBackend, Harness, RetryPolicy};
+use crate::objective::Objective;
 use crate::parallel::ExecEngine;
 use design_space::DesignSpace;
 use gdse_obs as obs;
@@ -62,37 +63,35 @@ pub fn explore_kernel_with<B: EvalBackend + Sync>(
     let before = db.len();
     let greedy_share = (budget * 4) / 10;
     let hybrid_share = (budget * 3) / 10;
-    let greedy = BottleneckExplorer::new();
-    greedy.explore_scored_with(
+    let objective = Objective::latency();
+    BottleneckExplorer::new().explore_scored_with(
         engine,
         eval,
         kernel,
         space,
         db,
         Budget::evals(greedy_share),
-        &greedy.objective(),
+        &objective,
     );
-    let hybrid = HybridExplorer::with_seed(seed);
-    hybrid.explore_scored_with(
+    HybridExplorer::with_seed(seed).explore_scored_with(
         engine,
         eval,
         kernel,
         space,
         db,
         Budget::evals(hybrid_share),
-        &hybrid.objective(),
+        &objective,
     );
     let used = db.len() - before;
     let rest = budget.saturating_sub(used);
-    let random = RandomExplorer::new(seed ^ 0x9e37_79b9);
-    random.explore_scored_with(
+    RandomExplorer::new(seed ^ 0x9e37_79b9).explore_scored_with(
         engine,
         eval,
         kernel,
         space,
         db,
         Budget::evals(rest),
-        &random.objective(),
+        &objective,
     );
 }
 

@@ -23,9 +23,6 @@ use rand::{Rng, SeedableRng};
 /// rejection so the walk can traverse them.
 #[derive(Debug, Clone)]
 pub struct AnnealingExplorer {
-    /// Utilization constraint for the deprecated scalar entry points (the
-    /// scored entry points take it from their [`Objective`] argument).
-    pub util_threshold: f64,
     /// Initial temperature as a fraction of the default design's latency.
     pub initial_temp_frac: f64,
     /// Geometric cooling factor per evaluation.
@@ -36,7 +33,7 @@ pub struct AnnealingExplorer {
 
 impl Default for AnnealingExplorer {
     fn default() -> Self {
-        Self { util_threshold: 0.8, initial_temp_frac: 0.5, cooling: 0.97, seed: 0 }
+        Self { initial_temp_frac: 0.5, cooling: 0.97, seed: 0 }
     }
 }
 
@@ -153,10 +150,6 @@ impl Explorer for AnnealingExplorer {
             evals = log.evals,
         );
         log
-    }
-
-    fn objective(&self) -> Objective {
-        Objective::latency().with_util_threshold(self.util_threshold)
     }
 }
 

@@ -46,25 +46,14 @@ pub struct ExplorationLog {
 /// configuration (AutoDSE similarly keeps exploring new bottleneck
 /// hypotheses for its full time budget instead of stopping at the first
 /// local optimum).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BottleneckExplorer {
-    /// Designs must keep every utilization below this threshold (eq. 7).
-    /// Used by [`Explorer::objective`] for the deprecated scalar entry
-    /// points; the scored entry points take the threshold from their
-    /// [`Objective`] argument.
-    pub util_threshold: f64,
     /// Seed for the restart points.
     pub seed: u64,
 }
 
-impl Default for BottleneckExplorer {
-    fn default() -> Self {
-        Self { util_threshold: 0.8, seed: 0 }
-    }
-}
-
 impl BottleneckExplorer {
-    /// Creates an explorer with the default 0.8 utilization constraint.
+    /// Creates an explorer with seed 0.
     pub fn new() -> Self {
         Self::default()
     }
@@ -237,10 +226,6 @@ impl Explorer for BottleneckExplorer {
             evals = log.evals,
         );
         log
-    }
-
-    fn objective(&self) -> Objective {
-        Objective::latency().with_util_threshold(self.util_threshold)
     }
 }
 

@@ -125,9 +125,6 @@ impl GFlowSampler {
 /// pluggable wherever the §4.1 explorers are.
 #[derive(Debug, Clone)]
 pub struct GFlowExplorer {
-    /// Utilization constraint for the deprecated scalar entry points (the
-    /// scored entry points take it from their [`Objective`] argument).
-    pub util_threshold: f64,
     /// RNG seed (sampling stream).
     pub seed: u64,
     /// Trajectories sampled per wave. A constant (never a function of the
@@ -139,7 +136,7 @@ pub struct GFlowExplorer {
 
 impl Default for GFlowExplorer {
     fn default() -> Self {
-        Self { util_threshold: 0.8, seed: 0, wave: 32, lr: 0.05 }
+        Self { seed: 0, wave: 32, lr: 0.05 }
     }
 }
 
@@ -270,10 +267,6 @@ impl Explorer for GFlowExplorer {
             evals = log.evals,
         );
         log
-    }
-
-    fn objective(&self) -> Objective {
-        Objective::latency().with_util_threshold(self.util_threshold)
     }
 }
 

@@ -26,9 +26,6 @@ use rand::SeedableRng;
 /// incumbents that improved the design by at least `improvement_pct`.
 #[derive(Debug, Clone)]
 pub struct HybridExplorer {
-    /// Utilization constraint for the deprecated scalar entry points (the
-    /// scored entry points take it from their [`Objective`] argument).
-    pub util_threshold: f64,
     /// Neighbors evaluated per improvement event (the paper's `P`).
     pub neighbors_per_improvement: usize,
     /// Improvement (in percent) that triggers the local search (the `X%`).
@@ -39,7 +36,7 @@ pub struct HybridExplorer {
 
 impl Default for HybridExplorer {
     fn default() -> Self {
-        Self { util_threshold: 0.8, neighbors_per_improvement: 12, improvement_pct: 20.0, seed: 0 }
+        Self { neighbors_per_improvement: 12, improvement_pct: 20.0, seed: 0 }
     }
 }
 
@@ -68,7 +65,7 @@ impl Explorer for HybridExplorer {
         objective: &Objective,
     ) -> ExplorationLog {
         // Phase 1: greedy, with half the budget.
-        let greedy = BottleneckExplorer { util_threshold: self.util_threshold, seed: self.seed };
+        let greedy = BottleneckExplorer { seed: self.seed };
         let mut log = greedy.explore_scored_with(
             engine,
             eval,
@@ -172,10 +169,6 @@ impl Explorer for HybridExplorer {
         );
         log
     }
-
-    fn objective(&self) -> Objective {
-        Objective::latency().with_util_threshold(self.util_threshold)
-    }
 }
 
 #[cfg(test)]
@@ -274,8 +267,7 @@ mod tests {
         // Reconstruct exactly the greedy phase the hybrid ran (same seed and
         // threshold, half the budget) so the comparison is structural rather
         // than dependent on a particular RNG stream.
-        let greedy_phase =
-            BottleneckExplorer { util_threshold: explorer.util_threshold, seed: explorer.seed };
+        let greedy_phase = BottleneckExplorer { seed: explorer.seed };
         let greedy =
             greedy_phase.explore_scored(&sim, &k, &space, &mut db2, Budget::evals(50), &obj);
         let greedy_best = greedy.best.expect("valid design").1;

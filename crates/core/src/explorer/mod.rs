@@ -70,11 +70,8 @@ impl Budget {
 /// serial behavior is just the same code on a single-worker engine.
 /// [`Explorer::explore_scored`] is that serial convenience — a default
 /// method, so implementors only write [`Explorer::explore_scored_with`].
-///
-/// The scalar entry points [`Explorer::explore_with`] / [`Explorer::explore`]
-/// predate the objective parameter; they are deprecated shims that run the
-/// search under [`Explorer::objective`] (each explorer's own threshold,
-/// latency mode) so external callers compile — and behave — unchanged.
+/// The utilization threshold, like every other constraint, comes from the
+/// objective.
 pub trait Explorer {
     /// What one run returns: an [`ExplorationLog`] for the guided
     /// explorers, the fresh-evaluation count for [`RandomExplorer`].
@@ -107,42 +104,6 @@ pub trait Explorer {
         objective: &Objective,
     ) -> Self::Log {
         self.explore_scored_with(&ExecEngine::serial(), eval, kernel, space, db, budget, objective)
-    }
-
-    /// The objective this explorer optimizes when called through the
-    /// deprecated scalar entry points: latency mode under the explorer's
-    /// own utilization threshold — exactly the pre-redesign behavior.
-    fn objective(&self) -> Objective {
-        Objective::default()
-    }
-
-    /// Deprecated scalar shim: [`Explorer::explore_scored_with`] under
-    /// [`Explorer::objective`].
-    #[deprecated(note = "use `explore_scored_with` with an explicit `Objective`")]
-    fn explore_with<B: EvalBackend + Sync>(
-        &self,
-        engine: &ExecEngine,
-        eval: &B,
-        kernel: &Kernel,
-        space: &DesignSpace,
-        db: &mut Database,
-        budget: Budget,
-    ) -> Self::Log {
-        self.explore_scored_with(engine, eval, kernel, space, db, budget, &self.objective())
-    }
-
-    /// Deprecated scalar shim: [`Explorer::explore_scored`] under
-    /// [`Explorer::objective`].
-    #[deprecated(note = "use `explore_scored` with an explicit `Objective`")]
-    fn explore<B: EvalBackend + Sync>(
-        &self,
-        eval: &B,
-        kernel: &Kernel,
-        space: &DesignSpace,
-        db: &mut Database,
-        budget: Budget,
-    ) -> Self::Log {
-        self.explore_scored(eval, kernel, space, db, budget, &self.objective())
     }
 }
 

@@ -158,26 +158,4 @@ mod tests {
         RandomExplorer::new(9).explore_scored(&sim, &k, &space, &mut b, Budget::evals(20), &obj);
         assert_eq!(a.entries(), b.entries());
     }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_scalar_shims_match_the_scored_methods() {
-        let k = kernels::spmv_ellpack();
-        let space = DesignSpace::from_kernel(&k);
-        let sim = MerlinSimulator::new();
-        let mut via_shim = Database::new();
-        let mut via_scored = Database::new();
-        let e = RandomExplorer::new(11);
-        let n1 = e.explore(&sim, &k, &space, &mut via_shim, Budget::evals(15));
-        let n2 = e.explore_scored(
-            &sim,
-            &k,
-            &space,
-            &mut via_scored,
-            Budget::evals(15),
-            &e.objective(),
-        );
-        assert_eq!(n1, n2);
-        assert_eq!(via_shim.entries(), via_scored.entries());
-    }
 }

@@ -13,11 +13,12 @@
 //!   machine name (`"rounds.round"`), a human message, and typed `key=value`
 //!   fields. Two sinks: a human sink on stdout (plain or tagged) and an
 //!   optional JSONL sink (one self-describing JSON object per line).
-//! * [`metrics`] — a thread-local registry of named counters, gauges, and
+//! * [`metrics`] — a per-thread registry of named counters, gauges, and
 //!   fixed-bucket histograms (e.g. `oracle.eval_us`, `train.epoch_loss`,
-//!   `dse.points_explored`). Snapshots are serializable, so checkpoints can
-//!   carry them across a crash and a resumed campaign's accounting matches
-//!   an uninterrupted run's.
+//!   `dse.points_explored`). A thread can bind itself to a shared,
+//!   live-readable registry instead ([`metrics::bind`]). Snapshots are
+//!   serializable, so checkpoints can carry them across a crash and a
+//!   resumed campaign's accounting matches an uninterrupted run's.
 //! * [`span`] — scoped stage timers. Dropping a [`span::StageTimer`] adds
 //!   the elapsed time to the `stage.<name>.busy_us` counter and the
 //!   `span.<name>_us` histogram, giving every rounds-loop iteration a

@@ -1,8 +1,16 @@
 //! The metrics registry: counters, gauges, and fixed-bucket histograms.
 //!
-//! The registry is **thread-local**: the pipeline is single-threaded per
-//! campaign, and thread-locality gives every `cargo test` thread an isolated
-//! registry for free (no cross-test interference, no locks on the hot path).
+//! Every thread records into its **own** registry unless it is bound to a
+//! shared one. Thread-locality is the default because the pipeline is
+//! single-threaded per campaign: recording takes no lock, and every
+//! `cargo test` thread gets an isolated registry for free.
+//!
+//! A thread whose records must be readable while it runs — a server's
+//! connection handlers, replicas and supervisor, which feed the live
+//! `admin stats` plane — calls [`bind`] with a [`SharedMetrics`]. Until the
+//! returned guard drops, every free function here (recording, [`snapshot`],
+//! [`merge`], [`restore`], [`reset`]) works on the shared registry instead,
+//! so a fact is booked once, in the one place it is read from.
 //!
 //! Metric names are dotted strings (`oracle.eval_us`); a one-label variant
 //! composes Prometheus-style keys (`harness.faults{kind=tool-crash}`).
@@ -15,6 +23,8 @@
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Upper bucket edges (inclusive, microseconds) of the default latency
 /// histogram: spans 10 µs surrogate inferences to minute-scale HLS stages.
@@ -239,8 +249,112 @@ struct Registry {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// Applies `op` to `map[name]`, inserting `new()` first if absent. Looks up
+/// before allocating the key, so after a name's first booking, recording
+/// allocates nothing (and holds a shared registry's lock that much less).
+fn upsert<V>(
+    map: &mut BTreeMap<String, V>,
+    name: &str,
+    new: impl FnOnce() -> V,
+    op: impl FnOnce(&mut V),
+) {
+    match map.get_mut(name) {
+        Some(v) => op(v),
+        None => op(map.entry(name.to_string()).or_insert_with(new)),
+    }
+}
+
+impl Registry {
+    fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: self.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            gauges: self.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
+            histograms: self.histograms.iter().map(|(k, h)| h.snapshot(k)).collect(),
+        }
+    }
+}
+
+/// A thread's metrics state: its own registry, and the shared registry it
+/// is bound to while a [`BindGuard`] lives.
+#[derive(Default)]
+struct Local {
+    own: Registry,
+    bound: Option<Arc<SharedMetrics>>,
+}
+
 thread_local! {
-    static REGISTRY: RefCell<Registry> = RefCell::new(Registry::default());
+    static LOCAL: RefCell<Local> = RefCell::new(Local::default());
+}
+
+/// Runs `f` on the registry this thread records into: the bound shared
+/// registry if there is one, else the thread's own. `f` must not call back
+/// into this module (a bound registry's lock is held while it runs).
+fn with_registry<T>(f: impl FnOnce(&mut Registry) -> T) -> T {
+    LOCAL.with(|l| {
+        let Local { own, bound } = &mut *l.borrow_mut();
+        match bound {
+            Some(shared) => f(&mut shared.lock()),
+            None => f(own),
+        }
+    })
+}
+
+/// A mutex-guarded registry shared across threads, readable while they
+/// still record into it: the live plane behind a server's `admin stats`.
+///
+/// It has no recording methods of its own. A thread records into it by
+/// [`bind`]ing to it; every free function of this module then reads and
+/// writes the shared registry until the guard drops.
+#[derive(Default)]
+pub struct SharedMetrics {
+    inner: Mutex<Registry>,
+}
+
+impl SharedMetrics {
+    /// An empty shared registry.
+    pub fn new() -> SharedMetrics {
+        SharedMetrics::default()
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Registry> {
+        // Every update leaves the registry valid at each step (a panic
+        // mid-booking half-counts at most one observation), so one thread's
+        // panic must not stop the others from recording.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A deterministic (sorted) copy of the shared registry — safe to call
+    /// from any thread at any time.
+    pub fn snapshot(&self) -> MetricsSnapshot {
+        self.lock().snapshot()
+    }
+}
+
+/// Keeps the calling thread bound to a [`SharedMetrics`]; dropping it
+/// restores the binding that was in place before. Not `Send`: it belongs
+/// to the thread that created it.
+#[must_use = "the thread is bound only while the guard lives"]
+pub struct BindGuard {
+    prev: Option<Arc<SharedMetrics>>,
+    _thread: PhantomData<*const ()>,
+}
+
+/// Binds the calling thread to `shared` until the returned guard drops:
+/// every free function of this module ([`counter_add`], [`snapshot`],
+/// [`merge`], …) then works on `shared` instead of the thread's own
+/// registry. Guards nest; each restores the binding it replaced.
+pub fn bind(shared: &Arc<SharedMetrics>) -> BindGuard {
+    let prev = LOCAL.with(|l| l.borrow_mut().bound.replace(Arc::clone(shared)));
+    BindGuard { prev, _thread: PhantomData }
+}
+
+impl Drop for BindGuard {
+    fn drop(&mut self) {
+        let prev = self.prev.take();
+        // `try_with`: a guard dropped while the thread's locals are torn
+        // down has nothing left to restore, and `Drop` must not panic.
+        let _ = LOCAL.try_with(|l| l.borrow_mut().bound = prev);
+    }
 }
 
 /// Composes a one-label metric key: `name{key=value}`.
@@ -250,9 +364,7 @@ pub fn labeled(name: &str, key: &str, value: &str) -> String {
 
 /// Adds `delta` to counter `name` (creating it at 0).
 pub fn counter_add(name: &str, delta: u64) {
-    REGISTRY.with(|r| {
-        *r.borrow_mut().counters.entry(name.to_string()).or_insert(0) += delta;
-    });
+    with_registry(|r| upsert(&mut r.counters, name, || 0, |v| *v += delta));
 }
 
 /// Increments counter `name` by one.
@@ -267,73 +379,44 @@ pub fn counter_add_labeled(name: &str, key: &str, value: &str, delta: u64) {
 
 /// The current value of counter `name` (0 if never touched).
 pub fn counter_value(name: &str) -> u64 {
-    REGISTRY.with(|r| r.borrow().counters.get(name).copied().unwrap_or(0))
+    with_registry(|r| r.counters.get(name).copied().unwrap_or(0))
 }
 
 /// Sets gauge `name` to `value`.
 pub fn gauge_set(name: &str, value: f64) {
-    REGISTRY.with(|r| {
-        r.borrow_mut().gauges.insert(name.to_string(), value);
-    });
+    with_registry(|r| upsert(&mut r.gauges, name, || value, |v| *v = value));
 }
 
 /// Adds `delta` to gauge `name` (creating it at 0) — for accumulating
 /// fractional quantities like modelled HLS minutes.
 pub fn gauge_add(name: &str, delta: f64) {
-    REGISTRY.with(|r| {
-        *r.borrow_mut().gauges.entry(name.to_string()).or_insert(0.0) += delta;
-    });
+    with_registry(|r| upsert(&mut r.gauges, name, || 0.0, |v| *v += delta));
 }
 
 /// The current value of gauge `name`, if set.
 pub fn gauge_value(name: &str) -> Option<f64> {
-    REGISTRY.with(|r| r.borrow().gauges.get(name).copied())
+    with_registry(|r| r.gauges.get(name).copied())
 }
 
 /// Records `us` into histogram `name` (created over [`DEFAULT_US_EDGES`]).
 pub fn observe_us(name: &str, us: u64) {
-    REGISTRY.with(|r| {
-        r.borrow_mut()
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::default_us)
-            .record(us);
-    });
+    with_registry(|r| upsert(&mut r.histograms, name, Histogram::default_us, |h| h.record(us)));
 }
 
 /// Records `us` into histogram `name`, creating it over `edges` if new.
 pub fn observe_with_edges(name: &str, edges: &[u64], us: u64) {
-    REGISTRY.with(|r| {
-        r.borrow_mut()
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(edges))
-            .record(us);
-    });
+    with_registry(|r| upsert(&mut r.histograms, name, || Histogram::new(edges), |h| h.record(us)));
 }
 
-/// Runs `f` with the named histogram, if it exists.
-pub fn with_histogram<T>(name: &str, f: impl FnOnce(&Histogram) -> T) -> Option<T> {
-    REGISTRY.with(|r| r.borrow().histograms.get(name).map(f))
-}
-
-/// A deterministic (sorted) copy of this thread's registry.
+/// A deterministic (sorted) copy of the registry this thread records into.
 pub fn snapshot() -> MetricsSnapshot {
-    REGISTRY.with(|r| {
-        let r = r.borrow();
-        MetricsSnapshot {
-            counters: r.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            gauges: r.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            histograms: r.histograms.iter().map(|(k, h)| h.snapshot(k)).collect(),
-        }
-    })
+    with_registry(|r| r.snapshot())
 }
 
-/// Replaces this thread's registry with `snap` — the resume half of
-/// checkpointed accounting.
+/// Replaces the registry this thread records into with `snap` — the resume
+/// half of checkpointed accounting.
 pub fn restore(snap: &MetricsSnapshot) {
-    REGISTRY.with(|r| {
-        let mut r = r.borrow_mut();
+    with_registry(|r| {
         r.counters = snap.counters.iter().cloned().collect();
         r.gauges = snap.gauges.iter().cloned().collect();
         r.histograms = snap
@@ -344,128 +427,30 @@ pub fn restore(snap: &MetricsSnapshot) {
     });
 }
 
-/// Adds `snap` **into** this thread's registry (unlike [`restore`], which
-/// replaces it): counters and histogram buckets sum, and gauges sum too —
-/// the workspace's gauges are accumulators (modelled HLS minutes, queue
-/// depths), so additive merge is the meaningful combination when folding
-/// worker-thread registries back into the main thread after a parallel
-/// section. Histograms with mismatched bucket edges are skipped (debug
-/// builds assert; every metric name uses one fixed edge set).
+/// Adds `snap` **into** the registry this thread records into (unlike
+/// [`restore`], which replaces it): counters and histogram buckets sum, and
+/// gauges sum too — the workspace's gauges are accumulators (modelled HLS
+/// minutes, queue depths), so additive merge is the meaningful combination
+/// when folding worker-thread registries back into the main thread after a
+/// parallel section. Histograms with mismatched bucket edges are skipped
+/// (debug builds assert; every metric name uses one fixed edge set).
 pub fn merge(snap: &MetricsSnapshot) {
-    REGISTRY.with(|r| {
-        let mut r = r.borrow_mut();
+    with_registry(|r| {
         for (name, v) in &snap.counters {
-            *r.counters.entry(name.clone()).or_insert(0) += v;
+            upsert(&mut r.counters, name, || 0, |c| *c += v);
         }
         for (name, v) in &snap.gauges {
-            *r.gauges.entry(name.clone()).or_insert(0.0) += v;
+            upsert(&mut r.gauges, name, || 0.0, |g| *g += v);
         }
         for h in &snap.histograms {
-            match r.histograms.entry(h.name.clone()) {
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    e.get_mut().add_snapshot(h);
-                }
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(Histogram::from_snapshot(h));
-                }
-            }
+            upsert(&mut r.histograms, &h.name, || Histogram::new(&h.edges), |m| m.add_snapshot(h));
         }
     });
 }
 
-/// Clears this thread's registry.
+/// Clears the registry this thread records into.
 pub fn reset() {
-    REGISTRY.with(|r| *r.borrow_mut() = Registry::default());
-}
-
-/// A mutex-guarded registry shared **across** threads, for metrics that
-/// must be readable *while* worker threads are still running.
-///
-/// The thread-local registry is the right default (no locks, no
-/// cross-test interference), but its contents only become visible to
-/// other threads after a worker parks its snapshot at exit — useless for
-/// a live `admin stats` endpoint. Hot paths that feed live telemetry
-/// (request-span histograms, queue-depth gauges) record into a
-/// `SharedMetrics` instead; the owner folds [`SharedMetrics::snapshot`]
-/// into the ordinary registry via [`merge`] at shutdown so end-of-run
-/// reports see one unified registry.
-#[derive(Default)]
-pub struct SharedMetrics {
-    inner: std::sync::Mutex<Registry>,
-}
-
-impl SharedMetrics {
-    /// An empty shared registry.
-    pub fn new() -> SharedMetrics {
-        SharedMetrics::default()
-    }
-
-    fn with<T>(&self, f: impl FnOnce(&mut Registry) -> T) -> T {
-        f(&mut self.inner.lock().expect("shared metrics lock"))
-    }
-
-    /// Adds `delta` to counter `name` (creating it at 0).
-    pub fn counter_add(&self, name: &str, delta: u64) {
-        self.with(|r| *r.counters.entry(name.to_string()).or_insert(0) += delta);
-    }
-
-    /// Increments counter `name` by one.
-    pub fn counter_inc(&self, name: &str) {
-        self.counter_add(name, 1);
-    }
-
-    /// The current value of counter `name` (0 if never touched).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.with(|r| r.counters.get(name).copied().unwrap_or(0))
-    }
-
-    /// Sets gauge `name` to `value`.
-    pub fn gauge_set(&self, name: &str, value: f64) {
-        self.with(|r| {
-            r.gauges.insert(name.to_string(), value);
-        });
-    }
-
-    /// The current value of gauge `name`, if set.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.with(|r| r.gauges.get(name).copied())
-    }
-
-    /// Records `us` into histogram `name` (created over
-    /// [`DEFAULT_US_EDGES`]).
-    pub fn observe_us(&self, name: &str, us: u64) {
-        self.with(|r| {
-            r.histograms
-                .entry(name.to_string())
-                .or_insert_with(Histogram::default_us)
-                .record(us);
-        });
-    }
-
-    /// Records `us` into histogram `name`, creating it over `edges` if new.
-    pub fn observe_with_edges(&self, name: &str, edges: &[u64], us: u64) {
-        self.with(|r| {
-            r.histograms
-                .entry(name.to_string())
-                .or_insert_with(|| Histogram::new(edges))
-                .record(us);
-        });
-    }
-
-    /// A deterministic (sorted) copy of the shared registry — safe to call
-    /// from any thread at any time.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.with(|r| MetricsSnapshot {
-            counters: r.counters.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            gauges: r.gauges.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            histograms: r.histograms.iter().map(|(k, h)| h.snapshot(k)).collect(),
-        })
-    }
-
-    /// Clears the shared registry.
-    pub fn reset(&self) {
-        self.with(|r| *r = Registry::default());
-    }
+    with_registry(|r| *r = Registry::default());
 }
 
 #[cfg(test)]
@@ -643,31 +628,57 @@ mod tests {
 
     #[test]
     fn shared_metrics_are_visible_across_threads_while_running() {
-        let shared = std::sync::Arc::new(SharedMetrics::new());
+        reset();
+        let shared = Arc::new(SharedMetrics::new());
         std::thread::scope(|s| {
             for t in 0..4u64 {
-                let shared = std::sync::Arc::clone(&shared);
+                let shared = Arc::clone(&shared);
                 s.spawn(move || {
+                    let _bound = bind(&shared);
                     for i in 0..25 {
-                        shared.counter_inc("hits");
-                        shared.observe_us("lat_us", t * 100 + i);
+                        counter_inc("hits");
+                        observe_us("lat_us", t * 100 + i);
                     }
-                    shared.gauge_set(&labeled("depth", "worker", &t.to_string()), t as f64);
+                    gauge_set(&labeled("depth", "worker", &t.to_string()), t as f64);
                 });
             }
         });
         // Readable without any park/merge handshake.
-        assert_eq!(shared.counter_value("hits"), 100);
-        assert_eq!(shared.gauge_value("depth{worker=3}"), Some(3.0));
         let snap = shared.snapshot();
+        assert_eq!(snap.counter("hits"), Some(100));
+        assert_eq!(snap.gauge("depth{worker=3}"), Some(3.0));
         assert_eq!(snap.histogram("lat_us").unwrap().count, 100);
+        assert_eq!(counter_value("hits"), 0, "the unbound test thread saw none of it");
 
         // Folding the shared registry into the thread-local one unifies
         // shutdown reporting.
-        reset();
         counter_add("hits", 1);
         merge(&snap);
         assert_eq!(counter_value("hits"), 101);
+        reset();
+    }
+
+    #[test]
+    fn bind_guards_nest_and_restore_the_previous_binding() {
+        reset();
+        let (a, b) = (Arc::new(SharedMetrics::new()), Arc::new(SharedMetrics::new()));
+        counter_inc("own");
+        {
+            let _a = bind(&a);
+            counter_inc("x");
+            {
+                let _b = bind(&b);
+                counter_add("x", 10);
+                assert_eq!(counter_value("x"), 10, "reads follow the binding too");
+            }
+            counter_inc("x");
+            assert_eq!(snapshot().counter("own"), None);
+        }
+        counter_inc("own");
+        assert_eq!(a.snapshot().counter("x"), Some(2));
+        assert_eq!(b.snapshot().counter("x"), Some(10));
+        assert_eq!(counter_value("own"), 2, "unbound again after the guards dropped");
+        assert_eq!(counter_value("x"), 0);
         reset();
     }
 

@@ -40,9 +40,11 @@
 //!   request, a [`ServerHandle::shutdown`] call, or a served-request limit
 //!   all drain in-flight work before the server returns;
 //! * **`serve.*` metrics** — the full catalog (epoch gauge, restart /
-//!   reroute / shed / reload-failure counters, latency and batch-size
-//!   histograms) is documented in [`crate::server`] and merged into the
-//!   caller's [`gdse_obs`] registry when [`Server::run`] returns.
+//!   reroute / reject / reload-failure counters, span and batch-size
+//!   histograms) is documented in [`crate::server`]. Every server thread
+//!   books into one live registry that `admin stats` reads mid-run; it is
+//!   folded into the caller's [`gdse_obs`] registry when [`Server::run`]
+//!   returns.
 //!
 //! ## Protocol
 //!
@@ -82,7 +84,7 @@ pub use pool::{
     BatchPredictor, LearnStatusSource, ModelProvider, StaticProvider, BATCH_EDGES, MAX_ATTEMPTS,
 };
 pub use protocol::{parse_request, PredictionRow, Request, Response};
-pub use server::{ServeConfig, ServeStats, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle};
 
 use std::fmt;
 use std::io;

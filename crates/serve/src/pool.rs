@@ -265,23 +265,10 @@ pub(crate) struct Shared {
     pub config: crate::server::ServeConfig,
     pub shutdown: AtomicBool,
     pub addr: SocketAddr,
-    // Lifetime stats (the `ServeStats` source of truth).
-    pub served: AtomicU64,
-    pub rejected: AtomicU64,
-    pub errors: AtomicU64,
-    pub shed: AtomicU64,
-    pub replica_restarts: AtomicU64,
-    pub replica_crashes: AtomicU64,
-    pub rerouted: AtomicU64,
-    pub reloads: AtomicU64,
-    pub reload_failures: AtomicU64,
-    /// Thread-local registries of exited worker threads, merged into the
-    /// caller's registry when `run` returns.
-    pub registries: Mutex<Vec<obs::metrics::MetricsSnapshot>>,
-    /// Cross-thread registry feeding the live `admin stats` endpoint:
-    /// span histograms and queue-depth gauges land here (and *only* here)
-    /// so they are readable while worker threads still run; `Server::run`
-    /// folds it into the caller's registry at shutdown.
+    /// The server's one registry: every thread the server spawns runs
+    /// bound to it ([`spawn_bound`]), so each fact is booked once and
+    /// `admin stats` reads it while the server runs. `Server::run` folds it
+    /// into the caller's registry when it returns.
     pub live: Arc<obs::metrics::SharedMetrics>,
     /// Bounded rings of completed request traces (`admin trace`'s source).
     pub recorder: Arc<obs::trace::FlightRecorder>,
@@ -303,11 +290,13 @@ impl Shared {
             .map(|i| {
                 // Each queue reports its depth into the live registry the
                 // moment it changes — `admin stats` shows instantaneous
-                // backlog, not a stale poll.
+                // backlog, not a stale poll — whichever thread moved it.
                 let live = Arc::clone(&live);
                 let gauge = obs::metrics::labeled("serve.queue_depth", "replica", &i.to_string());
-                let observer: crate::queue::DepthObserver =
-                    Box::new(move |depth| live.gauge_set(&gauge, depth as f64));
+                let observer: crate::queue::DepthObserver = Box::new(move |depth| {
+                    let _live = obs::metrics::bind(&live);
+                    obs::metrics::gauge_set(&gauge, depth as f64);
+                });
                 Arc::new(ReplicaSlot::new(config.queue_capacity, Some(observer)))
             })
             .collect();
@@ -322,16 +311,6 @@ impl Shared {
             config,
             shutdown: AtomicBool::new(false),
             addr,
-            served: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            replica_restarts: AtomicU64::new(0),
-            replica_crashes: AtomicU64::new(0),
-            rerouted: AtomicU64::new(0),
-            reloads: AtomicU64::new(0),
-            reload_failures: AtomicU64::new(0),
-            registries: Mutex::new(Vec::new()),
             learn: Mutex::new(None),
             started: Instant::now(),
         }
@@ -351,12 +330,6 @@ impl Shared {
         }
     }
 
-    pub fn park_registry(&self) {
-        let snap = obs::metrics::snapshot();
-        self.registries.lock().expect("registry lock").push(snap);
-        obs::metrics::reset();
-    }
-
     /// Total depth across every replica queue.
     pub fn queue_depth(&self) -> usize {
         self.slots.iter().map(|s| s.queue.len()).sum()
@@ -367,25 +340,24 @@ impl Shared {
         self.provider.epoch()
     }
 
-    /// Forces a model reload through the provider, keeping the counters
-    /// straight regardless of which thread asked.
+    /// Forces a model reload through the provider. Runs bound to the live
+    /// registry whichever thread asked, so the reload's counters (and
+    /// anything the provider books while validating) land there.
     pub fn reload(&self) -> Result<u64, String> {
-        match self.provider.reload() {
-            Ok(epoch) => {
-                self.reloads.fetch_add(1, Ordering::SeqCst);
-                obs::metrics::counter_inc("serve.reloads");
-                Ok(epoch)
-            }
-            Err(e) => {
-                self.reload_failures.fetch_add(1, Ordering::SeqCst);
-                obs::metrics::counter_inc("serve.reload_failures");
-                Err(e)
-            }
-        }
+        let _live = obs::metrics::bind(&self.live);
+        let result = self.provider.reload();
+        obs::metrics::counter_inc(if result.is_ok() {
+            "serve.reloads"
+        } else {
+            "serve.reload_failures"
+        });
+        result
     }
 
     /// Chaos drill: crash replica `replica` (it restarts under
-    /// supervision).
+    /// supervision). Only raises the slot's kill flag, so it books nothing
+    /// itself: the crash and the restart are booked by the replica's exit
+    /// and the supervisor.
     ///
     /// # Errors
     ///
@@ -448,37 +420,13 @@ impl Shared {
     }
 
     /// The live telemetry document `admin stats` serves: uptime, epoch,
-    /// per-replica state (depth/epoch/up/restarts), lifetime counters, and
-    /// every live histogram with interpolated p50/p95/p99 — plus the full
+    /// per-replica state (depth/epoch/up/restarts), and every live
+    /// histogram with interpolated p50/p95/p99 — plus the full live
     /// [`obs::MetricsSnapshot`] under `"metrics"` so clients can re-render
     /// it (e.g. as Prometheus exposition text) without a second verb.
     pub fn stats_value(&self) -> serde::Value {
         use serde::Value;
-        let mut snap = self.live.snapshot();
-        // Fold the lifetime atomics in as counters: one document carries
-        // the whole picture regardless of which registry a metric lives in.
-        let lifetime: [(&str, u64); 9] = [
-            ("serve.predictions", self.served.load(Ordering::SeqCst)),
-            ("serve.rejected", self.rejected.load(Ordering::SeqCst)),
-            ("serve.errors", self.errors.load(Ordering::SeqCst)),
-            ("serve.shed", self.shed.load(Ordering::SeqCst)),
-            ("serve.replica_restarts", self.replica_restarts.load(Ordering::SeqCst)),
-            ("serve.replica_crashes", self.replica_crashes.load(Ordering::SeqCst)),
-            ("serve.rerouted", self.rerouted.load(Ordering::SeqCst)),
-            ("serve.reloads", self.reloads.load(Ordering::SeqCst)),
-            ("serve.reload_failures", self.reload_failures.load(Ordering::SeqCst)),
-        ];
-        for (k, v) in lifetime {
-            if !snap.counters.iter().any(|(n, _)| n == k) {
-                snap.counters.push((k.to_string(), v));
-            }
-        }
-        snap.counters.sort();
-        if !snap.gauges.iter().any(|(n, _)| n == "serve.epoch") {
-            snap.gauges.push(("serve.epoch".into(), self.provider.epoch() as f64));
-            snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        }
-
+        let snap = self.live.snapshot();
         let replicas: Vec<Value> = self
             .slots
             .iter()
@@ -545,30 +493,19 @@ pub(crate) enum SubmitError {
     Closed,
 }
 
-/// Answers `job` with `response`, keeping stats and metrics straight.
+/// Answers `job` with `response` and books the outcome. Called only from
+/// server threads, which are bound to the live registry.
 pub(crate) fn answer(shared: &Shared, job: Job, response: Response) {
-    obs::metrics::observe_us("serve.latency_us", job.enqueued.elapsed().as_micros() as u64);
-    match &response {
-        Response::Ok { .. } => {
-            shared.served.fetch_add(1, Ordering::SeqCst);
-            obs::metrics::counter_inc("serve.predictions");
-        }
-        Response::Rejected { .. } => {
-            shared.rejected.fetch_add(1, Ordering::SeqCst);
-            shared.shed.fetch_add(1, Ordering::SeqCst);
-            obs::metrics::counter_inc("serve.rejected");
-            obs::metrics::counter_inc("serve.shed");
-        }
-        _ => {
-            shared.errors.fetch_add(1, Ordering::SeqCst);
-            obs::metrics::counter_inc("serve.errors");
-        }
-    }
+    obs::metrics::counter_inc(match &response {
+        Response::Ok { .. } => "serve.predictions",
+        Response::Rejected { .. } => "serve.rejected",
+        _ => "serve.errors",
+    });
     let Job { reply, trace, replica, .. } = job;
     let _ = reply.send(Answer { response, trace, replica });
     if let Some(limit) = shared.config.max_requests {
-        let answered =
-            shared.served.load(Ordering::SeqCst) + shared.errors.load(Ordering::SeqCst);
+        let answered = obs::metrics::counter_value("serve.predictions")
+            + obs::metrics::counter_value("serve.errors");
         if answered >= limit {
             shared.begin_shutdown();
         }
@@ -706,22 +643,34 @@ fn replica_serve(shared: &Shared, idx: usize, generation: u64) -> ExitKind {
     }
 }
 
+/// Spawns a server thread bound to the live registry for its whole life:
+/// whatever it books (and whatever its backend books) is one fact in one
+/// place, visible to `admin stats` at once.
+pub(crate) fn spawn_bound<T: Send + 'static>(
+    shared: &Arc<Shared>,
+    body: impl FnOnce(&Arc<Shared>) -> T + Send + 'static,
+) -> JoinHandle<T> {
+    let shared = Arc::clone(shared);
+    std::thread::spawn(move || {
+        let _live = obs::metrics::bind(&shared.live);
+        body(&shared)
+    })
+}
+
 fn spawn_replica(
     shared: &Arc<Shared>,
     idx: usize,
     generation: u64,
     events: mpsc::Sender<Exit>,
 ) -> JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    std::thread::spawn(move || {
+    spawn_bound(shared, move |shared| {
         shared.slots[idx].generation.store(generation, Ordering::SeqCst);
-        let kind = replica_serve(&shared, idx, generation);
+        let kind = replica_serve(shared, idx, generation);
         // Only the current instance may mark the slot down — a retired
         // (wedged, superseded) instance must not knock out its successor.
         if shared.slots[idx].generation.load(Ordering::SeqCst) == generation {
             shared.slots[idx].up.store(false, Ordering::SeqCst);
         }
-        shared.park_registry();
         let _ = events.send(Exit { slot: idx, generation, kind });
     })
 }
@@ -772,7 +721,6 @@ pub(crate) fn supervise(shared: &Arc<Shared>) {
                         redispatch(shared, exit.slot, orphans);
                     }
                     ExitKind::Crashed { cause, orphans } => {
-                        shared.replica_crashes.fetch_add(1, Ordering::SeqCst);
                         obs::metrics::counter_inc("serve.replica_crashes");
                         obs::warn!(
                             "serve.replica_crashed",
@@ -823,7 +771,6 @@ pub(crate) fn supervise(shared: &Arc<Shared>) {
                 st.spawned_at = Instant::now();
                 st.handle = Some(spawn_replica(shared, i, st.generation, tx.clone()));
                 alive += 1;
-                shared.replica_restarts.fetch_add(1, Ordering::SeqCst);
                 shared.slots[i].restarts.fetch_add(1, Ordering::SeqCst);
                 obs::metrics::counter_inc("serve.replica_restarts");
                 obs::info!(
@@ -847,7 +794,6 @@ pub(crate) fn supervise(shared: &Arc<Shared>) {
                 let slot = &shared.slots[i];
                 let busy = slot.busy_since_ms.load(Ordering::SeqCst);
                 if busy > 0 && now_ms.saturating_sub(busy - 1) > wedge.as_millis() as u64 {
-                    shared.replica_crashes.fetch_add(1, Ordering::SeqCst);
                     obs::metrics::counter_inc("serve.replica_crashes");
                     obs::metrics::counter_inc("serve.replica_wedged");
                     obs::warn!(
@@ -878,7 +824,6 @@ pub(crate) fn supervise(shared: &Arc<Shared>) {
                 match shared.provider.poll_reload() {
                     None => {}
                     Some(Ok(epoch)) => {
-                        shared.reloads.fetch_add(1, Ordering::SeqCst);
                         obs::metrics::counter_inc("serve.reloads");
                         obs::info!(
                             "serve.reloaded",
@@ -887,7 +832,6 @@ pub(crate) fn supervise(shared: &Arc<Shared>) {
                         );
                     }
                     Some(Err(e)) => {
-                        shared.reload_failures.fetch_add(1, Ordering::SeqCst);
                         obs::metrics::counter_inc("serve.reload_failures");
                         obs::warn!(
                             "serve.reload_failed",
@@ -897,8 +841,6 @@ pub(crate) fn supervise(shared: &Arc<Shared>) {
                 }
             }
         }
-        // Only this thread sets the epoch gauge, so the additive registry
-        // merge yields exactly the current epoch.
         obs::metrics::gauge_set("serve.epoch", shared.provider.epoch() as f64);
 
         if shutting_down && alive == 0 && slots.iter().all(|s| s.restart_due.is_none()) {
@@ -920,7 +862,6 @@ pub(crate) fn supervise(shared: &Arc<Shared>) {
     // Abandoned (wedged) threads are detached deliberately: joining a
     // thread stuck in a backend call would hang shutdown forever.
     drop(abandoned);
-    shared.park_registry();
 }
 
 /// Re-routes a dead replica's jobs to healthy siblings, answering 500
@@ -941,10 +882,7 @@ fn redispatch(shared: &Shared, from: usize, orphans: Vec<Job>) {
         // A job that just crashed `from` must not be handed straight back
         // to its restarted incarnation.
         match shared.submit(job, Some(from)) {
-            Ok(()) => {
-                shared.rerouted.fetch_add(1, Ordering::SeqCst);
-                obs::metrics::counter_inc("serve.rerouted");
-            }
+            Ok(()) => obs::metrics::counter_inc("serve.rerouted"),
             Err((job, SubmitError::Shed)) => {
                 let id = job.id;
                 let retry_after_ms = shared.config.retry_after.as_millis() as u64;

@@ -5,11 +5,15 @@
 //! ([`Server::run`]), one handler thread per connection parses requests
 //! and writes responses, one thread per replica drains its shard queue and
 //! calls its private [`BatchPredictor`], and one supervisor thread restarts
-//! crashed/wedged replicas and watches the model source. Every worker
-//! thread records into its own thread-local [`gdse_obs`] registry; each
-//! snapshot is accumulated at thread exit and merged into the caller's
-//! registry when `run` returns, so `run_report.json` sees one consistent
-//! `serve.*` total.
+//! crashed/wedged replicas and watches the model source.
+//!
+//! Every thread the server spawns runs bound to the pool's one live
+//! registry ([`gdse_obs::metrics::bind`]), and so do reloads and queue-depth
+//! updates entered from other threads. Each fact below — and every
+//! `surrogate.*`/`exec.*`/`gnn.*` count a replica's backend books — is
+//! recorded once, is visible to `admin stats` while the server runs, and is
+//! folded into the caller's registry exactly once, when [`Server::run`]
+//! returns.
 //!
 //! ## Metric catalog (`serve.*`)
 //!
@@ -17,14 +21,12 @@
 //! |---|---|---|
 //! | `serve.connections` | counter | accepted TCP connections |
 //! | `serve.requests` | counter | parsed predict requests |
-//! | `serve.rejected` | counter | requests bounced off a full queue (429) |
-//! | `serve.shed` | counter | load-shed requests (today identical to `serve.rejected`) |
+//! | `serve.rejected` | counter | requests load-shed off a full queue (429) |
 //! | `serve.errors` | counter | malformed/unservable requests |
 //! | `serve.predictions` | counter | rows answered with `status: ok` |
 //! | `serve.batches` | counter | predictor micro-batches dispatched |
 //! | `serve.batch_size` | histogram | requests per micro-batch ([`BATCH_EDGES`]) |
-//! | `serve.queue_depth` | gauge | queue depth after the last drain |
-//! | `serve.latency_us` | histogram | enqueue-to-response latency (p50/p99) |
+//! | `serve.queue_depth` | gauge | depth of the last drained queue after its drain |
 //! | `serve.epoch` | gauge | model epoch currently serving |
 //! | `serve.replica_crashes` | counter | replica panics/kill drills/wedges |
 //! | `serve.replica_wedged` | counter | replicas retired for making no progress |
@@ -46,16 +48,14 @@
 //! | `serve.trace.write_us` | histogram | response serialization + socket write (also per `{kernel}`/`{replica}`) |
 //! | `serve.trace.slow` | counter | traces over [`ServeConfig::trace_slow`], each dumped at Warn |
 //!
-//! A continuous-learning daemon additionally mirrors its `learn.*` series
-//! (rounds, buffer depth, last fine-tune loss, swap counts) into the same
-//! live registry through [`ServerHandle::live_metrics`], and answers the
-//! `{"learn-status": true}` admin verb through an attached
-//! [`crate::LearnStatusSource`]; servers without a learner answer it 404.
+//! The `{kernel}` variants are booked only for requests answered `ok`: a
+//! kernel name is client input, and only a served kernel may mint a series.
 //!
-//! Trace histograms and the queue-depth gauge live in the pool's
-//! *shared* registry so `admin stats` reads them from the running server;
-//! they are folded into the caller's thread-local registry exactly once,
-//! when [`Server::run`] returns.
+//! A continuous-learning daemon additionally books its `learn.*` series
+//! (rounds, buffer depth, last fine-tune loss, swap counts) into the same
+//! live registry, binding to [`ServerHandle::live_metrics`], and answers
+//! the `{"learn-status": true}` admin verb through an attached
+//! [`crate::LearnStatusSource`]; servers without a learner answer it 404.
 
 use crate::pool::{self, Job, ModelProvider, Shared, StaticProvider, SubmitError};
 use crate::protocol::{parse_request, Request, Response};
@@ -131,29 +131,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// What the server did over its lifetime, returned by [`Server::run`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeStats {
-    /// Predict requests answered with `status: ok`.
-    pub served: u64,
-    /// Requests rejected off a full queue.
-    pub rejected: u64,
-    /// Requests answered with `status: error`.
-    pub errors: u64,
-    /// Load-shed requests (currently identical to `rejected`).
-    pub shed: u64,
-    /// Replica crashes (panics, kill drills, wedges).
-    pub replica_crashes: u64,
-    /// Supervised replica restarts.
-    pub replica_restarts: u64,
-    /// Orphaned jobs re-routed to a sibling replica.
-    pub rerouted: u64,
-    /// Successful model reloads.
-    pub reloads: u64,
-    /// Rejected model reloads (previous model kept serving).
-    pub reload_failures: u64,
-}
-
 /// A bound, not-yet-running prediction server.
 pub struct Server {
     listener: TcpListener,
@@ -207,20 +184,16 @@ impl ServerHandle {
         self.shared.kill_replica(replica)
     }
 
-    /// Lifetime stats so far (also returned by [`Server::run`]).
-    pub fn stats(&self) -> ServeStats {
-        stats_of(&self.shared)
-    }
-
     /// Attaches the source the `{"learn-status": true}` admin verb answers
     /// from. Until one is attached the verb answers 404.
     pub fn attach_learn_status(&self, source: Arc<dyn crate::LearnStatusSource>) {
         *self.shared.learn.lock().expect("learn lock") = Some(source);
     }
 
-    /// The pool's live cross-thread registry: what `admin stats` reads
-    /// while the server runs. A learner thread mirrors its `learn.*`
-    /// series here so operators see them mid-flight.
+    /// The pool's live registry: what `admin stats` reads while the server
+    /// runs and what [`Server::run`] folds into its caller. Snapshot it to
+    /// read the server's counters mid-flight; a learner thread binds to it
+    /// to book its `learn.*` series next to the `serve.*` ones.
     pub fn live_metrics(&self) -> Arc<obs::metrics::SharedMetrics> {
         Arc::clone(&self.shared.live)
     }
@@ -229,20 +202,6 @@ impl ServerHandle {
     /// A background learner polls this to stop between rounds.
     pub fn is_shutting_down(&self) -> bool {
         self.shared.shutdown.load(Ordering::SeqCst)
-    }
-}
-
-fn stats_of(shared: &Shared) -> ServeStats {
-    ServeStats {
-        served: shared.served.load(Ordering::SeqCst),
-        rejected: shared.rejected.load(Ordering::SeqCst),
-        errors: shared.errors.load(Ordering::SeqCst),
-        shed: shared.shed.load(Ordering::SeqCst),
-        replica_crashes: shared.replica_crashes.load(Ordering::SeqCst),
-        replica_restarts: shared.replica_restarts.load(Ordering::SeqCst),
-        rerouted: shared.rerouted.load(Ordering::SeqCst),
-        reloads: shared.reloads.load(Ordering::SeqCst),
-        reload_failures: shared.reload_failures.load(Ordering::SeqCst),
     }
 }
 
@@ -291,15 +250,12 @@ impl Server {
     }
 
     /// Runs until a shutdown request, a [`ServerHandle::shutdown`], or the
-    /// configured request limit; drains in-flight work, folds every worker
-    /// thread's `serve.*` metrics into the caller's registry, and reports
-    /// what happened.
-    pub fn run(self) -> ServeStats {
+    /// configured request limit; drains in-flight work, then folds the live
+    /// registry — everything the server booked — into the caller's
+    /// registry, once.
+    pub fn run(self) {
         let Server { listener, shared } = self;
-        let supervisor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || pool::supervise(&shared))
-        };
+        let supervisor = pool::spawn_bound(&shared, pool::supervise);
 
         let mut handlers = Vec::new();
         loop {
@@ -308,8 +264,9 @@ impl Server {
                     if shared.shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    let shared = Arc::clone(&shared);
-                    handlers.push(std::thread::spawn(move || handle_connection(stream, &shared)));
+                    handlers.push(pool::spawn_bound(&shared, move |shared| {
+                        handle_connection(stream, shared)
+                    }));
                 }
                 Err(_) => {
                     if shared.shutdown.load(Ordering::SeqCst) {
@@ -323,15 +280,7 @@ impl Server {
             let _ = h.join();
         }
         let _ = supervisor.join();
-
-        for snap in shared.registries.lock().expect("registry lock").drain(..) {
-            obs::metrics::merge(&snap);
-        }
-        // Trace histograms and queue-depth gauges live in the shared live
-        // registry (so `admin stats` sees them mid-flight); fold them into
-        // the caller exactly once, here.
         obs::metrics::merge(&shared.live.snapshot());
-        stats_of(&shared)
     }
 }
 
@@ -358,18 +307,25 @@ fn write_line_traced(
 /// routing, so replica labels would lie and kernel labels add little.
 const LABELED_SPANS: [&str; 4] = ["queue_wait", "batch_wait", "infer", "write"];
 
-/// Books a sealed trace into the live registry and the flight recorder,
-/// and dumps a Warn-level timeline when it crossed the slow threshold.
-fn record_trace(shared: &Shared, trace: &obs::trace::RequestTrace) {
-    let live = &shared.live;
-    live.observe_us("serve.trace.total_us", trace.total_us);
+/// Books a sealed trace into the (bound) live registry and the flight
+/// recorder, and dumps a Warn-level timeline when it crossed the slow
+/// threshold. Only an `ok` answer books the `{kernel=}` variants: a failed
+/// request's kernel name may be anything a client sent, and must not mint
+/// series.
+fn record_trace(shared: &Shared, trace: &obs::trace::RequestTrace, ok: bool) {
+    obs::metrics::observe_us("serve.trace.total_us", trace.total_us);
     for span in &trace.spans {
         let base = format!("serve.trace.{}_us", span.name);
-        live.observe_us(&base, span.dur_us);
+        obs::metrics::observe_us(&base, span.dur_us);
         if LABELED_SPANS.contains(&span.name.as_str()) {
-            live.observe_us(&obs::metrics::labeled(&base, "kernel", &trace.kernel), span.dur_us);
+            if ok {
+                obs::metrics::observe_us(
+                    &obs::metrics::labeled(&base, "kernel", &trace.kernel),
+                    span.dur_us,
+                );
+            }
             if trace.replica >= 0 {
-                live.observe_us(
+                obs::metrics::observe_us(
                     &obs::metrics::labeled(&base, "replica", &trace.replica.to_string()),
                     span.dur_us,
                 );
@@ -379,7 +335,7 @@ fn record_trace(shared: &Shared, trace: &obs::trace::RequestTrace) {
     shared.recorder.record(trace.clone());
     if let Some(slow) = shared.config.trace_slow {
         if u128::from(trace.total_us) >= slow.as_micros() {
-            live.counter_inc("serve.trace.slow");
+            obs::metrics::counter_inc("serve.trace.slow");
             obs::warn!(
                 "serve.trace.slow",
                 "trace {} took {} us ({})",
@@ -490,12 +446,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
     // Answers are one small write each; without TCP_NODELAY they can sit
     // behind Nagle waiting for the peer's delayed ACK (~40 ms).
     let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => {
-            shared.park_registry();
-            return;
-        }
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
     };
     let mut reader = BufReader::new(stream);
     let config = shared.config;
@@ -510,7 +462,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             LineRead::TooLarge => {
                 obs::metrics::counter_inc("serve.oversize");
                 obs::metrics::counter_inc("serve.errors");
-                shared.errors.fetch_add(1, Ordering::SeqCst);
                 let resp = Response::Error {
                     id: 0,
                     code: 413,
@@ -545,7 +496,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         match parse_request(trimmed) {
             Err(message) => {
                 obs::metrics::counter_inc("serve.errors");
-                shared.errors.fetch_add(1, Ordering::SeqCst);
                 let resp = Response::Error { id: 0, code: 400, message };
                 if write_line(&mut writer, &resp).is_err() {
                     break;
@@ -689,10 +639,11 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 if let Some((mut tb, replica)) = sealed {
                     tb.span("write", write_start, Instant::now());
                     let epoch = match &response {
-                        Response::Ok { epoch, .. } => *epoch,
-                        _ => 0,
+                        Response::Ok { epoch, .. } => Some(*epoch),
+                        _ => None,
                     };
-                    record_trace(shared, &tb.finish(&kernel_name, replica, epoch));
+                    let trace = tb.finish(&kernel_name, replica, epoch.unwrap_or(0));
+                    record_trace(shared, &trace, epoch.is_some());
                 }
                 if wrote.is_err() {
                     break;
@@ -700,7 +651,6 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
             }
         }
     }
-    shared.park_registry();
 }
 
 #[cfg(test)]
@@ -831,24 +781,35 @@ mod tests {
         }
     }
 
-    fn start(
-        config: ServeConfig,
-        backend: impl BatchPredictor + 'static,
-    ) -> (ServerHandle, std::thread::JoinHandle<ServeStats>) {
-        let server = Server::bind("127.0.0.1:0", config, backend).expect("bind");
-        let handle = server.handle();
-        let join = std::thread::spawn(move || server.run());
-        (handle, join)
+    /// The thread running the server; it returns its registry after `run`
+    /// folded the live registry into it.
+    type RunThread = std::thread::JoinHandle<obs::MetricsSnapshot>;
+
+    fn start(config: ServeConfig, backend: impl BatchPredictor + 'static) -> (ServerHandle, RunThread) {
+        start_with_provider(config, Arc::new(StaticProvider::new(backend)))
     }
 
     fn start_with_provider(
         config: ServeConfig,
         provider: Arc<dyn ModelProvider>,
-    ) -> (ServerHandle, std::thread::JoinHandle<ServeStats>) {
+    ) -> (ServerHandle, RunThread) {
         let server = Server::bind_with_provider("127.0.0.1:0", config, provider).expect("bind");
         let handle = server.handle();
-        let join = std::thread::spawn(move || server.run());
+        let join = std::thread::spawn(move || {
+            server.run();
+            obs::metrics::snapshot()
+        });
         (handle, join)
+    }
+
+    /// A counter of a finished run's folded registry (0 if never booked).
+    fn count(snap: &obs::MetricsSnapshot, name: &str) -> u64 {
+        snap.counter(name).unwrap_or(0)
+    }
+
+    /// A counter of a running server's live registry.
+    fn live(handle: &ServerHandle, name: &str) -> u64 {
+        count(&handle.live_metrics().snapshot(), name)
     }
 
     fn wait_until(deadline_ms: u64, what: &str, mut cond: impl FnMut() -> bool) {
@@ -883,10 +844,10 @@ mod tests {
             }
         });
         handle.shutdown();
-        let stats = join.join().unwrap();
-        assert_eq!(stats.served, 60);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.replica_crashes, 0);
+        let snap = join.join().unwrap();
+        assert_eq!(count(&snap, "serve.predictions"), 60);
+        assert_eq!(count(&snap, "serve.rejected"), 0);
+        assert_eq!(count(&snap, "serve.replica_crashes"), 0);
     }
 
     #[test]
@@ -943,10 +904,9 @@ mod tests {
         assert!(matches!(first.join().unwrap(), Response::Ok { id: 1, .. }));
         assert!(matches!(second.join().unwrap(), Response::Ok { id: 2, .. }));
         handle.shutdown();
-        let stats = join.join().unwrap();
-        assert_eq!(stats.served, 2);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.shed, 1);
+        let snap = join.join().unwrap();
+        assert_eq!(count(&snap, "serve.predictions"), 2);
+        assert_eq!(count(&snap, "serve.rejected"), 1);
     }
 
     #[test]
@@ -966,9 +926,9 @@ mod tests {
             Response::Ok { id: 6, .. }
         ));
         handle.shutdown();
-        let stats = join.join().unwrap();
-        assert_eq!(stats.served, 1);
-        assert_eq!(stats.errors, 1);
+        let snap = join.join().unwrap();
+        assert_eq!(count(&snap, "serve.predictions"), 1);
+        assert_eq!(count(&snap, "serve.errors"), 1);
     }
 
     #[test]
@@ -1015,9 +975,9 @@ mod tests {
             Response::Ok { id: 9, .. }
         ));
         handle.shutdown();
-        let stats = join.join().unwrap();
-        assert_eq!(stats.served, 1);
-        assert_eq!(stats.errors, 1);
+        let snap = join.join().unwrap();
+        assert_eq!(count(&snap, "serve.predictions"), 1);
+        assert_eq!(count(&snap, "serve.errors"), 1);
     }
 
     #[test]
@@ -1049,9 +1009,9 @@ mod tests {
             Response::Ok { .. }
         ));
         client.shutdown_server().expect("shutdown ack");
-        let stats = join.join().unwrap();
+        let snap = join.join().unwrap();
         let _ = handle;
-        assert_eq!(stats.served, 1);
+        assert_eq!(count(&snap, "serve.predictions"), 1);
     }
 
     #[test]
@@ -1067,8 +1027,8 @@ mod tests {
             ));
         }
         // No explicit shutdown: the limit ends the run.
-        let stats = join.join().unwrap();
-        assert_eq!(stats.served, 3);
+        let snap = join.join().unwrap();
+        assert_eq!(count(&snap, "serve.predictions"), 3);
     }
 
     #[test]
@@ -1091,18 +1051,18 @@ mod tests {
             other => panic!("expected rerouted ok, got {other:?}"),
         }
         // The crashed replica restarts under supervision.
-        wait_until(5_000, "supervised restart", || handle.stats().replica_restarts >= 1);
+        wait_until(5_000, "supervised restart", || live(&handle, "serve.replica_restarts") >= 1);
         // And ordinary traffic never stopped.
         assert!(matches!(
             client.predict(2, "gemm", 3).expect("roundtrip"),
             Response::Ok { id: 2, .. }
         ));
         handle.shutdown();
-        let stats = join.join().unwrap();
-        assert_eq!(stats.served, 2);
-        assert!(stats.replica_crashes >= 1);
-        assert!(stats.rerouted >= 1);
-        assert!(stats.replica_restarts >= 1);
+        let snap = join.join().unwrap();
+        assert_eq!(count(&snap, "serve.predictions"), 2);
+        assert!(count(&snap, "serve.replica_crashes") >= 1);
+        assert!(count(&snap, "serve.rerouted") >= 1);
+        assert!(count(&snap, "serve.replica_restarts") >= 1);
     }
 
     #[test]
@@ -1131,8 +1091,11 @@ mod tests {
             matches!(c.predict(9, "gemm", 2), Ok(Response::Ok { .. }))
         });
         handle.shutdown();
-        let stats = join.join().unwrap();
-        assert!(stats.replica_crashes >= 2, "both dispatches must have crashed a replica");
+        let snap = join.join().unwrap();
+        assert!(
+            count(&snap, "serve.replica_crashes") >= 2,
+            "both dispatches must have crashed a replica"
+        );
     }
 
     #[test]
@@ -1157,12 +1120,12 @@ mod tests {
             }
         }
         wait_until(5_000, "killed replica to restart", || {
-            handle.stats().replica_restarts >= 1
+            live(&handle, "serve.replica_restarts") >= 1
         });
         handle.shutdown();
-        let stats = join.join().unwrap();
-        assert!(stats.replica_crashes >= 1);
-        assert!(stats.replica_restarts >= 1);
+        let snap = join.join().unwrap();
+        assert!(count(&snap, "serve.replica_crashes") >= 1);
+        assert!(count(&snap, "serve.replica_restarts") >= 1);
     }
 
     #[test]
@@ -1185,9 +1148,9 @@ mod tests {
             )
         });
         handle.shutdown();
-        let stats = join.join().unwrap();
-        assert_eq!(stats.reloads, 1);
-        assert_eq!(stats.reload_failures, 0);
+        let snap = join.join().unwrap();
+        assert_eq!(count(&snap, "serve.reloads"), 1);
+        assert_eq!(count(&snap, "serve.reload_failures"), 0);
     }
 
     #[test]
@@ -1214,9 +1177,9 @@ mod tests {
             Ok(Response::Ok { epoch: 1, .. })
         ));
         handle.shutdown();
-        let stats = join.join().unwrap();
-        assert!(stats.reload_failures >= 1);
-        assert_eq!(stats.reloads, 0);
+        let snap = join.join().unwrap();
+        assert!(count(&snap, "serve.reload_failures") >= 1);
+        assert_eq!(count(&snap, "serve.reloads"), 0);
     }
 
     #[test]
@@ -1240,7 +1203,7 @@ mod tests {
                 c.predict(1, "slow", 1).expect("roundtrip")
             })
         };
-        wait_until(5_000, "wedge to be detected", || handle.stats().replica_crashes >= 1);
+        wait_until(5_000, "wedge to be detected", || live(&handle, "serve.replica_crashes") >= 1);
         // A replacement replica serves new traffic long before the stuck
         // call would have finished.
         wait_until(5_000, "replacement replica", || {
@@ -1250,23 +1213,14 @@ mod tests {
         // The stale instance answers its batch late (late beats never).
         assert!(matches!(slow.join().unwrap(), Response::Ok { id: 1, .. }));
         handle.shutdown();
-        let stats = join.join().unwrap();
-        assert!(stats.replica_crashes >= 1);
-        assert!(stats.replica_restarts >= 1);
+        let snap = join.join().unwrap();
+        assert!(count(&snap, "serve.replica_crashes") >= 1);
+        assert!(count(&snap, "serve.replica_restarts") >= 1);
     }
 
     #[test]
     fn serve_metrics_are_merged_into_the_caller() {
-        let server =
-            Server::bind("127.0.0.1:0", ServeConfig::default(), EchoBackend).expect("bind");
-        let handle = server.handle();
-        // The merge lands in the registry of the thread that calls `run`,
-        // so capture that thread's snapshot alongside the stats.
-        let join = std::thread::spawn(move || {
-            obs::metrics::reset();
-            let stats = server.run();
-            (stats, obs::metrics::snapshot())
-        });
+        let (handle, join) = start(ServeConfig::default(), EchoBackend);
         let addr = handle.addr().to_string();
         let mut client = Client::connect(&addr).expect("connect");
         for i in 0..5u64 {
@@ -1274,18 +1228,15 @@ mod tests {
         }
         drop(client);
         handle.shutdown();
-        let (_stats, snap) = join.join().unwrap();
+        // The fold lands in the registry of the thread that called `run`.
+        let snap = join.join().unwrap();
         assert_eq!(snap.counter("serve.requests"), Some(5));
         assert_eq!(snap.counter("serve.predictions"), Some(5));
         assert_eq!(snap.counter("serve.connections"), Some(1));
         assert_eq!(snap.gauge("serve.epoch"), Some(0.0), "static provider serves epoch 0");
-        let hist = snap
-            .histograms
-            .iter()
-            .find(|h| h.name == "serve.batch_size")
-            .expect("batch-size histogram present");
+        let hist = snap.histogram("serve.batch_size").expect("batch-size histogram present");
         assert!(hist.count >= 1);
-        assert!(snap.histograms.iter().any(|h| h.name == "serve.latency_us"));
+        assert_eq!(snap.histogram("serve.trace.total_us").map(|h| h.count), Some(5));
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The continuous-learning daemon end to end: predictions keep flowing
 //! while the background driver fine-tunes and hot-swaps the model, epochs
 //! only ever move forward, a corrupt artifact rolls back without killing
-//! the daemon (satellite: rollback coverage), and a kill + restart resumes
-//! the campaign from its persisted checkpoint and replay buffer.
+//! the daemon, each learning fact reaches the run report once, and a kill +
+//! restart resumes the campaign from its persisted checkpoint and replay
+//! buffer.
 
 use gdse_serve::{Client, Response};
 use gnn_dse::{dbgen, Daemon, DaemonConfig};
@@ -63,7 +64,11 @@ fn daemon_serves_with_monotone_epochs_and_survives_artifact_corruption() {
     let addr = daemon.addr().to_string();
     let handle = daemon.handle();
     let status = daemon.status();
-    let run = std::thread::spawn(move || daemon.run());
+    // `run` folds the daemon's metrics into this thread's registry.
+    let run = std::thread::spawn(move || {
+        let report = daemon.run();
+        (report, gdse_obs::metrics::snapshot())
+    });
 
     let mut client = Client::connect(&addr).expect("connect");
     let predict = |client: &mut Client, id: u64| match client.predict(id, "atax", 3) {
@@ -118,12 +123,47 @@ fn daemon_serves_with_monotone_epochs_and_survives_artifact_corruption() {
 
     drop(client);
     handle.shutdown();
-    let report = run.join().unwrap().expect("daemon run");
+    let (report, snap) = run.join().unwrap();
+    let report = report.expect("daemon run");
     assert!(report.learner_error.is_none(), "learner died: {:?}", report.learner_error);
-    assert_eq!(report.serve.errors, 0, "no client predict may fail during swaps");
-    assert!(report.serve.reload_failures >= 1, "the corrupt reload was counted");
-    assert!(report.serve.reloads >= 2);
+    let count = |name: &str| snap.counter(name).unwrap_or(0);
+    assert_eq!(count("serve.errors"), 0, "no client predict may fail during swaps");
+    assert!(count("serve.reload_failures") >= 1, "the corrupt reload was counted");
+    assert!(count("serve.reloads") >= 2);
     assert!(status.swap_failures() == 0, "learner-driven swaps all succeeded");
+    // Each learning fact is booked once: the run report's counts equal the
+    // learner's own (a fresh directory, so no round was resumed).
+    assert_eq!(count("learn.swaps"), status.swaps());
+    assert_eq!(count("learn.rounds"), status.rounds_completed());
+    assert_eq!(count("learn.swap_failures"), 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_round_finishing_after_the_server_stopped_still_reaches_the_report() {
+    let dir = std::env::temp_dir().join("gnn_dse_daemon_it_late_round");
+    std::fs::remove_dir_all(&dir).ok();
+    let cfg = seeded_config(&dir, 3, Duration::from_millis(25));
+    let daemon = Daemon::start(cfg).expect("daemon starts");
+    let handle = daemon.handle();
+    let status = daemon.status();
+    let run = std::thread::spawn(move || {
+        let report = daemon.run();
+        (report, gdse_obs::metrics::snapshot())
+    });
+    // Stop serving while round 2 runs: the learner completes that round
+    // after the server has stopped, and books it then.
+    wait_until("round 2", Duration::from_secs(180), || {
+        status.state() == "round 2" || status.rounds_completed() >= 2
+    });
+    handle.shutdown();
+    let (report, snap) = run.join().unwrap();
+    let report = report.expect("daemon run");
+    assert!(report.rounds.len() >= 2, "the running round completes");
+    let count = |name: &str| snap.counter(name).unwrap_or(0);
+    assert_eq!(count("learn.rounds"), report.rounds.len() as u64);
+    assert_eq!(count("learn.rounds"), status.rounds_completed());
+    assert_eq!(count("learn.swaps"), status.swaps());
     std::fs::remove_dir_all(&dir).ok();
 }
 

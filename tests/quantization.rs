@@ -194,7 +194,12 @@ fn quant_serving_absorbs_concurrent_load_with_zero_failures() {
     let service = PredictService::new_quant(qp, ExecEngine::with_jobs(2));
     let server = Server::bind("127.0.0.1:0", ServeConfig::default(), service).expect("bind");
     let handle = server.handle();
-    let join = std::thread::spawn(move || server.run());
+    // The run thread returns its registry, into which `run` folded the
+    // server's counters.
+    let join = std::thread::spawn(move || {
+        server.run();
+        gdse_obs::metrics::snapshot()
+    });
     let addr = handle.addr().to_string();
 
     std::thread::scope(|s| {
@@ -224,8 +229,9 @@ fn quant_serving_absorbs_concurrent_load_with_zero_failures() {
         }
     });
     handle.shutdown();
-    let stats = join.join().unwrap();
-    assert_eq!(stats.served, 3 * 6, "every request must be served");
-    assert_eq!(stats.rejected, 0, "no request may be rejected");
-    assert_eq!(stats.errors, 0, "no request may fail");
+    let snap = join.join().unwrap();
+    let count = |name: &str| snap.counter(name).unwrap_or(0);
+    assert_eq!(count("serve.predictions"), 3 * 6, "every request must be served");
+    assert_eq!(count("serve.rejected"), 0, "no request may be rejected");
+    assert_eq!(count("serve.errors"), 0, "no request may fail");
 }

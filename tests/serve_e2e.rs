@@ -16,6 +16,20 @@ use std::time::{Duration, Instant};
 
 const KERNELS: [&str; 2] = ["gemm-ncubed", "spmv-ellpack"];
 
+/// Runs `server` on its own thread, which returns its metrics registry once
+/// `run` has folded the server's counters into it.
+fn spawn_run(server: Server) -> std::thread::JoinHandle<gdse_obs::MetricsSnapshot> {
+    std::thread::spawn(move || {
+        server.run();
+        gdse_obs::metrics::snapshot()
+    })
+}
+
+/// A counter of a folded registry (0 if never booked).
+fn count(snap: &gdse_obs::MetricsSnapshot, name: &str) -> u64 {
+    snap.counter(name).unwrap_or(0)
+}
+
 fn tiny_predictor() -> Predictor {
     let ks = vec![kernels::gemm_ncubed(), kernels::spmv_ellpack()];
     let db = dbgen::generate_database(&ks, &[], 25, 23);
@@ -59,7 +73,7 @@ fn concurrent_clients_match_the_offline_predictor_bitwise() {
 
     let server = Server::bind("127.0.0.1:0", ServeConfig::default(), service).expect("bind");
     let handle = server.handle();
-    let join = std::thread::spawn(move || server.run());
+    let join = spawn_run(server);
     let addr = handle.addr().to_string();
 
     std::thread::scope(|s| {
@@ -91,10 +105,10 @@ fn concurrent_clients_match_the_offline_predictor_bitwise() {
         }
     });
     handle.shutdown();
-    let stats = join.join().unwrap();
-    assert_eq!(stats.served, 4 * 8);
-    assert_eq!(stats.rejected, 0);
-    assert_eq!(stats.errors, 0);
+    let snap = join.join().unwrap();
+    assert_eq!(count(&snap, "serve.predictions"), 4 * 8);
+    assert_eq!(count(&snap, "serve.rejected"), 0);
+    assert_eq!(count(&snap, "serve.errors"), 0);
 }
 
 #[test]
@@ -104,7 +118,7 @@ fn zero_capacity_queue_rejects_every_request_promptly() {
     let config = ServeConfig { queue_capacity: 0, ..ServeConfig::default() };
     let server = Server::bind("127.0.0.1:0", config, service).expect("bind");
     let handle = server.handle();
-    let join = std::thread::spawn(move || server.run());
+    let join = spawn_run(server);
 
     let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
     let started = Instant::now();
@@ -121,9 +135,9 @@ fn zero_capacity_queue_rejects_every_request_promptly() {
         "rejections must be immediate, not queued"
     );
     handle.shutdown();
-    let stats = join.join().unwrap();
-    assert_eq!(stats.served, 0);
-    assert_eq!(stats.rejected, 5);
+    let snap = join.join().unwrap();
+    assert_eq!(count(&snap, "serve.predictions"), 0);
+    assert_eq!(count(&snap, "serve.rejected"), 5);
 }
 
 #[test]
@@ -133,7 +147,7 @@ fn unknown_kernels_are_answered_with_an_error_not_a_crash() {
     let server =
         Server::bind("127.0.0.1:0", ServeConfig::default(), service).expect("bind");
     let handle = server.handle();
-    let join = std::thread::spawn(move || server.run());
+    let join = spawn_run(server);
 
     let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
     match client.predict(1, "no-such-kernel", 0).expect("roundtrip") {
@@ -154,7 +168,7 @@ fn unknown_kernels_are_answered_with_an_error_not_a_crash() {
         Response::Ok { id: 3, .. }
     ));
     handle.shutdown();
-    let stats = join.join().unwrap();
-    assert_eq!(stats.served, 1);
-    assert_eq!(stats.errors, 2);
+    let snap = join.join().unwrap();
+    assert_eq!(count(&snap, "serve.predictions"), 1);
+    assert_eq!(count(&snap, "serve.errors"), 2);
 }

@@ -1,11 +1,16 @@
 //! End-to-end request tracing and the live telemetry plane: trace ids
 //! round-trip client → server → client, span timelines land in the flight
-//! recorder, `stats`/`trace` protocol verbs read the RUNNING server, and
-//! the trace histograms fold into the caller's registry at shutdown.
+//! recorder, `stats`/`trace` protocol verbs read the RUNNING server — every
+//! `serve.*` series included — the live registry folds into the caller's
+//! registry at shutdown, and client-chosen kernel names mint no series.
 
+use gdse_obs::MetricsSnapshot;
 use gdse_serve::{BatchPredictor, Client, PredictionRow, Response, ServeConfig, Server};
-use serde::Value;
+use serde::{Deserialize, Value};
 use std::time::Duration;
+
+/// The kernels [`EchoBackend`] serves; it rejects every other name.
+const SERVED: [&str; 2] = ["gemm", "spmv"];
 
 /// A deterministic, slightly slow backend: the sleep guarantees every
 /// request books non-zero `infer` time, so quantiles are meaningful.
@@ -13,6 +18,9 @@ struct EchoBackend;
 
 impl BatchPredictor for EchoBackend {
     fn predict(&self, kernel: &str, indices: &[u128]) -> Result<Vec<PredictionRow>, String> {
+        if !SERVED.contains(&kernel) {
+            return Err(format!("unknown kernel `{kernel}`"));
+        }
         std::thread::sleep(Duration::from_micros(300));
         Ok(indices
             .iter()
@@ -45,6 +53,15 @@ fn as_f64(v: &Value) -> f64 {
     }
 }
 
+/// Runs `server` on its own thread, which returns its registry once `run`
+/// has folded the server's live registry into it.
+fn spawn_run(server: Server) -> std::thread::JoinHandle<MetricsSnapshot> {
+    std::thread::spawn(move || {
+        server.run();
+        gdse_obs::metrics::snapshot()
+    })
+}
+
 #[test]
 fn traces_flow_end_to_end_and_the_live_plane_reports_them() {
     let config = ServeConfig {
@@ -57,12 +74,8 @@ fn traces_flow_end_to_end_and_the_live_plane_reports_them() {
     let handle = server.handle();
     let addr = handle.addr().to_string();
     // Snapshot the run thread's registry: the server must fold the live
-    // trace histograms into it when it returns.
-    let join = std::thread::spawn(move || {
-        gdse_obs::metrics::reset();
-        let stats = server.run();
-        (stats, gdse_obs::metrics::snapshot())
-    });
+    // registry into it when it returns.
+    let join = spawn_run(server);
 
     // Load burst across kernels, from a few concurrent clients.
     std::thread::scope(|s| {
@@ -117,6 +130,14 @@ fn traces_flow_end_to_end_and_the_live_plane_reports_them() {
     assert!(p50 <= p95 && p95 <= p99, "quantiles must be ordered: {p50} {p95} {p99}");
     assert!(as_f64(field(&stats, "traces_recorded")) >= 38.0);
 
+    // The live document carries every series while the server runs, not
+    // only the trace histograms: request counters and the batch histogram
+    // are booked in the same live registry.
+    let live = MetricsSnapshot::from_value(field(&stats, "metrics")).expect("metrics parse");
+    assert_eq!(live.counter("serve.requests"), Some(38));
+    assert_eq!(live.counter("serve.predictions"), Some(38));
+    assert!(live.histogram("serve.batch_size").expect("live batch-size histogram").count >= 1);
+
     // Flight recorder: by id, and the slowest-remembered listing.
     let by_id = client.trace("00000000deadbeef").expect("trace by id");
     let traces = by_id.as_seq().expect("trace array");
@@ -138,10 +159,16 @@ fn traces_flow_end_to_end_and_the_live_plane_reports_them() {
     // An unknown id is an empty array, not an error.
     assert!(client.trace("ffffffffffffffff").expect("lookup").as_seq().unwrap().is_empty());
 
+    // The last answer has been read: the folded totals must equal this.
+    let last_live = handle.live_metrics().snapshot();
     drop(client);
     handle.shutdown();
-    let (run_stats, snap) = join.join().unwrap();
-    assert_eq!(run_stats.served, 38);
+    let snap = join.join().unwrap();
+    assert_eq!(snap.counter("serve.predictions"), Some(38));
+    for name in ["serve.requests", "serve.predictions", "serve.batches"] {
+        assert!(last_live.counter(name).is_some(), "`{name}` is live before shutdown");
+        assert_eq!(snap.counter(name), last_live.counter(name), "`{name}` folds once");
+    }
 
     // The live registry folded into the caller: span histograms, labeled
     // variants, the queue-depth gauge, and the slow counter all arrived.
@@ -158,4 +185,43 @@ fn traces_flow_end_to_end_and_the_live_plane_reports_them() {
     assert!(snap.histograms.iter().any(|h| h.name.starts_with("serve.trace.infer_us{replica=")));
     assert!(snap.gauges.iter().any(|(n, _)| n.starts_with("serve.queue_depth{replica=")));
     assert_eq!(snap.counter("serve.trace.slow"), Some(38), "every request crossed 1 us");
+}
+
+#[test]
+fn unknown_kernel_names_are_answered_with_errors_and_mint_no_series() {
+    // One replica: its `{replica=0}` series exist once it answered anything.
+    let server =
+        Server::bind("127.0.0.1:0", ServeConfig::default(), EchoBackend).expect("bind");
+    let handle = server.handle();
+    let join = spawn_run(server);
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+    assert!(matches!(client.predict(0, "gemm", 1).expect("roundtrip"), Response::Ok { .. }));
+    // A trace is booked after its answer went out; the handler serves the
+    // next request on this connection only once it has booked the last one.
+    client.stats().expect("stats");
+    let live = handle.live_metrics();
+    let before = live.snapshot().histograms.len();
+
+    // Kernel names are client input: unbounded distinct names must not
+    // grow the registry.
+    for i in 1..=200u64 {
+        let kernel = format!("no-such-kernel-{i}");
+        match client.predict(i, &kernel, 0).expect("roundtrip") {
+            Response::Error { code: 400, message, .. } => assert!(message.contains(&kernel)),
+            other => panic!("unknown kernel `{kernel}` must be an error, got {other:?}"),
+        }
+    }
+    client.stats().expect("stats");
+    let after = live.snapshot();
+    assert_eq!(after.histograms.len(), before, "failed requests minted histogram series");
+    assert_eq!(after.counter("serve.errors"), Some(200));
+    assert_eq!(
+        after.histogram("serve.trace.infer_us").map(|h| h.count),
+        Some(201),
+        "failed requests still book the unlabeled series"
+    );
+
+    drop(client);
+    handle.shutdown();
+    join.join().unwrap();
 }

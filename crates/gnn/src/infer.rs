@@ -3,17 +3,28 @@
 //! Prediction needs no gradients, so this path records no tape: every layer
 //! writes plain [`Matrix`] values, and the edge work of a convolution walks
 //! each node's incoming edges ([`KernelBatch`]'s stable CSR) instead of
-//! materializing per-edge gather/add/product tensors. Work that is the same
-//! for every design point of a kernel runs once per call: the edge
-//! projection of each TransformerConv, and every row-wise transform of
-//! layer 0 on the rows of the non-pragma nodes.
+//! materializing per-edge gather/add/product tensors.
+//!
+//! **Receptive-field reuse.** The design points of one kernel differ only in
+//! their pragma-node features, so a node's layer-`l` row is the same for
+//! every point unless a pragma node lies within `l` hops of it. Each layer's
+//! node matrix is one matrix in that layer's [`Layout`]: the `S` shared rows
+//! once, then each point's `V` varying rows. Projections, edge logits,
+//! softmax and aggregation, the gate, ELU + LayerNorm, the JKN max and the
+//! attention pool's MLPs run on those `S + B * V` rows instead of `B * N`;
+//! pooling reads each point's `N` rows through the layout. A convolution
+//! reads its input in layout `l` and writes its output in layout `l + 1`.
+//! The edge projection of each TransformerConv is the same for every point
+//! and runs once per call.
 //!
 //! **Bit-identity with the tape.** Results equal [`PredictionModel::forward`]
 //! on a [`GraphBatch`](crate::GraphBatch) of the same points bit for bit:
 //!
-//! - each GEMM output row depends only on its input row, and both GEMM
-//!   kernels sum in increasing-`k` order, so splitting rows between the
-//!   template and the pragma rows (or between batches) changes no bit;
+//! - each output row depends only on its own input rows, summed in the same
+//!   order, so computing a shared row once instead of once per point changes
+//!   no bit; in particular each GEMM output row depends only on its input
+//!   row, and both GEMM kernels sum in increasing-`k` order, so which rows
+//!   share a GEMM call changes no bit;
 //! - layer 0's one-hot rows take the zero-skipping kernel: a sum that
 //!   starts at +0.0 is unchanged by adding `0 * w` for finite `w`;
 //! - the CSR keeps every node's incoming edges in edge-list order, the order
@@ -22,13 +33,13 @@
 //!   [`gdse_tensor::scalar`] functions as the tape, and every other
 //!   expression below is written as the tape op it replaces computes it.
 //!
-//! A layer runs in phases over all rows (edge logits, per-node softmax and
-//! aggregation, gate, activation) rather than one node at a time: short
-//! loops over independent rows let the CPU overlap the rows' sequential
-//! sums.
+//! A layer runs in phases over each block of rows (edge logits, per-node
+//! softmax and aggregation, gate, activation) rather than one node at a
+//! time: short loops over independent rows let the CPU overlap the rows'
+//! sequential sums.
 
 use crate::encoder::{Conv, GnnEncoder, Readout, LAYER_NORM_EPS};
-use crate::input::{InEdges, KernelBatch};
+use crate::input::{InEdges, KernelBatch, Layout};
 use crate::layers::gat::{GatConv, LEAKY_SLOPE};
 use crate::layers::gcn::GcnConv;
 use crate::layers::mlp::Mlp;
@@ -52,8 +63,8 @@ impl PredictionModel {
         let graph_emb = match &self.body {
             Body::PragmaMlp(trunk) => relu(trunk.infer(store, &batch.pragma_enc)),
             Body::ContextMlp { node_mlp } => {
-                let h = relu(per_node(batch, |x| node_mlp.infer(store, x)));
-                sum_pool(batch, h)
+                let h = relu(node_mlp.infer(store, &batch.x));
+                sum_pool(batch, batch.layout(0), h)
             }
             Body::Gnn(enc) => enc.infer(store, batch),
         };
@@ -67,18 +78,6 @@ impl PredictionModel {
         gdse_obs::metrics::observe_us("gnn.forward_us", started.elapsed().as_micros() as u64);
         outputs
     }
-}
-
-/// `f` over the layer-0 node rows of `batch`: once on the non-pragma rows
-/// every point shares, once on all points' pragma rows, assembled into the
-/// batched `[B * N, F]` node matrix. `f` must be row-wise.
-fn per_node(batch: &KernelBatch, f: impl Fn(&Matrix) -> Matrix) -> Matrix {
-    let template = f(&batch.template_x);
-    let pragma = f(&batch.pragma_x);
-    let out = batch.assemble(&template, &pragma);
-    arena::recycle(template);
-    arena::recycle(pragma);
-    out
 }
 
 /// The tape's `relu`.
@@ -108,25 +107,26 @@ fn softmax_in_place(xs: &mut [f32]) {
     }
 }
 
-/// ELU then LayerNorm on every row, as the encoder applies them after each
-/// convolution.
-fn activate(m: &mut Matrix) {
-    for x in m.as_mut_slice() {
+/// ELU then LayerNorm on rows `rows` of `m`, as the encoder applies them
+/// after each convolution.
+fn activate(m: &mut Matrix, rows: std::ops::Range<usize>) {
+    let d = m.cols();
+    let block = &mut m.as_mut_slice()[rows.start * d..rows.end * d];
+    for x in block.iter_mut() {
         *x = elu(*x, 1.0);
     }
-    for r in 0..m.rows() {
-        layer_norm_row(m.row_mut(r), LAYER_NORM_EPS);
+    for row in block.chunks_exact_mut(d) {
+        layer_norm_row(row, LAYER_NORM_EPS);
     }
 }
 
-/// Sum of each graph's node rows, in node order: `[B * N, D] -> [B, D]`.
-fn sum_pool(batch: &KernelBatch, h: Matrix) -> Matrix {
-    let n = batch.num_nodes;
+/// Sum of each graph's node rows, in node order: `h` in `layout` to `[B, D]`.
+fn sum_pool(batch: &KernelBatch, layout: &Layout, h: Matrix) -> Matrix {
     let mut out = arena::zeros(batch.num_graphs, h.cols());
     for b in 0..batch.num_graphs {
         let o = out.row_mut(b);
-        for i in 0..n {
-            for (acc, x) in o.iter_mut().zip(h.row(b * n + i)) {
+        for i in 0..batch.num_nodes {
+            for (acc, x) in o.iter_mut().zip(h.row(layout.row(i, b))) {
                 *acc += x;
             }
         }
@@ -135,27 +135,62 @@ fn sum_pool(batch: &KernelBatch, h: Matrix) -> Matrix {
     out
 }
 
-/// A convolution's input rows.
-enum LayerInput<'a> {
-    /// The batch's node features (layer 0): the non-pragma rows are shared
-    /// by every point.
-    Features,
-    /// The previous layer's `[B * N, D]` output.
-    Hidden(&'a Matrix),
+/// `x · w` on layer `l`'s input rows.
+///
+/// Node features are one-hot and mostly zero, so layer 0 runs the
+/// zero-skipping kernel, which for finite weights gives the same bits as
+/// the GEMM (see [`Matrix::matmul_reference`]).
+fn project(l: usize, x: &Matrix, w: &Matrix) -> Matrix {
+    if l == 0 {
+        x.matmul_reference(w)
+    } else {
+        gemm(x, w)
+    }
 }
 
-impl LayerInput<'_> {
-    /// `x · w` over every node of the batch.
-    ///
-    /// Node features are one-hot and mostly zero, so layer 0 runs the
-    /// zero-skipping kernel, which for finite weights gives the same bits
-    /// as the GEMM (see [`Matrix::matmul_reference`]).
-    fn project(&self, batch: &KernelBatch, w: &Matrix) -> Matrix {
-        match self {
-            LayerInput::Features => per_node(batch, |x| x.matmul_reference(w)),
-            LayerInput::Hidden(h) => gemm(h, w),
+/// A block of rows of a matrix in some layout: node `nodes[r]` of design
+/// point `point` is row `first + r`.
+struct Block<'a> {
+    nodes: &'a [usize],
+    first: usize,
+    point: usize,
+}
+
+impl Block<'_> {
+    fn rows(&self) -> std::ops::Range<usize> {
+        self.first..self.first + self.nodes.len()
+    }
+}
+
+/// The blocks of a matrix in `layout`: the shared rows, then each point's
+/// varying rows. The shared block reads its inputs at point 0: a row shared
+/// at layer `l + 1` reads only rows shared at layer `l`.
+fn blocks(layout: &Layout, points: usize) -> impl Iterator<Item = Block<'_>> {
+    let (shared, varying) = (layout.shared(), layout.varying());
+    let per_point = (0..points).map(move |b| Block {
+        nodes: varying,
+        first: shared.len() + b * varying.len(),
+        point: b,
+    });
+    std::iter::once(Block { nodes: shared, first: 0, point: 0 }).chain(per_point)
+}
+
+/// `m`, a matrix in layout `from`, copied into the later layout `to`, whose
+/// varying nodes include `from`'s: a node shared in `from` but varying in
+/// `to` gets its shared row once per point.
+fn relayout(batch: &KernelBatch, m: Matrix, from: &Layout, to: &Layout) -> Matrix {
+    // Past the last layout, both layers read the same one.
+    if std::ptr::eq(from, to) {
+        return m;
+    }
+    let mut out = arena::zeros(to.rows(batch.num_graphs), m.cols());
+    for block in blocks(to, batch.num_graphs) {
+        for (r, &i) in block.nodes.iter().enumerate() {
+            out.row_mut(block.first + r).copy_from_slice(m.row(from.row(i, block.point)));
         }
     }
+    arena::recycle(m);
+    out
 }
 
 impl Mlp {
@@ -185,26 +220,28 @@ impl GnnEncoder {
         let jkn = self.use_jkn && self.convs.len() > 1;
         let mut h: Option<Matrix> = None;
         let mut jk: Option<Matrix> = None;
-        for conv in &self.convs {
-            let x = h.as_ref().map_or(LayerInput::Features, LayerInput::Hidden);
+        for (l, conv) in self.convs.iter().enumerate() {
+            let x = h.as_ref().unwrap_or(&batch.x);
             let next = match conv {
-                Conv::Gcn(c) => c.infer(store, batch, x),
-                Conv::Gat(c) => c.infer(store, batch, x),
-                Conv::Transformer(c) => c.infer(store, batch, x),
+                Conv::Gcn(c) => c.infer(store, batch, l, x),
+                Conv::Gat(c) => c.infer(store, batch, l, x),
+                Conv::Transformer(c) => c.infer(store, batch, l, x),
             };
             if jkn {
                 // The tape's `max_stack`: a later layer wins only where it is
                 // strictly greater.
-                match &mut jk {
-                    None => jk = Some(next.clone()),
-                    Some(m) => {
+                jk = Some(match jk.take() {
+                    None => next.clone(),
+                    Some(best) => {
+                        let mut m = relayout(batch, best, batch.layout(l), batch.layout(l + 1));
                         for (best, &c) in m.as_mut_slice().iter_mut().zip(next.as_slice()) {
                             if c > *best {
                                 *best = c;
                             }
                         }
+                        m
                     }
-                }
+                });
             }
             if let Some(prev) = h.replace(next) {
                 arena::recycle(prev);
@@ -218,28 +255,37 @@ impl GnnEncoder {
             }
             None => h,
         };
+        let layout = batch.layout(self.convs.len());
         match &self.readout {
-            Readout::Sum => sum_pool(batch, node_embs),
-            Readout::Attention(pool) => pool.infer(store, batch, node_embs),
+            Readout::Sum => sum_pool(batch, layout, node_embs),
+            Readout::Attention(pool) => pool.infer(store, batch, layout, node_embs),
         }
     }
 }
 
 impl AttentionPool {
     /// Per-graph softmax of the score MLP over the graph's nodes, weighting
-    /// the value MLP's rows.
-    fn infer(&self, store: &ParamStore, batch: &KernelBatch, node_embs: Matrix) -> Matrix {
-        let n = batch.num_nodes;
-        let mut scores = self.score_mlp.infer(store, &node_embs);
+    /// the value MLP's rows; both MLPs run once per row of `layout`.
+    fn infer(
+        &self,
+        store: &ParamStore,
+        batch: &KernelBatch,
+        layout: &Layout,
+        node_embs: Matrix,
+    ) -> Matrix {
+        let scores = self.score_mlp.infer(store, &node_embs);
         let values = self.value_mlp.infer(store, &node_embs);
         arena::recycle(node_embs);
         let mut out = arena::zeros(batch.num_graphs, values.cols());
+        let mut att = vec![0.0f32; batch.num_nodes];
         for b in 0..batch.num_graphs {
-            let att = &mut scores.as_mut_slice()[b * n..(b + 1) * n];
-            softmax_in_place(att);
+            for (i, a) in att.iter_mut().enumerate() {
+                *a = scores.get(layout.row(i, b), 0);
+            }
+            softmax_in_place(&mut att);
             let o = out.row_mut(b);
             for (i, &a) in att.iter().enumerate() {
-                for (acc, v) in o.iter_mut().zip(values.row(b * n + i)) {
+                for (acc, v) in o.iter_mut().zip(values.row(layout.row(i, b))) {
                     *acc += v * a;
                 }
             }
@@ -251,76 +297,78 @@ impl AttentionPool {
 }
 
 impl TransformerConv {
-    /// The layer, ELU and LayerNorm.
-    fn infer(&self, store: &ParamStore, batch: &KernelBatch, x: LayerInput) -> Matrix {
+    /// Layer `l`, ELU and LayerNorm: `x` in layout `l`, the output in
+    /// layout `l + 1`.
+    fn infer(&self, store: &ParamStore, batch: &KernelBatch, l: usize, x: &Matrix) -> Matrix {
         let d = self.out_dim;
-        let q = x.project(batch, store.value(self.w_query));
-        let k = x.project(batch, store.value(self.w_key));
-        let v = x.project(batch, store.value(self.w_value));
-        let root = x.project(batch, store.value(self.w_root));
+        let q = project(l, x, store.value(self.w_query));
+        let k = project(l, x, store.value(self.w_key));
+        let v = project(l, x, store.value(self.w_value));
+        let root = project(l, x, store.value(self.w_root));
         // The same for every point: one row per edge of the kernel.
         let e = gemm(&batch.edge_attr, store.value(self.w_edge));
         let w_gate = store.value(self.w_gate).as_slice();
         let bias = store.value(self.b).row(0);
         let scale = 1.0 / (d as f32).sqrt();
 
-        let n = batch.num_nodes;
-        let InEdges {
-            offsets,
-            edge,
-            src,
-            dst,
-        } = &batch.in_edges;
-        let mut aggr = arena::zeros(q.rows(), d);
+        let (input, output) = (batch.layout(l), batch.layout(l + 1));
+        let InEdges { offsets, edge, src } = &batch.in_edges;
+        let mut aggr = arena::zeros(output.rows(batch.num_graphs), d);
+        let mut out = arena::zeros(aggr.rows(), d);
         let mut scores = vec![0.0f32; edge.len()];
         let mut key = vec![0.0f32; d];
-        for base in (0..batch.num_graphs).map(|b| b * n) {
-            // Attention logits of every edge: `q[dst] · (k[src] + e)`.
-            for (s, score) in scores.iter_mut().enumerate() {
-                for ((o, kv), ev) in key.iter_mut().zip(k.row(base + src[s])).zip(e.row(edge[s])) {
-                    *o = kv + ev;
+        // The input row of every node at the current block's point.
+        let mut at = Vec::new();
+        for block in blocks(output, batch.num_graphs) {
+            input.rows_at(block.point, &mut at);
+            // Attention logits of the block's edges: `q[dst] · (k[src] + e)`.
+            for &i in block.nodes {
+                let qi = q.row(at[i]);
+                for s in offsets[i]..offsets[i + 1] {
+                    let ks = k.row(at[src[s]]);
+                    for ((o, kv), ev) in key.iter_mut().zip(ks).zip(e.row(edge[s])) {
+                        *o = kv + ev;
+                    }
+                    scores[s] = dot(qi, &key) * scale;
                 }
-                *score = dot(q.row(base + dst[s]), &key) * scale;
             }
             // Softmax over each node's edges, then the weighted sum of
             // `v[src] + e`.
-            for i in 0..n {
+            for (r, &i) in block.nodes.iter().enumerate() {
                 let slots = offsets[i]..offsets[i + 1];
                 let alpha = &mut scores[slots.clone()];
                 softmax_in_place(alpha);
-                let row = aggr.row_mut(base + i);
+                let row = aggr.row_mut(block.first + r);
                 for (s, &a) in slots.zip(alpha.iter()) {
-                    for ((o, vv), ev) in
-                        row.iter_mut().zip(v.row(base + src[s])).zip(e.row(edge[s]))
-                    {
+                    let vs = v.row(at[src[s]]);
+                    for ((o, vv), ev) in row.iter_mut().zip(vs).zip(e.row(edge[s])) {
                         *o += (vv + ev) * a;
                     }
                 }
             }
+            // Gated residual. The logit is the tape's
+            // `[aggr | root | aggr - root] · W_gate`: a GEMM sum from +0.0 in
+            // increasing-k order.
+            for (r, &i) in block.nodes.iter().enumerate() {
+                let (a, rt) = (aggr.row(block.first + r), root.row(at[i]));
+                let mut logit = 0.0f32;
+                for (x, w) in a.iter().zip(&w_gate[..d]) {
+                    logit += x * w;
+                }
+                for (x, w) in rt.iter().zip(&w_gate[d..2 * d]) {
+                    logit += x * w;
+                }
+                for ((x, y), w) in a.iter().zip(rt).zip(&w_gate[2 * d..]) {
+                    logit += (x - y) * w;
+                }
+                let beta = stable_sigmoid(logit);
+                let inv_beta = 1.0 - beta;
+                for (c, o) in out.row_mut(block.first + r).iter_mut().enumerate() {
+                    *o = rt[c] * beta + a[c] * inv_beta + bias[c];
+                }
+            }
+            activate(&mut out, block.rows());
         }
-        // Gated residual. The logit is the tape's
-        // `[aggr | root | aggr - root] · W_gate`: a GEMM sum from +0.0 in
-        // increasing-k order.
-        let mut out = arena::zeros(q.rows(), d);
-        for r in 0..out.rows() {
-            let (a, rt) = (aggr.row(r), root.row(r));
-            let mut logit = 0.0f32;
-            for (x, w) in a.iter().zip(&w_gate[..d]) {
-                logit += x * w;
-            }
-            for (x, w) in rt.iter().zip(&w_gate[d..2 * d]) {
-                logit += x * w;
-            }
-            for ((x, y), w) in a.iter().zip(rt).zip(&w_gate[2 * d..]) {
-                logit += (x - y) * w;
-            }
-            let beta = stable_sigmoid(logit);
-            let inv_beta = 1.0 - beta;
-            for (c, o) in out.row_mut(r).iter_mut().enumerate() {
-                *o = rt[c] * beta + a[c] * inv_beta + bias[c];
-            }
-        }
-        activate(&mut out);
         for m in [q, k, v, root, e, aggr] {
             arena::recycle(m);
         }
@@ -329,38 +377,42 @@ impl TransformerConv {
 }
 
 impl GatConv {
-    /// The layer, ELU and LayerNorm; each node attends to its incoming
-    /// edges, then to itself (the tape appends self-loops after all edges).
-    fn infer(&self, store: &ParamStore, batch: &KernelBatch, x: LayerInput) -> Matrix {
-        let h = x.project(batch, store.value(self.w));
+    /// Layer `l`, ELU and LayerNorm (`x` in layout `l`, the output in
+    /// layout `l + 1`); each node attends to its incoming edges, then to
+    /// itself (the tape appends self-loops after all edges).
+    fn infer(&self, store: &ParamStore, batch: &KernelBatch, l: usize, x: &Matrix) -> Matrix {
+        let h = project(l, x, store.value(self.w));
         let score_dst = gemm(&h, store.value(self.a_dst));
         let score_src = gemm(&h, store.value(self.a_src));
         let bias = store.value(self.b).row(0);
 
-        let n = batch.num_nodes;
-        let mut out = arena::zeros(h.rows(), h.cols());
+        let (input, output) = (batch.layout(l), batch.layout(l + 1));
+        let mut out = arena::zeros(output.rows(batch.num_graphs), h.cols());
         let mut alpha = Vec::new();
-        for base in (0..batch.num_graphs).map(|b| b * n) {
-            for i in 0..n {
+        // The input row of every node at the current block's point.
+        let mut at = Vec::new();
+        for block in blocks(output, batch.num_graphs) {
+            input.rows_at(block.point, &mut at);
+            for (r, &i) in block.nodes.iter().enumerate() {
                 let srcs = batch.in_edges.sources(i);
-                let sd = score_dst.get(base + i, 0);
+                let sd = score_dst.get(at[i], 0);
                 alpha.clear();
                 for &s in srcs.iter().chain(std::iter::once(&i)) {
-                    alpha.push(leaky_relu(sd + score_src.get(base + s, 0), LEAKY_SLOPE));
+                    alpha.push(leaky_relu(sd + score_src.get(at[s], 0), LEAKY_SLOPE));
                 }
                 softmax_in_place(&mut alpha);
-                let row = out.row_mut(base + i);
+                let row = out.row_mut(block.first + r);
                 for (&s, &a) in srcs.iter().chain(std::iter::once(&i)).zip(&alpha) {
-                    for (o, hv) in row.iter_mut().zip(h.row(base + s)) {
+                    for (o, hv) in row.iter_mut().zip(h.row(at[s])) {
                         *o += hv * a;
                     }
                 }
-                for (o, b) in row.iter_mut().zip(bias) {
-                    *o += b;
+                for (o, c) in row.iter_mut().zip(bias) {
+                    *o += c;
                 }
             }
+            activate(&mut out, block.rows());
         }
-        activate(&mut out);
         for m in [h, score_dst, score_src] {
             arena::recycle(m);
         }
@@ -369,30 +421,26 @@ impl GatConv {
 }
 
 impl GcnConv {
-    /// The layer, ELU and LayerNorm: symmetric-normalized aggregation over
-    /// incoming edges then the self-loop, then the linear transform.
-    fn infer(&self, store: &ParamStore, batch: &KernelBatch, x: LayerInput) -> Matrix {
-        let n = batch.num_nodes;
-        let full;
-        let x = match x {
-            LayerInput::Features => {
-                full = batch.assemble(&batch.template_x, &batch.pragma_x);
-                &full
-            }
-            LayerInput::Hidden(h) => h,
-        };
+    /// Layer `l`, ELU and LayerNorm (`x` in layout `l`, the output in
+    /// layout `l + 1`): symmetric-normalized aggregation over incoming
+    /// edges then the self-loop, then the linear transform.
+    fn infer(&self, store: &ParamStore, batch: &KernelBatch, l: usize, x: &Matrix) -> Matrix {
+        let (input, output) = (batch.layout(l), batch.layout(l + 1));
         // In-degree plus the self-loop (small integers: exact in f32).
-        let deg: Vec<f32> = (0..n)
+        let deg: Vec<f32> = (0..batch.num_nodes)
             .map(|i| (batch.in_edges.sources(i).len() + 1) as f32)
             .collect();
-        let mut agg = arena::zeros(x.rows(), x.cols());
-        for base in (0..batch.num_graphs).map(|b| b * n) {
-            for i in 0..n {
+        let mut agg = arena::zeros(output.rows(batch.num_graphs), x.cols());
+        // The input row of every node at the current block's point.
+        let mut at = Vec::new();
+        for block in blocks(output, batch.num_graphs) {
+            input.rows_at(block.point, &mut at);
+            for (r, &i) in block.nodes.iter().enumerate() {
                 let srcs = batch.in_edges.sources(i);
-                let row = agg.row_mut(base + i);
+                let row = agg.row_mut(block.first + r);
                 for &s in srcs.iter().chain(std::iter::once(&i)) {
                     let coeff = 1.0 / (deg[s] * deg[i]).sqrt();
-                    for (o, xv) in row.iter_mut().zip(x.row(base + s)) {
+                    for (o, xv) in row.iter_mut().zip(x.row(at[s])) {
                         *o += xv * coeff;
                     }
                 }
@@ -401,7 +449,8 @@ impl GcnConv {
         let bias = store.value(self.b).row(0);
         let mut out = gemm_bias_act(&agg, store.value(self.w), Some(bias), Activation::None);
         arena::recycle(agg);
-        activate(&mut out);
+        let rows = out.rows();
+        activate(&mut out, 0..rows);
         out
     }
 }

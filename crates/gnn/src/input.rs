@@ -20,8 +20,6 @@ pub struct GraphInput {
     pub src: Vec<usize>,
     /// Edge destinations.
     pub dst: Vec<usize>,
-    /// Indices of pragma nodes (for attention inspection).
-    pub pragma_nodes: Vec<usize>,
 }
 
 impl GraphInput {
@@ -32,7 +30,6 @@ impl GraphInput {
             edge_attr: edge_features(graph),
             src: graph.edge_sources(),
             dst: graph.edge_destinations(),
-            pragma_nodes: graph.pragma_nodes().iter().map(|&(i, _)| i).collect(),
         }
     }
 
@@ -130,8 +127,6 @@ pub(crate) struct InEdges {
     pub(crate) edge: Vec<usize>,
     /// Source node of each entry.
     pub(crate) src: Vec<usize>,
-    /// Destination node of each entry (non-decreasing).
-    pub(crate) dst: Vec<usize>,
 }
 
 impl InEdges {
@@ -146,14 +141,16 @@ impl InEdges {
         let mut cursor = offsets.clone();
         let mut edge = vec![0usize; dst.len()];
         let mut from = vec![0usize; dst.len()];
-        let mut to = vec![0usize; dst.len()];
         for (e, (&s, &d)) in src.iter().zip(dst).enumerate() {
             edge[cursor[d]] = e;
             from[cursor[d]] = s;
-            to[cursor[d]] = d;
             cursor[d] += 1;
         }
-        Self { offsets, edge, src: from, dst: to }
+        Self { offsets, edge, src: from }
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.offsets.len() - 1
     }
 
     /// Source nodes of node `i`'s incoming edges, in edge-list order.
@@ -162,14 +159,118 @@ impl InEdges {
     }
 }
 
+/// Where each node's row sits in one layer's batched node matrix.
+///
+/// A node's row is *shared* when it is the same for every design point of
+/// the batch and *varying* otherwise. The matrix holds the `S` shared rows
+/// once, then each point's `V` varying rows: `S + B * V` rows, not
+/// `B * N`. Both blocks keep node order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Layout {
+    /// The shared nodes, then the varying nodes, each increasing.
+    order: Vec<usize>,
+    /// `S`, the number of shared nodes.
+    num_shared: usize,
+    /// Per node: its row at point 0, and how far its row moves from one
+    /// point to the next (0 if shared, `V` if varying).
+    place: Vec<(usize, usize)>,
+}
+
+impl Layout {
+    fn new(varies: &[bool]) -> Self {
+        let mut order = Vec::with_capacity(varies.len());
+        order.extend((0..varies.len()).filter(|&i| !varies[i]));
+        let num_shared = order.len();
+        order.extend((0..varies.len()).filter(|&i| varies[i]));
+        let step = order.len() - num_shared;
+        let mut place = vec![(0, 0); varies.len()];
+        for (r, &i) in order.iter().enumerate() {
+            place[i] = (r, if r < num_shared { 0 } else { step });
+        }
+        Self { order, num_shared, place }
+    }
+
+    /// Nodes whose row every point shares, increasing.
+    pub(crate) fn shared(&self) -> &[usize] {
+        &self.order[..self.num_shared]
+    }
+
+    /// Nodes with a row of their own in every point, increasing.
+    pub(crate) fn varying(&self) -> &[usize] {
+        &self.order[self.num_shared..]
+    }
+
+    fn varies(&self, i: usize) -> bool {
+        self.place[i].0 >= self.num_shared
+    }
+
+    /// Rows of a matrix in this layout over `points` design points.
+    pub(crate) fn rows(&self, points: usize) -> usize {
+        self.num_shared + points * (self.order.len() - self.num_shared)
+    }
+
+    /// The row holding node `i` of point `b`.
+    pub(crate) fn row(&self, i: usize, b: usize) -> usize {
+        let (first, step) = self.place[i];
+        first + b * step
+    }
+
+    /// Fills `rows` with the row of every node of point `b`.
+    pub(crate) fn rows_at(&self, b: usize, rows: &mut Vec<usize>) {
+        rows.clear();
+        rows.extend(self.place.iter().map(|&(first, step)| first + b * step));
+    }
+}
+
+/// The layout of every layer's node matrix: layout `l` holds the input of
+/// convolution `l` (layout 0: the node features), so convolution `l` writes
+/// its output in layout `l + 1`.
+///
+/// Pragma nodes vary in the features (when the batch has more than one
+/// point). A node's row varies at layer `l + 1` when its own row or a
+/// source's row varies at layer `l`, so layout `l` varies on exactly the
+/// nodes within `l` hops of a pragma node. The sequence stops at the
+/// fixpoint; [`get`](Self::get) past it returns the last layout.
+#[derive(Debug, Clone)]
+pub(crate) struct Layouts(Vec<Layout>);
+
+impl Layouts {
+    pub(crate) fn new(in_edges: &InEdges, pragma_nodes: &[usize]) -> Self {
+        let mut varies = vec![false; in_edges.num_nodes()];
+        for &i in pragma_nodes {
+            varies[i] = true;
+        }
+        let mut layouts = vec![Layout::new(&varies)];
+        loop {
+            let last = &layouts[layouts.len() - 1];
+            let mut grew = false;
+            for (i, v) in varies.iter_mut().enumerate() {
+                if !*v && in_edges.sources(i).iter().any(|&s| last.varies(s)) {
+                    *v = true;
+                    grew = true;
+                }
+            }
+            if !grew {
+                return Self(layouts);
+            }
+            layouts.push(Layout::new(&varies));
+        }
+    }
+
+    /// Layer `l`'s layout.
+    pub(crate) fn get(&self, l: usize) -> &Layout {
+        &self.0[l.min(self.0.len() - 1)]
+    }
+}
+
 /// B design points of one kernel, lowered for
 /// [`PredictionModel::infer`](crate::PredictionModel::infer).
 ///
-/// The kernel is lowered once: its edge features, its incoming-edge lists
-/// and the feature rows of its non-pragma nodes, which every point shares.
-/// Each point adds only its pragma-node rows and its M1 pragma encoding.
-/// Node `i` of point `b` is row `b * num_nodes + i` of every batched node
-/// matrix, as in a [`GraphBatch`] of the same points.
+/// The kernel is lowered once: its edge features, its incoming-edge lists,
+/// the layout of every layer and the feature rows of its non-pragma nodes,
+/// which every point shares. Each point adds only its pragma-node rows and
+/// its M1 pragma encoding. With one point, no row varies: there is one
+/// layout, with every row shared.
 #[derive(Debug, Clone)]
 pub struct KernelBatch {
     pub(crate) num_nodes: usize,
@@ -177,15 +278,10 @@ pub struct KernelBatch {
     /// Edge features `[E, EDGE_FEATS]` of the kernel.
     pub(crate) edge_attr: Matrix,
     pub(crate) in_edges: InEdges,
-    /// Node index of each row of `template_x`.
-    template_nodes: Vec<usize>,
-    /// Node index of each pragma row of one point.
-    pragma_nodes: Vec<usize>,
-    /// Features of the non-pragma nodes `[N - P, NODE_FEATS]`.
-    pub(crate) template_x: Matrix,
-    /// Every point's pragma-node features `[B * P, NODE_FEATS]`, point by
-    /// point.
-    pub(crate) pragma_x: Matrix,
+    layouts: Layouts,
+    /// Node features in layout 0: the non-pragma rows, then each point's
+    /// pragma rows (`[N, NODE_FEATS]` in node order for a batch of one).
+    pub(crate) x: Matrix,
     /// Per-point pragma encodings `[B, MAX_SLOTS * SLOT_FEATS]` (M1 input).
     pub(crate) pragma_enc: Matrix,
 }
@@ -199,53 +295,39 @@ impl KernelBatch {
     pub fn new(graph: &ProgramGraph, points: &[DesignPoint]) -> Self {
         assert!(!points.is_empty(), "empty batch");
         let num_nodes = graph.num_nodes();
+        let in_edges = InEdges::new(num_nodes, &graph.edge_sources(), &graph.edge_destinations());
         let pragma_nodes: Vec<usize> = graph.pragma_nodes().iter().map(|&(i, _)| i).collect();
-        let mut is_pragma = vec![false; num_nodes];
-        for &i in &pragma_nodes {
-            is_pragma[i] = true;
-        }
-        let template_nodes: Vec<usize> = (0..num_nodes).filter(|&i| !is_pragma[i]).collect();
+        // A row varies only if it can differ between the batch's points, so
+        // a batch of one point shares every row.
+        let varying = if points.len() > 1 { pragma_nodes.as_slice() } else { &[] };
+        let layouts = Layouts::new(&in_edges, varying);
+        let layout = layouts.get(0);
         let placeholder = node_features(graph, None);
-        let mut template_x = Matrix::zeros(template_nodes.len(), placeholder.cols());
-        for (r, &i) in template_nodes.iter().enumerate() {
-            template_x.row_mut(r).copy_from_slice(placeholder.row(i));
+        let mut x = Matrix::zeros(layout.rows(points.len()), placeholder.cols());
+        for (r, &i) in layout.shared().iter().enumerate() {
+            x.row_mut(r).copy_from_slice(placeholder.row(i));
         }
-        let pragma_rows: Vec<Matrix> =
-            points.iter().map(|p| pragma_node_features(graph, p)).collect();
+        for (b, point) in points.iter().enumerate() {
+            let rows = pragma_node_features(graph, point);
+            for (r, &i) in pragma_nodes.iter().enumerate() {
+                x.row_mut(layout.row(i, b)).copy_from_slice(rows.row(r));
+            }
+        }
         let encodings: Vec<Matrix> = points.iter().map(crate::model::encode_pragmas).collect();
         Self {
             num_nodes,
             num_graphs: points.len(),
             edge_attr: edge_features(graph),
-            in_edges: InEdges::new(
-                num_nodes,
-                &graph.edge_sources(),
-                &graph.edge_destinations(),
-            ),
-            template_nodes,
-            pragma_nodes,
-            template_x,
-            pragma_x: Matrix::vcat(&pragma_rows.iter().collect::<Vec<_>>()),
+            in_edges,
+            layouts,
+            x,
             pragma_enc: Matrix::vcat(&encodings.iter().collect::<Vec<_>>()),
         }
     }
 
-    /// Builds the batched `[B * N, F]` node matrix from per-row results: row
-    /// `r` of `template` (computed once, on `template_x`) goes to the same
-    /// node of every point, and `pragma` holds one result per row of
-    /// `pragma_x`.
-    pub(crate) fn assemble(&self, template: &Matrix, pragma: &Matrix) -> Matrix {
-        let (n, p) = (self.num_nodes, self.pragma_nodes.len());
-        let mut out = gdse_tensor::arena::zeros(self.num_graphs * n, template.cols());
-        for b in 0..self.num_graphs {
-            for (r, &i) in self.template_nodes.iter().enumerate() {
-                out.row_mut(b * n + i).copy_from_slice(template.row(r));
-            }
-            for (r, &i) in self.pragma_nodes.iter().enumerate() {
-                out.row_mut(b * n + i).copy_from_slice(pragma.row(b * p + r));
-            }
-        }
-        out
+    /// Layer `l`'s layout (see [`Layouts`]).
+    pub(crate) fn layout(&self, l: usize) -> &Layout {
+        self.layouts.get(l)
     }
 }
 
@@ -265,7 +347,6 @@ mod tests {
         assert_eq!(input.num_nodes(), g.num_nodes());
         assert_eq!(input.num_edges(), g.num_edges());
         assert_eq!(input.edge_attr.rows(), input.num_edges());
-        assert_eq!(input.pragma_nodes.len(), space.num_slots());
     }
 
     #[test]
@@ -289,19 +370,33 @@ mod tests {
     }
 
     #[test]
-    fn kernel_batch_assembles_the_rows_of_a_graph_batch() {
+    fn kernel_batch_features_are_a_graph_batchs_rows_in_layout_0() {
         let k = kernels::aes();
         let space = DesignSpace::from_kernel(&k);
         let g = build_graph_bidirectional(&k, &space);
         let points = [space.default_point(), space.point_at(space.size() - 1)];
-        let kb = KernelBatch::new(&g, &points);
-        let x = kb.assemble(&kb.template_x, &kb.pragma_x);
         let inputs: Vec<GraphInput> =
             points.iter().map(|p| GraphInput::from_graph(&g, Some(p))).collect();
-        let batch = GraphBatch::new(&[(&inputs[0], &points[0]), (&inputs[1], &points[1])]);
-        assert_eq!(x, batch.x);
-        assert_eq!(kb.pragma_enc, batch.pragma_x);
-        assert_eq!(kb.edge_attr, inputs[0].edge_attr);
+        let pragma: Vec<usize> = g.pragma_nodes().iter().map(|&(i, _)| i).collect();
+        let n = g.num_nodes();
+        for len in [1, 2] {
+            let kb = KernelBatch::new(&g, &points[..len]);
+            let items: Vec<_> = inputs.iter().zip(&points).take(len).collect();
+            let batch = GraphBatch::new(&items);
+            let layout = kb.layout(0);
+            // One point shares every row; two vary on the pragma nodes.
+            let varying: &[usize] = if len == 1 { &[] } else { &pragma };
+            assert_eq!(layout.varying(), varying, "B = {len}");
+            assert_eq!(kb.x.rows(), layout.rows(len));
+            for b in 0..len {
+                for i in 0..n {
+                    let row = kb.x.row(layout.row(i, b));
+                    assert_eq!(row, batch.x.row(b * n + i), "node {i}, point {b}, B = {len}");
+                }
+            }
+            assert_eq!(kb.pragma_enc, batch.pragma_x);
+            assert_eq!(kb.edge_attr, inputs[0].edge_attr);
+        }
     }
 
     #[test]
@@ -310,8 +405,70 @@ mod tests {
         assert_eq!(e.offsets, [0, 0, 3, 4]);
         assert_eq!(e.edge, [0, 1, 3, 2]);
         assert_eq!(e.src, [0, 2, 0, 1]);
-        assert_eq!(e.dst, [1, 1, 1, 2]);
         assert_eq!(e.sources(1), [0, 2, 0]);
+    }
+
+    /// The path `0 - 1 - ... - (n - 1)`, with an edge each way.
+    fn path(n: usize) -> InEdges {
+        let src: Vec<usize> = (0..n - 1).chain(1..n).collect();
+        let dst: Vec<usize> = (1..n).chain(0..n - 1).collect();
+        InEdges::new(n, &src, &dst)
+    }
+
+    #[test]
+    fn layout_l_varies_on_the_nodes_within_l_hops_of_a_pragma_node() {
+        let layouts = Layouts::new(&path(5), &[4]);
+        // Layout 4 varies on every node: the fixpoint, so the last layout.
+        assert_eq!(layouts.0.len(), 5);
+        for (l, layout) in layouts.0.iter().enumerate() {
+            assert_eq!(layout.shared(), (0..4 - l).collect::<Vec<_>>(), "layout {l}");
+            assert_eq!(layout.varying(), (4 - l..5).collect::<Vec<_>>(), "layout {l}");
+        }
+    }
+
+    #[test]
+    fn layouts_past_the_last_equal_the_last() {
+        let layouts = Layouts::new(&path(5), &[4]);
+        for l in 4..12 {
+            assert_eq!(layouts.get(l), &layouts.0[4], "layer {l}");
+        }
+    }
+
+    #[test]
+    fn nodes_out_of_reach_of_every_pragma_node_stay_shared() {
+        // The path 0 - 1 - 2, beside the edge 3 - 4.
+        let e = InEdges::new(5, &[0, 1, 1, 2, 3, 4], &[1, 0, 2, 1, 4, 3]);
+        let layouts = Layouts::new(&e, &[0]);
+        assert_eq!(layouts.0.len(), 3);
+        for l in 0..6 {
+            assert!(layouts.get(l).shared().ends_with(&[3, 4]), "layer {l}");
+        }
+        assert_eq!(layouts.get(2).varying(), [0, 1, 2]);
+        let none = Layouts::new(&e, &[]);
+        assert_eq!(none.0.len(), 1);
+        assert_eq!(none.get(0).shared(), [0, 1, 2, 3, 4]);
+        assert!(none.get(0).varying().is_empty());
+    }
+
+    #[test]
+    fn rows_hold_the_shared_block_then_each_points_varying_block() {
+        // A pragma in the middle of the path: layout 1 shares nodes 0 and 4.
+        let layouts = Layouts::new(&path(5), &[2]);
+        let layout = layouts.get(1);
+        assert_eq!((layout.shared(), layout.varying()), (&[0, 4][..], &[1, 2, 3][..]));
+        let (s, v) = (2, 3);
+        assert_eq!(layout.rows(4), s + 4 * v);
+        for b in 0..4 {
+            for (r, &i) in layout.shared().iter().enumerate() {
+                assert_eq!(layout.row(i, b), r, "shared node {i}, point {b}");
+            }
+            for (r, &i) in layout.varying().iter().enumerate() {
+                assert_eq!(layout.row(i, b), s + b * v + r, "varying node {i}, point {b}");
+            }
+            let mut rows = Vec::new();
+            layout.rows_at(b, &mut rows);
+            assert_eq!(rows, (0..5).map(|i| layout.row(i, b)).collect::<Vec<_>>(), "point {b}");
+        }
     }
 
     #[test]

@@ -45,6 +45,12 @@ fn untrained() -> Vec<PredictionModel> {
         .collect()
 }
 
+/// The paper's M7 (§5.1: 6 layers, width 64): deeper than some kernels have
+/// distinct layouts, so its last layers read the layout past the last one.
+fn deep() -> Vec<PredictionModel> {
+    vec![PredictionModel::new(ModelKind::Full, ModelConfig::paper(), &MAIN_TARGETS)]
+}
+
 /// One model of each kind after two epochs of regression training.
 fn trained() -> &'static [PredictionModel] {
     static MODELS: OnceLock<Vec<PredictionModel>> = OnceLock::new();
@@ -122,6 +128,11 @@ proptest! {
     #[test]
     fn infer_matches_the_tape_on_trained_models(seed in any::<u64>()) {
         assert_parity(trained(), seed);
+    }
+
+    #[test]
+    fn infer_matches_the_tape_on_the_deep_paper_model(seed in any::<u64>()) {
+        assert_parity(&deep(), seed);
     }
 }
 

@@ -545,13 +545,7 @@ fn cmd_rounds(args: &[String]) -> CliResult {
         let _io = obs::span::stage("io");
         Database::load(Path::new(db_path)).map_err(|e| e.to_string())?
     };
-    let ks: Vec<_> = kernels::all_kernels()
-        .into_iter()
-        .filter(|k| db.entries().iter().any(|e| e.kernel == k.name()))
-        .collect();
-    if ks.is_empty() {
-        return Err(format!("{db_path} contains no known kernels"));
-    }
+    let ks = db.training_kernels().map_err(|e| format!("{db_path} {e}"))?;
     let (objective, sampler) = objective_args(&flags)?;
     let mut cfg =
         RoundsConfig { rounds: n_rounds, stop_after, initial_model, ..RoundsConfig::quick() };
@@ -643,11 +637,7 @@ fn cmd_train(args: &[String]) -> CliResult {
         ));
     }
     let db = Database::load(Path::new(db_path)).map_err(|e| e.to_string())?;
-    let ks = kernels::all_kernels();
-    let referenced: Vec<_> = ks
-        .into_iter()
-        .filter(|k| db.entries().iter().any(|e| e.kernel == k.name()))
-        .collect();
+    let referenced = db.training_kernels().map_err(|e| format!("{db_path} {e}"))?;
     let cfg = TrainConfig { epochs, ..TrainConfig::paper() };
     println!("training M7 on {} designs for {epochs} epochs...", db.len());
     let model_cfg = ModelConfig { hidden: 32, gnn_layers: 4, mlp_layers: 4, seed: 42 };

@@ -51,7 +51,7 @@ use crate::rounds::{CampaignDriver, RoundReport, RoundsConfig};
 use crate::serving::ArtifactProvider;
 use gdse_obs as obs;
 use gdse_serve::{LearnStatusSource, ModelProvider, ServeConfig, Server, ServerHandle};
-use hls_ir::{kernels, Kernel};
+use hls_ir::Kernel;
 use merlin_sim::MerlinSimulator;
 use serde::Value;
 use std::net::SocketAddr;
@@ -238,20 +238,16 @@ impl Daemon {
     ///
     /// # Errors
     ///
-    /// Unreadable database, no known kernels in it, bootstrap train/save
-    /// failure, artifact load failure, or bind failure.
+    /// Unreadable or untrainable database (see
+    /// [`Database::training_kernels`]), bootstrap train/save failure,
+    /// artifact load failure, or bind failure.
     pub fn start(cfg: DaemonConfig) -> Result<Daemon, String> {
         let db = {
             let _io = obs::span::stage("io");
             Database::load(&cfg.db).map_err(|e| e.to_string())?
         };
-        let kernel_set: Vec<Kernel> = kernels::all_kernels()
-            .into_iter()
-            .filter(|k| db.entries().iter().any(|e| e.kernel == k.name()))
-            .collect();
-        if kernel_set.is_empty() {
-            return Err(format!("{} contains no known kernels", cfg.db.display()));
-        }
+        let kernel_set =
+            db.training_kernels().map_err(|e| format!("{} {e}", cfg.db.display()))?;
         let kernel_names: Vec<String> =
             kernel_set.iter().map(|k| k.name().to_string()).collect();
 

@@ -3,6 +3,7 @@
 
 use crate::persist::atomic_write;
 use design_space::DesignPoint;
+use hls_ir::{kernels, Kernel};
 use merlin_sim::HlsResult;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -60,6 +61,31 @@ impl std::error::Error for DbError {
         }
     }
 }
+
+/// Why a database cannot train a predictor (see [`Database::training_kernels`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum UntrainableDb {
+    /// The database holds no designs.
+    Empty,
+    /// An entry names a kernel outside [`kernels::all_kernels`].
+    UnknownKernel(String),
+    /// No design is valid, so the regressors have nothing to train on.
+    NoValidDesign,
+}
+
+impl fmt::Display for UntrainableDb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UntrainableDb::Empty => write!(f, "contains no designs"),
+            UntrainableDb::UnknownKernel(k) => write!(f, "names unknown kernel `{k}`"),
+            UntrainableDb::NoValidDesign => {
+                write!(f, "contains no valid design to train the regressors on")
+            }
+        }
+    }
+}
+
+impl std::error::Error for UntrainableDb {}
 
 /// One evaluated design: kernel, configuration, and the tool's verdict.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -216,6 +242,31 @@ impl Database {
         Ok(db)
     }
 
+    /// The kernels this database trains a predictor on, in
+    /// [`kernels::all_kernels`] order, once it passes the check every
+    /// training command runs on a loaded database: it holds a design, names
+    /// only known kernels, and holds a valid design.
+    ///
+    /// # Errors
+    ///
+    /// The first [`UntrainableDb`] reason found, in that order.
+    pub fn training_kernels(&self) -> Result<Vec<Kernel>, UntrainableDb> {
+        if self.is_empty() {
+            return Err(UntrainableDb::Empty);
+        }
+        let known = kernels::all_kernels();
+        if let Some(e) = self.entries.iter().find(|e| known.iter().all(|k| k.name() != e.kernel)) {
+            return Err(UntrainableDb::UnknownKernel(e.kernel.clone()));
+        }
+        if self.valid_count() == 0 {
+            return Err(UntrainableDb::NoValidDesign);
+        }
+        Ok(known
+            .into_iter()
+            .filter(|k| self.entries.iter().any(|e| e.kernel == k.name()))
+            .collect())
+    }
+
     /// Merges another database into this one (the §4.1 "shared space" that
     /// gradually collects results from different applications). Duplicate
     /// (kernel, point) pairs keep this database's entry. Returns how many
@@ -247,7 +298,6 @@ impl Database {
 mod tests {
     use super::*;
     use design_space::DesignSpace;
-    use hls_ir::kernels;
     use merlin_sim::MerlinSimulator;
 
     fn sample_db() -> Database {
@@ -261,6 +311,20 @@ mod tests {
             db.insert("aes", p, r);
         }
         db
+    }
+
+    #[test]
+    fn training_kernels_lists_the_referenced_kernels_in_catalogue_order() {
+        let mut db = sample_db();
+        let atax = kernels::atax();
+        let space = DesignSpace::from_kernel(&atax);
+        let p = space.point_at(0);
+        let r = MerlinSimulator::new().evaluate(&atax, &space, &p);
+        db.insert("atax", p, r);
+        let names: Vec<String> =
+            db.training_kernels().unwrap().iter().map(|k| k.name().to_string()).collect();
+        assert_eq!(names, ["aes", "atax"]);
+        assert_eq!(Database::new().training_kernels().unwrap_err(), UntrainableDb::Empty);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub mod trainer;
 pub use artifact::{decode_predictor, encode_predictor, ArtifactMeta, META_SCHEMA_VERSION};
 pub use daemon::{run_daemon, Daemon, DaemonConfig, DaemonReport, DaemonStatus};
 pub use dataset::{Dataset, Normalizer};
-pub use db::{Database, DbEntry, DbError};
+pub use db::{Database, DbEntry, DbError, UntrainableDb};
 pub use dse::{pareto_front, run_dse, run_dse_with_engine, CandidateSampler, DseConfig, DseOutcome};
 pub use error::Error;
 pub use evaluated::Evaluated;

@@ -14,16 +14,29 @@
 //!   code the compiler can vectorize.
 //! - Row tails run a 1 x `NR` variant; small or skinny products fall back to
 //!   a branchless scalar i-k-j loop that shares the epilogue.
+//! - Matrix–vector products (`n == 1`: the TransformerConv gate, the
+//!   attention pool's score layer, the heads' last layer) sum `MV_ROWS`
+//!   rows at a time as independent add chains.
+//! - [`gemm_tn`] computes the weight gradient `aᵀ · g` of the tape's
+//!   products straight from `a`: the microkernel reads `a[kk][i0..i0 + MR]`
+//!   for each `kk`, so `aᵀ` is never materialized.
 //!
 //! **Bit-identity contract:** every output element is accumulated over the
-//! full `k` extent in increasing-`k` order with individual `f32` adds — the
-//! exact float-op sequence of the reference kernel — so results are
-//! bit-identical to the pre-blocking implementation for finite inputs (the
-//! reference kernel's `a[i][k] == 0.0` skip only changes results when a zero
-//! meets a non-finite `b` entry, which finite-weight models never produce).
-//! There is deliberately no k-splitting of the accumulation and no FMA
-//! contraction. The fused bias+activation epilogue applies after the full
-//! sum, matching the unfused `matmul -> add_bias -> relu` chain exactly.
+//! full `k` extent in increasing-`k` order, starting from +0.0, with
+//! individual `f32` adds — the exact float-op sequence of the reference
+//! kernel — so results are bit-identical to the pre-blocking implementation
+//! for finite inputs. There is deliberately no k-splitting of the
+//! accumulation and no FMA contraction. The fused bias+activation epilogue
+//! applies after the full sum, matching the unfused
+//! `matmul -> add_bias -> relu` chain exactly.
+//!
+//! Skipping a zero entry of `a` (the reference kernel's `a[i][k] == 0.0`
+//! test, and the loops [`gemm_tn`] takes for mostly-zero operands) drops
+//! a `±0` product. An accumulator that starts at +0.0 never becomes −0.0
+//! under round-to-nearest (`x + y` is −0.0 only when both are −0.0), and
+//! `s + ±0 == s` for every other `s`, so the skip cannot change a sum unless
+//! the zero meets a non-finite `b` entry, which finite-weight models never
+//! produce.
 //!
 //! Packing scratch and output buffers come from the thread-local
 //! [`crate::arena`], so steady-state forward passes do not touch the global
@@ -44,6 +57,8 @@ pub const NR: usize = 16;
 pub const MR: usize = 4;
 /// Square tile edge shared by the blocked transpose and panel packing.
 pub const TILE: usize = 32;
+/// Rows the matrix–vector path sums at once, one add chain each.
+const MV_ROWS: usize = 8;
 
 /// Epilogue applied element-wise after the full-`k` accumulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +118,9 @@ pub fn gemm_bias_act(
     if m > 0 && n > 0 {
         // Packing pays for itself once enough rows reuse the panels; skinny
         // or tiny products take the branchless scalar path instead.
-        if m >= MR && n >= 4 && k >= 4 && m * n * k >= 2048 {
+        if n == 1 {
+            gemm_mv(a, b.as_slice(), bias, act, out.as_mut_slice());
+        } else if packs(m, k, n) {
             gemm_packed(a, b, bias, act, &mut out);
         } else {
             gemm_scalar(a, b, bias, act, &mut out);
@@ -115,6 +132,142 @@ pub fn gemm_bias_act(
     );
     gdse_obs::metrics::counter_inc("infer.gemm_calls");
     out
+}
+
+/// Whether an `[m, k] · [k, n]` product is large enough for the packed path.
+fn packs(m: usize, k: usize, n: usize) -> bool {
+    m >= MR && n >= 4 && k >= 4 && m * n * k >= 2048
+}
+
+/// Whether fewer than a quarter of `a`'s entries are nonzero, as in the
+/// one-hot node and edge features. Products with such a left operand take
+/// the zero-skipping loops: [`Matrix::matmul_reference`] forward and
+/// [`gemm_tn`]'s for the weight gradient.
+///
+/// [`Matrix::matmul_reference`]: crate::Matrix::matmul_reference
+pub(crate) fn mostly_zero(a: &Matrix) -> bool {
+    let nonzero = a.as_slice().iter().filter(|&&v| v != 0.0).count();
+    nonzero * 4 < a.len()
+}
+
+/// Matrix–vector product `a · x` (`n == 1`). Each row is an in-order dot
+/// product from +0.0; `MV_ROWS` rows run side by side so their add chains
+/// overlap instead of waiting on one another.
+fn gemm_mv(a: &Matrix, x: &[f32], bias: Option<&[f32]>, act: Activation, out: &mut [f32]) {
+    let k = a.cols();
+    if k > 0 {
+        let blocks = a.as_slice().chunks_exact(MV_ROWS * k);
+        let tail_rows = blocks.remainder().chunks_exact(k);
+        let mut outs = out.chunks_exact_mut(MV_ROWS);
+        for (rows, o) in blocks.zip(&mut outs) {
+            let rows: [&[f32]; MV_ROWS] = std::array::from_fn(|r| &rows[r * k..(r + 1) * k]);
+            let mut acc = [0.0f32; MV_ROWS];
+            for (kk, &xk) in x.iter().enumerate() {
+                for r in 0..MV_ROWS {
+                    acc[r] += rows[r][kk] * xk;
+                }
+            }
+            o.copy_from_slice(&acc);
+        }
+        for (row, o) in tail_rows.zip(outs.into_remainder()) {
+            let mut acc = 0.0f32;
+            for (&av, &xk) in row.iter().zip(x) {
+                acc += av * xk;
+            }
+            *o = acc;
+        }
+    }
+    if bias.is_some() || act != Activation::None {
+        let b0 = bias.map_or(0.0, |bs| bs[0]);
+        for o in out.iter_mut() {
+            *o = apply_epilogue(*o, b0, act);
+        }
+    }
+}
+
+/// `aᵀ · b` for `a: [k, m]` and `b: [k, n]`, without materializing `aᵀ`:
+/// the weight gradient of a product `a · w` whose output adjoint is `b`.
+///
+/// Same float-op sequence as `a.transpose().matmul(b)`: every output element
+/// sums over `k` in increasing order from +0.0. Three paths, by shape:
+///
+/// - `a` with fewer than a quarter nonzero (one-hot features): the
+///   `k`-outer loop of the reference kernel, skipping zero entries of `a`;
+/// - `n == 1`: an axpy of each row of `a` into the output column;
+/// - otherwise the packed path: `b` packs into `NR`-wide panels and the
+///   `MR x NR` microkernel reads `a[kk][i0..i0 + MR]`, contiguous in `a`.
+///
+/// # Panics
+///
+/// Panics if `a.rows() != b.rows()`.
+pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(
+        a.rows(),
+        b.rows(),
+        "gemm_tn shape mismatch: {:?}ᵀ * {:?}",
+        a.shape(),
+        b.shape()
+    );
+    let (k, m, n) = (a.rows(), a.cols(), b.cols());
+    let mut out = arena::zeros(m, n);
+    if m == 0 || n == 0 {
+        return out;
+    }
+    let sparse = mostly_zero(a);
+    if n == 1 && !sparse {
+        let col = out.as_mut_slice();
+        for (a_row, &bk) in a.as_slice().chunks_exact(m).zip(b.as_slice()) {
+            for (o, &a_ki) in col.iter_mut().zip(a_row) {
+                *o += a_ki * bk;
+            }
+        }
+    } else if !sparse && packs(m, k, n) {
+        gemm_tn_packed(a, b, &mut out);
+    } else {
+        for kk in 0..k {
+            let b_row = b.row(kk);
+            for (i, &a_ki) in a.row(kk).iter().enumerate() {
+                if a_ki == 0.0 {
+                    continue;
+                }
+                for (o, &b_kj) in out.row_mut(i).iter_mut().zip(b_row) {
+                    *o += a_ki * b_kj;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Packed path of [`gemm_tn`]: output rows `i0..i0 + MR` are columns
+/// `i0..i0 + MR` of `a`, read in place one `a` row per step.
+fn gemm_tn_packed(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (k, m, n) = (a.rows(), a.cols(), b.cols());
+    let npanels = n.div_ceil(NR);
+    let mut packed = arena::take(npanels * k * NR);
+    pack_b(b, &mut packed);
+
+    let ad = a.as_slice();
+    let full_blocks = m / MR;
+    for blk in 0..full_blocks {
+        let i0 = blk * MR;
+        for p in 0..npanels {
+            let panel = &packed[p * k * NR..(p + 1) * k * NR];
+            let steps = ad
+                .chunks_exact(m)
+                .map(|row| row[i0..i0 + MR].try_into().expect("MR columns"));
+            let acc = micro_mr(panel, steps);
+            store_block(out, &acc, i0, MR, p, n, None, Activation::None);
+        }
+    }
+    for i in full_blocks * MR..m {
+        for p in 0..npanels {
+            let panel = &packed[p * k * NR..(p + 1) * k * NR];
+            let acc = micro_1(panel, ad.chunks_exact(m).map(|row| row[i]));
+            store_row(out, &acc, i, p, n, None, Activation::None);
+        }
+    }
+    arena::give(packed);
 }
 
 /// Branchless scalar i-k-j fallback (same accumulation order, same epilogue).
@@ -159,7 +312,11 @@ fn gemm_packed(a: &Matrix, b: &Matrix, bias: Option<&[f32]>, act: Activation, ou
         ];
         for p in 0..npanels {
             let panel = &packed[p * k * NR..(p + 1) * k * NR];
-            let acc = micro_mr(&rows, panel);
+            let steps = rows[0].iter().zip(rows[1]).zip(rows[2]).zip(rows[3]);
+            let acc = micro_mr(
+                panel,
+                steps.map(|(((&a0, &a1), &a2), &a3)| [a0, a1, a2, a3]),
+            );
             store_block(out, &acc, i0, MR, p, n, bias, act);
         }
     }
@@ -167,7 +324,7 @@ fn gemm_packed(a: &Matrix, b: &Matrix, bias: Option<&[f32]>, act: Activation, ou
         let row = &ad[i * k..(i + 1) * k];
         for p in 0..npanels {
             let panel = &packed[p * k * NR..(p + 1) * k * NR];
-            let acc = micro_1(row, panel);
+            let acc = micro_1(panel, row.iter().copied());
             store_row(out, &acc, i, p, n, bias, act);
         }
     }
@@ -196,34 +353,32 @@ fn pack_b(b: &Matrix, packed: &mut [f32]) {
     }
 }
 
-/// `MR x NR` register-tiled microkernel: full-`k`, in-order accumulation.
-#[inline]
-fn micro_mr(rows: &[&[f32]; MR], panel: &[f32]) -> [[f32; NR]; MR] {
-    let kc = rows[0].len();
-    for r in rows.iter() {
-        assert_eq!(r.len(), kc);
-    }
-    assert!(panel.len() >= kc * NR);
+/// `MR x NR` register-tiled microkernel: full-`k`, in-order accumulation
+/// over one packed panel. `steps` yields the block's `MR` left-operand
+/// entries for each `k`, so the same kernel serves `a · b` (entries from
+/// `MR` rows of `a`) and [`gemm_tn`] (`MR` adjacent entries of each row).
+/// Feeding it an iterator instead of indexing keeps bounds checks out of
+/// the loop.
+#[inline(always)]
+fn micro_mr(panel: &[f32], steps: impl Iterator<Item = [f32; MR]>) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for (kk, bp) in panel.chunks_exact(NR).take(kc).enumerate() {
+    for (bp, av) in panel.chunks_exact(NR).zip(steps) {
+        let bp: &[f32; NR] = bp.try_into().expect("panel rows are NR wide");
         for r in 0..MR {
-            let av = rows[r][kk];
             for j in 0..NR {
-                acc[r][j] += av * bp[j];
+                acc[r][j] += av[r] * bp[j];
             }
         }
     }
     acc
 }
 
-/// `1 x NR` row-tail microkernel.
-#[inline]
-fn micro_1(row: &[f32], panel: &[f32]) -> [f32; NR] {
-    let kc = row.len();
-    assert!(panel.len() >= kc * NR);
+/// `1 x NR` row-tail microkernel; `steps` yields the row's entry per `k`.
+#[inline(always)]
+fn micro_1(panel: &[f32], steps: impl Iterator<Item = f32>) -> [f32; NR] {
     let mut acc = [0.0f32; NR];
-    for (kk, bp) in panel.chunks_exact(NR).take(kc).enumerate() {
-        let av = row[kk];
+    for (bp, av) in panel.chunks_exact(NR).zip(steps) {
+        let bp: &[f32; NR] = bp.try_into().expect("panel rows are NR wide");
         for j in 0..NR {
             acc[j] += av * bp[j];
         }

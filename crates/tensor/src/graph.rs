@@ -5,6 +5,13 @@
 //! [`Graph::backward`] then walks the tape in reverse, accumulating gradients
 //! into a [`GradStore`] for the parameters that participated.
 //!
+//! Backward does only the work that reaches a parameter. Each node records
+//! at push whether a parameter lies upstream of it, and an op computes an
+//! input's adjoint only for such inputs: constant inputs (the node and edge
+//! features), quantized results and everything computed from them alone
+//! get none. Weight gradients come from [`gemm::gemm_tn`], which reads the
+//! activations in place instead of transposing them.
+//!
 //! The op set is exactly what graph neural networks over sparse edge lists
 //! need: dense matmul and elementwise math, plus `gather`/`scatter`,
 //! segment-softmax (per-destination attention normalization), row-dot
@@ -71,10 +78,46 @@ enum Backward {
     BceLogitsLoss { logits: NodeId, target: Matrix },
 }
 
+impl Backward {
+    /// Whether any tape input of this op satisfies `f`.
+    fn any_input(&self, f: impl Fn(NodeId) -> bool) -> bool {
+        match self {
+            Backward::Leaf | Backward::Param(_) | Backward::Quantized => false,
+            Backward::Matmul { a, b }
+            | Backward::Add { a, b }
+            | Backward::Sub { a, b }
+            | Backward::Mul { a, b }
+            | Backward::RowDot { a, b }
+            | Backward::MulColBroadcast { a, col: b }
+            | Backward::AddBias { a, bias: b } => f(*a) || f(*b),
+            Backward::Linear { a, w, bias, .. } => f(*a) || f(*w) || f(*bias),
+            Backward::Scale { a, .. }
+            | Backward::Relu { a }
+            | Backward::LeakyRelu { a, .. }
+            | Backward::Elu { a, .. }
+            | Backward::Sigmoid { a }
+            | Backward::Tanh { a }
+            | Backward::GatherRows { a, .. }
+            | Backward::ScatterAddRows { a, .. }
+            | Backward::SegmentSoftmax { a, .. }
+            | Backward::SumRows { a }
+            | Backward::MeanRows { a }
+            | Backward::LayerNorm { a, .. }
+            | Backward::MseLoss { pred: a, .. }
+            | Backward::BceLogitsLoss { logits: a, .. } => f(*a),
+            Backward::ConcatCols { parts } | Backward::MaxStack { parts, .. } => {
+                parts.iter().any(|&p| f(p))
+            }
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Node {
     value: Matrix,
     back: Backward,
+    /// Whether a parameter lies upstream: only such nodes get an adjoint.
+    needs_grad: bool,
 }
 
 /// A dynamically built computation graph (tape).
@@ -145,7 +188,9 @@ impl Graph {
     }
 
     fn push(&mut self, value: Matrix, back: Backward) -> NodeId {
-        self.nodes.push(Node { value, back });
+        let needs_grad = matches!(back, Backward::Param(_))
+            || back.any_input(|id| self.nodes[id.0].needs_grad);
+        self.nodes.push(Node { value, back, needs_grad });
         NodeId(self.nodes.len() - 1)
     }
 
@@ -176,6 +221,11 @@ impl Graph {
 
     /// Matrix product.
     ///
+    /// A left operand with fewer than a quarter nonzero (the one-hot node
+    /// and edge features) takes the zero-skipping
+    /// [`Matrix::matmul_reference`], which gives the GEMM's bits for finite
+    /// inputs.
+    ///
     /// On a tape built with [`with_quant`](Self::with_quant), a product whose
     /// right-hand side is a calibrated parameter runs through the int8 kernel
     /// instead (forward-only).
@@ -189,7 +239,12 @@ impl Graph {
             let v = quant::linear(self.value(a), qw, None, Activation::None);
             return self.push(v, Backward::Quantized);
         }
-        let v = self.value(a).matmul(self.value(b));
+        let (av, bv) = (self.value(a), self.value(b));
+        let v = if gemm::mostly_zero(av) {
+            av.matmul_reference(bv)
+        } else {
+            av.matmul(bv)
+        };
         self.push(v, Backward::Matmul { a, b })
     }
 
@@ -419,19 +474,13 @@ impl Graph {
         let mut v = self.value(parts[0]).clone();
         let mut argmax = vec![0u32; v.len()];
         for (pi, &p) in parts.iter().enumerate().skip(1) {
-            let pv = self.value(p);
-            // Collect winners first to avoid borrowing `v` mutably while reading `pv`.
-            let updates: Vec<(usize, f32)> = pv
-                .as_slice()
-                .iter()
-                .zip(v.as_slice())
-                .enumerate()
-                .filter(|(_, (c, m))| c > m)
-                .map(|(i, (c, _))| (i, *c))
-                .collect();
-            for (i, c) in updates {
-                v.as_mut_slice()[i] = c;
-                argmax[i] = pi as u32;
+            // A later part wins only where it is strictly greater.
+            let winners = v.as_mut_slice().iter_mut().zip(&mut argmax);
+            for ((m, am), &c) in winners.zip(self.value(p).as_slice()) {
+                if c > *m {
+                    *m = c;
+                    *am = pi as u32;
+                }
             }
         }
         self.push(v, Backward::MaxStack { parts: parts.to_vec(), argmax })
@@ -511,6 +560,9 @@ impl Graph {
     /// Runs the backward pass from `root` (typically a `1 x 1` loss),
     /// accumulating parameter gradients into `grads`.
     ///
+    /// Only adjoints that reach a parameter are computed (see the module
+    /// docs); the gradients are bit-identical to computing all of them.
+    ///
     /// Gradients of multiple `backward` calls accumulate, enabling
     /// mini-batching across separately built graphs.
     ///
@@ -521,17 +573,18 @@ impl Graph {
         assert!(root.0 < self.nodes.len(), "backward root not on tape");
         let mut adj: Vec<Option<Matrix>> = vec![None; self.nodes.len()];
         let rv = &self.nodes[root.0].value;
-        adj[root.0] = Some(Matrix::filled(rv.rows(), rv.cols(), 1.0));
+        self.send(&mut adj, root, || Matrix::filled(rv.rows(), rv.cols(), 1.0));
 
         for i in (0..=root.0).rev() {
             let Some(g) = adj[i].take() else { continue };
+            let adj = &mut adj;
             match &self.nodes[i].back {
                 Backward::Leaf | Backward::Quantized => {}
                 Backward::Param(pid) => grads.accumulate(*pid, &g),
                 Backward::Linear { a, w, bias, act } => {
                     // Same float ops as the unfused chain: activation mask
                     // (derivable from the output: y > 0 iff pre-act > 0),
-                    // bias column-sum, then the two matmul adjoints.
+                    // then the two matmul adjoints and the bias column-sum.
                     let gz = match act {
                         Activation::Relu => {
                             let y = &self.nodes[i].value;
@@ -539,212 +592,245 @@ impl Graph {
                         }
                         Activation::None => g,
                     };
-                    let mut gb = Matrix::zeros(1, gz.cols());
-                    for r in 0..gz.rows() {
-                        for (o, x) in gb.row_mut(0).iter_mut().zip(gz.row(r)) {
-                            *o += x;
-                        }
-                    }
                     let (av, wv) = (&self.nodes[a.0].value, &self.nodes[w.0].value);
-                    let ga = gz.matmul(&wv.transpose());
-                    let gw = av.transpose().matmul(&gz);
-                    accumulate(&mut adj, *a, ga);
-                    accumulate(&mut adj, *w, gw);
-                    accumulate(&mut adj, *bias, gb);
+                    self.send(adj, *a, || gz.matmul(&wv.transpose()));
+                    self.send(adj, *w, || gemm::gemm_tn(av, &gz));
+                    self.send(adj, *bias, || column_sums(&gz));
                 }
                 Backward::Matmul { a, b } => {
                     let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                    let ga = g.matmul(&bv.transpose());
-                    let gb = av.transpose().matmul(&g);
-                    accumulate(&mut adj, *a, ga);
-                    accumulate(&mut adj, *b, gb);
+                    self.send(adj, *a, || g.matmul(&bv.transpose()));
+                    self.send(adj, *b, || gemm::gemm_tn(av, &g));
                 }
                 Backward::Add { a, b } => {
-                    accumulate(&mut adj, *a, g.clone());
-                    accumulate(&mut adj, *b, g);
+                    self.send(adj, *a, || g.clone());
+                    self.send(adj, *b, || g);
                 }
                 Backward::Sub { a, b } => {
-                    accumulate(&mut adj, *a, g.clone());
-                    let mut gn = g;
-                    gn.scale_in_place(-1.0);
-                    accumulate(&mut adj, *b, gn);
+                    self.send(adj, *a, || g.clone());
+                    self.send(adj, *b, || {
+                        let mut gn = g;
+                        gn.scale_in_place(-1.0);
+                        gn
+                    });
                 }
                 Backward::Mul { a, b } => {
-                    let ga = g.zip_map(&self.nodes[b.0].value, |x, y| x * y);
-                    let gb = g.zip_map(&self.nodes[a.0].value, |x, y| x * y);
-                    accumulate(&mut adj, *a, ga);
-                    accumulate(&mut adj, *b, gb);
+                    self.send(adj, *a, || g.zip_map(&self.nodes[b.0].value, |x, y| x * y));
+                    self.send(adj, *b, || g.zip_map(&self.nodes[a.0].value, |x, y| x * y));
                 }
                 Backward::MulColBroadcast { a, col } => {
                     let av = &self.nodes[a.0].value;
                     let cv = &self.nodes[col.0].value;
-                    let mut ga = g.clone();
-                    for r in 0..ga.rows() {
-                        let k = cv.get(r, 0);
-                        for x in ga.row_mut(r) {
-                            *x *= k;
+                    self.send(adj, *a, || {
+                        let mut ga = g.clone();
+                        for r in 0..ga.rows() {
+                            let k = cv.get(r, 0);
+                            for x in ga.row_mut(r) {
+                                *x *= k;
+                            }
                         }
-                    }
-                    let mut gc = Matrix::zeros(av.rows(), 1);
-                    for r in 0..av.rows() {
-                        let s: f32 = g.row(r).iter().zip(av.row(r)).map(|(x, y)| x * y).sum();
-                        gc.set(r, 0, s);
-                    }
-                    accumulate(&mut adj, *a, ga);
-                    accumulate(&mut adj, *col, gc);
+                        ga
+                    });
+                    self.send(adj, *col, || {
+                        let mut gc = Matrix::zeros(av.rows(), 1);
+                        for r in 0..av.rows() {
+                            let s: f32 = g.row(r).iter().zip(av.row(r)).map(|(x, y)| x * y).sum();
+                            gc.set(r, 0, s);
+                        }
+                        gc
+                    });
                 }
                 Backward::AddBias { a, bias } => {
-                    let mut gb = Matrix::zeros(1, g.cols());
-                    for r in 0..g.rows() {
-                        for (o, x) in gb.row_mut(0).iter_mut().zip(g.row(r)) {
-                            *o += x;
-                        }
+                    let gb = self.nodes[bias.0].needs_grad.then(|| column_sums(&g));
+                    self.send(adj, *a, || g);
+                    if let Some(gb) = gb {
+                        self.send(adj, *bias, || gb);
                     }
-                    accumulate(&mut adj, *a, g);
-                    accumulate(&mut adj, *bias, gb);
                 }
                 Backward::Scale { a, k } => {
-                    let mut ga = g;
-                    ga.scale_in_place(*k);
-                    accumulate(&mut adj, *a, ga);
+                    self.send(adj, *a, || {
+                        let mut ga = g;
+                        ga.scale_in_place(*k);
+                        ga
+                    });
                 }
                 Backward::Relu { a } => {
-                    let ga = g.zip_map(&self.nodes[a.0].value, |gy, x| if x > 0.0 { gy } else { 0.0 });
-                    accumulate(&mut adj, *a, ga);
+                    self.send(adj, *a, || {
+                        g.zip_map(&self.nodes[a.0].value, |gy, x| if x > 0.0 { gy } else { 0.0 })
+                    });
                 }
                 Backward::LeakyRelu { a, slope } => {
                     let s = *slope;
-                    let ga = g.zip_map(&self.nodes[a.0].value, |gy, x| if x > 0.0 { gy } else { s * gy });
-                    accumulate(&mut adj, *a, ga);
+                    self.send(adj, *a, || {
+                        g.zip_map(&self.nodes[a.0].value, |gy, x| if x > 0.0 { gy } else { s * gy })
+                    });
                 }
                 Backward::Elu { a, alpha } => {
                     let al = *alpha;
                     // For x <= 0 the output is alpha*(e^x - 1), so dy/dx = y + alpha.
-                    let ga = g.zip_map(&self.nodes[i].value, |gy, y| if y > 0.0 { gy } else { gy * (y + al) });
-                    accumulate(&mut adj, *a, ga);
+                    self.send(adj, *a, || {
+                        g.zip_map(&self.nodes[i].value, |gy, y| if y > 0.0 { gy } else { gy * (y + al) })
+                    });
                 }
                 Backward::Sigmoid { a } => {
-                    let ga = g.zip_map(&self.nodes[i].value, |gy, y| gy * y * (1.0 - y));
-                    accumulate(&mut adj, *a, ga);
+                    self.send(adj, *a, || g.zip_map(&self.nodes[i].value, |gy, y| gy * y * (1.0 - y)));
                 }
                 Backward::Tanh { a } => {
-                    let ga = g.zip_map(&self.nodes[i].value, |gy, y| gy * (1.0 - y * y));
-                    accumulate(&mut adj, *a, ga);
+                    self.send(adj, *a, || g.zip_map(&self.nodes[i].value, |gy, y| gy * (1.0 - y * y)));
                 }
                 Backward::GatherRows { a, idx } => {
-                    let av = &self.nodes[a.0].value;
-                    let mut ga = Matrix::zeros(av.rows(), av.cols());
-                    for (r, &srci) in idx.iter().enumerate() {
-                        for (o, x) in ga.row_mut(srci).iter_mut().zip(g.row(r)) {
-                            *o += x;
+                    self.send(adj, *a, || {
+                        let av = &self.nodes[a.0].value;
+                        let mut ga = Matrix::zeros(av.rows(), av.cols());
+                        for (r, &srci) in idx.iter().enumerate() {
+                            for (o, x) in ga.row_mut(srci).iter_mut().zip(g.row(r)) {
+                                *o += x;
+                            }
                         }
-                    }
-                    accumulate(&mut adj, *a, ga);
+                        ga
+                    });
                 }
                 Backward::ScatterAddRows { a, idx } => {
-                    let av = &self.nodes[a.0].value;
-                    let mut ga = Matrix::zeros(av.rows(), av.cols());
-                    for (r, &dsti) in idx.iter().enumerate() {
-                        ga.row_mut(r).copy_from_slice(g.row(dsti));
-                    }
-                    accumulate(&mut adj, *a, ga);
+                    self.send(adj, *a, || {
+                        let av = &self.nodes[a.0].value;
+                        let mut ga = Matrix::zeros(av.rows(), av.cols());
+                        for (r, &dsti) in idx.iter().enumerate() {
+                            ga.row_mut(r).copy_from_slice(g.row(dsti));
+                        }
+                        ga
+                    });
                 }
                 Backward::SegmentSoftmax { a, seg } => {
-                    let y = &self.nodes[i].value;
-                    let ga = segment_softmax_backward(y, &g, seg);
-                    accumulate(&mut adj, *a, ga);
+                    self.send(adj, *a, || segment_softmax_backward(&self.nodes[i].value, &g, seg));
                 }
                 Backward::RowDot { a, b } => {
-                    let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-                    let mut ga = Matrix::zeros(av.rows(), av.cols());
-                    let mut gb = Matrix::zeros(bv.rows(), bv.cols());
-                    for r in 0..av.rows() {
-                        let gr = g.get(r, 0);
-                        for c in 0..av.cols() {
-                            ga.add_at(r, c, gr * bv.get(r, c));
-                            gb.add_at(r, c, gr * av.get(r, c));
+                    // `0.0 + g[r] * other[r][c]`: the sum into a zeroed
+                    // buffer turns a -0.0 product into +0.0.
+                    let scaled = |other: &Matrix| {
+                        let mut out = Matrix::zeros(other.rows(), other.cols());
+                        for (r, &gr) in g.as_slice().iter().enumerate() {
+                            for (o, &x) in out.row_mut(r).iter_mut().zip(other.row(r)) {
+                                *o += gr * x;
+                            }
                         }
-                    }
-                    accumulate(&mut adj, *a, ga);
-                    accumulate(&mut adj, *b, gb);
+                        out
+                    };
+                    self.send(adj, *a, || scaled(&self.nodes[b.0].value));
+                    self.send(adj, *b, || scaled(&self.nodes[a.0].value));
                 }
                 Backward::ConcatCols { parts } => {
                     let mut offset = 0;
                     for &p in parts {
                         let pv = &self.nodes[p.0].value;
-                        let mut gp = Matrix::zeros(pv.rows(), pv.cols());
-                        for r in 0..pv.rows() {
-                            gp.row_mut(r).copy_from_slice(&g.row(r)[offset..offset + pv.cols()]);
-                        }
+                        self.send(adj, p, || {
+                            let mut gp = Matrix::zeros(pv.rows(), pv.cols());
+                            for r in 0..pv.rows() {
+                                gp.row_mut(r).copy_from_slice(&g.row(r)[offset..offset + pv.cols()]);
+                            }
+                            gp
+                        });
                         offset += pv.cols();
-                        accumulate(&mut adj, p, gp);
                     }
                 }
                 Backward::MaxStack { parts, argmax } => {
                     for (pi, &p) in parts.iter().enumerate() {
-                        let pv = &self.nodes[p.0].value;
-                        let mut gp = Matrix::zeros(pv.rows(), pv.cols());
-                        for (j, (&am, &gy)) in argmax.iter().zip(g.as_slice()).enumerate() {
-                            if am as usize == pi {
-                                gp.as_mut_slice()[j] = gy;
+                        self.send(adj, p, || {
+                            let pv = &self.nodes[p.0].value;
+                            let mut gp = Matrix::zeros(pv.rows(), pv.cols());
+                            for (j, (&am, &gy)) in argmax.iter().zip(g.as_slice()).enumerate() {
+                                if am as usize == pi {
+                                    gp.as_mut_slice()[j] = gy;
+                                }
                             }
-                        }
-                        accumulate(&mut adj, p, gp);
+                            gp
+                        });
                     }
                 }
                 Backward::SumRows { a } => {
-                    let av = &self.nodes[a.0].value;
-                    let mut ga = Matrix::zeros(av.rows(), av.cols());
-                    for r in 0..av.rows() {
-                        ga.row_mut(r).copy_from_slice(g.row(0));
-                    }
-                    accumulate(&mut adj, *a, ga);
+                    self.send(adj, *a, || {
+                        let av = &self.nodes[a.0].value;
+                        let mut ga = Matrix::zeros(av.rows(), av.cols());
+                        for r in 0..av.rows() {
+                            ga.row_mut(r).copy_from_slice(g.row(0));
+                        }
+                        ga
+                    });
                 }
                 Backward::MeanRows { a } => {
-                    let av = &self.nodes[a.0].value;
-                    let n = av.rows() as f32;
-                    let mut ga = Matrix::zeros(av.rows(), av.cols());
-                    for r in 0..av.rows() {
-                        for (o, x) in ga.row_mut(r).iter_mut().zip(g.row(0)) {
-                            *o = x / n;
+                    self.send(adj, *a, || {
+                        let av = &self.nodes[a.0].value;
+                        let n = av.rows() as f32;
+                        let mut ga = Matrix::zeros(av.rows(), av.cols());
+                        for r in 0..av.rows() {
+                            for (o, x) in ga.row_mut(r).iter_mut().zip(g.row(0)) {
+                                *o = x / n;
+                            }
                         }
-                    }
-                    accumulate(&mut adj, *a, ga);
+                        ga
+                    });
                 }
                 Backward::LayerNorm { a, inv_std } => {
                     // dL/dx = istd * (g - mean(g) - y * mean(g * y)) per row.
-                    let y = &self.nodes[i].value;
-                    let d = y.cols() as f32;
-                    let mut ga = Matrix::zeros(y.rows(), y.cols());
-                    for (r, istd) in inv_std.iter().enumerate().take(y.rows()) {
-                        let gr = g.row(r);
-                        let yr = y.row(r);
-                        let mean_g: f32 = gr.iter().sum::<f32>() / d;
-                        let mean_gy: f32 =
-                            gr.iter().zip(yr).map(|(gi, yi)| gi * yi).sum::<f32>() / d;
-                        for (c, out) in ga.row_mut(r).iter_mut().enumerate() {
-                            *out = istd * (gr[c] - mean_g - yr[c] * mean_gy);
+                    self.send(adj, *a, || {
+                        let y = &self.nodes[i].value;
+                        let d = y.cols() as f32;
+                        let mut ga = Matrix::zeros(y.rows(), y.cols());
+                        for (r, istd) in inv_std.iter().enumerate().take(y.rows()) {
+                            let gr = g.row(r);
+                            let yr = y.row(r);
+                            let mean_g: f32 = gr.iter().sum::<f32>() / d;
+                            let mean_gy: f32 =
+                                gr.iter().zip(yr).map(|(gi, yi)| gi * yi).sum::<f32>() / d;
+                            for (c, out) in ga.row_mut(r).iter_mut().enumerate() {
+                                *out = istd * (gr[c] - mean_g - yr[c] * mean_gy);
+                            }
                         }
-                    }
-                    accumulate(&mut adj, *a, ga);
+                        ga
+                    });
                 }
                 Backward::MseLoss { pred, target } => {
-                    let pv = &self.nodes[pred.0].value;
-                    let n = pv.len() as f32;
-                    let gy = g.scalar();
-                    let gp = pv.zip_map(target, |p, t| gy * 2.0 * (p - t) / n);
-                    accumulate(&mut adj, *pred, gp);
+                    self.send(adj, *pred, || {
+                        let pv = &self.nodes[pred.0].value;
+                        let n = pv.len() as f32;
+                        let gy = g.scalar();
+                        pv.zip_map(target, |p, t| gy * 2.0 * (p - t) / n)
+                    });
                 }
                 Backward::BceLogitsLoss { logits, target } => {
-                    let zv = &self.nodes[logits.0].value;
-                    let n = zv.len() as f32;
-                    let gy = g.scalar();
-                    let gz = zv.zip_map(target, |z, y| gy * (stable_sigmoid(z) - y) / n);
-                    accumulate(&mut adj, *logits, gz);
+                    self.send(adj, *logits, || {
+                        let zv = &self.nodes[logits.0].value;
+                        let n = zv.len() as f32;
+                        let gy = g.scalar();
+                        zv.zip_map(target, |z, y| gy * (stable_sigmoid(z) - y) / n)
+                    });
                 }
             }
         }
     }
+
+    /// Adds `grad()` into `id`'s adjoint, computing it only when a
+    /// parameter lies upstream of `id`.
+    fn send(&self, adj: &mut [Option<Matrix>], id: NodeId, grad: impl FnOnce() -> Matrix) {
+        if !self.nodes[id.0].needs_grad {
+            return;
+        }
+        let g = grad();
+        match &mut adj[id.0] {
+            Some(existing) => existing.add_assign(&g),
+            slot @ None => *slot = Some(g),
+        }
+    }
+}
+
+/// `[1, F]` column sums of `g`, summed into a zeroed row in row order.
+fn column_sums(g: &Matrix) -> Matrix {
+    let mut sums = Matrix::zeros(1, g.cols());
+    for r in 0..g.rows() {
+        for (o, x) in sums.row_mut(0).iter_mut().zip(g.row(r)) {
+            *o += x;
+        }
+    }
+    sums
 }
 
 impl Drop for Graph {
@@ -754,13 +840,6 @@ impl Drop for Graph {
         for node in self.nodes.drain(..) {
             arena::recycle(node.value);
         }
-    }
-}
-
-fn accumulate(adj: &mut [Option<Matrix>], id: NodeId, g: Matrix) {
-    match &mut adj[id.0] {
-        Some(existing) => existing.add_assign(&g),
-        slot @ None => *slot = Some(g),
     }
 }
 
@@ -1088,6 +1167,35 @@ mod tests {
         }
         // d/dw (w-1)^2 = 2(w-1) = -2 at w=0, accumulated 3 times.
         assert!((grads.grad(w).scalar() + 6.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn backward_computes_only_the_weight_gradient_of_an_input_product() {
+        let mut store = ParamStore::new(71);
+        let w = store.add("w", 3, 2, Init::XavierUniform);
+        let xv = Matrix::from_rows(&[&[0.5, -1.0, 2.0], &[1.5, 0.3, -0.7]]);
+        let target = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
+
+        let mut g = Graph::new();
+        let x = g.input(xv.clone());
+        let wv = g.param(&store, w);
+        let y = g.matmul(x, wv);
+        let loss = g.mse_loss(y, target.clone());
+        assert!(!g.nodes[x.0].needs_grad);
+        assert!([wv, y, loss].iter().all(|id| g.nodes[id.0].needs_grad));
+
+        // `x`'s adjoint would be a GEMM (`dy · wᵀ`); the weight gradient
+        // goes through `gemm_tn`, which books no GEMM call.
+        let gemms = gdse_obs::metrics::counter_value("infer.gemm_calls");
+        let mut grads = store.zero_grads();
+        g.backward(loss, &mut grads);
+        assert_eq!(gdse_obs::metrics::counter_value("infer.gemm_calls"), gemms);
+
+        let dy = g.value(y).zip_map(&target, |p, t| 1.0 * 2.0 * (p - t) / 4.0);
+        let expect = xv.transpose().matmul_reference(&dy);
+        for (a, b) in grads.grad(w).as_slice().iter().zip(expect.as_slice()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@ use design_space::DesignSpace;
 use gdse_gnn::artifact::ArtifactError;
 use gdse_gnn::{ModelConfig, ModelKind};
 use gdse_serve::{Client, Response, ServeConfig, Server};
-use gdse_tensor::{Activation, Matrix, QuantMatrix};
+use gdse_tensor::gemm::gemm_tn;
+use gdse_tensor::{Activation, Graph, Matrix, QuantMatrix};
 use gnn_dse::artifact::{decode_quant_predictor, encode_quant_predictor};
 use gnn_dse::trainer::TrainConfig;
 use gnn_dse::{
@@ -33,6 +34,21 @@ fn tiny_predictor(seed: u64) -> (Predictor, ArtifactMeta) {
     let names: Vec<String> = ks.iter().map(|k| k.name().to_string()).collect();
     let meta = ArtifactMeta::describe(&p, &names, 2);
     (p, meta)
+}
+
+/// Like the one-hot node and edge features: about seven entries in eight
+/// are zero, half of them `-0.0`, so the zero-skipping loops run.
+fn one_hot_like(rows: usize, cols: usize, seed: u64) -> Matrix {
+    let dense = zero_salted(rows, cols, seed ^ 0x00dd_ba11);
+    let mut z = seed;
+    Matrix::from_fn(rows, cols, |i, j| {
+        z = z.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        match z >> 61 {
+            0 => dense.get(i, j),
+            1..=3 => -0.0,
+            _ => 0.0,
+        }
+    })
 }
 
 /// A deterministic matrix with roughly one zero entry in four, so the
@@ -60,7 +76,8 @@ proptest! {
     /// The blocked GEMM is bit-identical to the historical naive kernel on
     /// arbitrary shapes: degenerate `k` (0 and 1 land in range), dims that
     /// are not multiples of any block size, and zero-rich inputs where the
-    /// old kernel skipped work.
+    /// old kernel skipped work. So are the tape's zero-skipping product and
+    /// `gemm_tn` against the transpose it replaces.
     #[test]
     fn blocked_gemm_is_bit_identical_to_the_naive_kernel(
         m in 0usize..48,
@@ -75,6 +92,29 @@ proptest! {
         prop_assert_eq!(fast.shape(), slow.shape());
         for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+
+        // The tape's product on a one-hot-like operand takes the
+        // zero-skipping loop and still gives the blocked GEMM's bits.
+        let sparse = one_hot_like(m, k, seed.wrapping_add(3));
+        let mut g = Graph::new();
+        let (xs, ws) = (g.input(sparse.clone()), g.input(b.clone()));
+        let taped = g.matmul(xs, ws);
+        let blocked = sparse.matmul(&b);
+        for (x, y) in g.value(taped).as_slice().iter().zip(blocked.as_slice()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
+        }
+
+        // Weight gradients `aᵀ · b` for `a: [k, m]`, without the transpose:
+        // dense (packed and matrix-vector paths) and one-hot-like
+        // (zero-skipping path).
+        for at in [zero_salted(k, m, seed.wrapping_add(5)), one_hot_like(k, m, seed)] {
+            let fast = gemm_tn(&at, &b);
+            let slow = at.transpose().matmul_reference(&b);
+            prop_assert_eq!(fast.shape(), slow.shape());
+            for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
+                prop_assert_eq!(x.to_bits(), y.to_bits());
+            }
         }
     }
 

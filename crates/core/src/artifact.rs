@@ -19,22 +19,13 @@
 //!
 //! and the envelope's metadata document is an [`ArtifactMeta`] as JSON.
 //!
-//! **Quantized artifacts** (written by `gnndse train --save-quant`, served
-//! by `gnndse serve --quant`) use a *version-2* envelope whose model
-//! sections are named `classifier_q` / `regressor_q` / `bram_q` and carry
-//! [`gdse_gnn::artifact::encode_model_quant`] payloads: int8 weights plus
-//! per-tensor scales, ~4x smaller than f32. The envelope version bump means
-//! builds that predate quantization reject such files with a typed
-//! [`ArtifactError::UnsupportedVersion`] instead of misreading them, and
-//! [`ArtifactMeta::quant`] records the flavor in the metadata document.
+//! This is the only model file format: every command that takes a model
+//! reads it through [`Predictor::load_artifact`].
 
 use crate::dataset::Normalizer;
 use crate::error::Error;
-use crate::inference::{Predictor, QuantPredictor};
-use gdse_gnn::artifact::{
-    decode_model, decode_model_quant, encode_model, encode_model_quant, Artifact, ArtifactError,
-    FORMAT_V2,
-};
+use crate::inference::Predictor;
+use gdse_gnn::artifact::{decode_model, encode_model, Artifact, ArtifactError};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 
@@ -54,11 +45,6 @@ pub struct ArtifactMeta {
     pub epochs: usize,
     /// Weight-initialization seed of the main regressor.
     pub seed: u64,
-    /// Whether the artifact stores int8-quantized weights (version-2
-    /// envelope, `*_q` sections). Absent in pre-quantization artifacts,
-    /// which defaults to `false`.
-    #[serde(default)]
-    pub quant: bool,
 }
 
 impl ArtifactMeta {
@@ -71,7 +57,6 @@ impl ArtifactMeta {
             kernels: kernels.to_vec(),
             epochs,
             seed: predictor.regressor().config().seed,
-            quant: false,
         }
     }
 }
@@ -92,26 +77,15 @@ pub fn encode_predictor(predictor: &Predictor, meta: &ArtifactMeta) -> Result<Ve
     Ok(art.to_bytes())
 }
 
-/// Serializes a quantized predictor + `meta` into **version-2** artifact
-/// bytes (no I/O). `meta.quant` is forced on.
-pub fn encode_quant_predictor(
-    qp: &QuantPredictor,
-    meta: &ArtifactMeta,
-) -> Result<Vec<u8>, Error> {
-    let meta = ArtifactMeta { quant: true, ..meta.clone() };
-    let meta_json =
-        serde_json::to_string(&meta).map_err(|e| corrupt(format!("metadata: {e}")))?;
-    let mut art = Artifact::new(meta_json).with_version(FORMAT_V2);
-    let base = qp.base();
-    let (cq, rq, bq) = qp.param_sets();
-    art.push_section("classifier_q", encode_model_quant(base.classifier(), cq));
-    art.push_section("regressor_q", encode_model_quant(base.regressor(), rq));
-    art.push_section("bram_q", encode_model_quant(base.bram_model(), bq));
-    art.push_section("normalizer", base.normalizer().factor().to_le_bytes().to_vec());
-    Ok(art.to_bytes())
-}
-
-fn decode_meta(art: &Artifact) -> Result<ArtifactMeta, Error> {
+/// Rebuilds a predictor and its metadata from artifact bytes.
+///
+/// # Errors
+///
+/// Typed [`ArtifactError`]s (wrapped in [`enum@Error`]) for bad magic,
+/// unsupported versions, checksum mismatches, truncation, and structural
+/// corruption.
+pub fn decode_predictor(bytes: &[u8]) -> Result<(Predictor, ArtifactMeta), Error> {
+    let art = Artifact::from_bytes(bytes)?;
     let meta: ArtifactMeta = serde_json::from_str(&art.meta_json)
         .map_err(|e| corrupt(format!("metadata: {e}")))?;
     if meta.schema_version != META_SCHEMA_VERSION {
@@ -119,72 +93,17 @@ fn decode_meta(art: &Artifact) -> Result<ArtifactMeta, Error> {
             found: meta.schema_version,
         }));
     }
-    Ok(meta)
-}
-
-fn decode_normalizer(art: &Artifact) -> Result<Normalizer, Error> {
-    let norm_bytes = art
-        .section("normalizer")
-        .ok_or_else(|| corrupt("missing `normalizer` section"))?;
-    let factor: [u8; 8] = norm_bytes
-        .try_into()
-        .map_err(|_| corrupt("normalizer section must be exactly 8 bytes"))?;
-    Ok(Normalizer::with_factor(f64::from_le_bytes(factor)))
-}
-
-/// Rebuilds a predictor and its metadata from artifact bytes.
-///
-/// # Errors
-///
-/// Typed [`ArtifactError`]s (wrapped in [`enum@Error`]) for bad magic,
-/// unsupported versions, checksum mismatches, truncation, and structural
-/// corruption. An int8-quantized artifact is *structurally* readable here
-/// but semantically a different model class, so it is rejected with a
-/// direction to the quant path.
-pub fn decode_predictor(bytes: &[u8]) -> Result<(Predictor, ArtifactMeta), Error> {
-    let art = Artifact::from_bytes(bytes)?;
-    let meta = decode_meta(&art)?;
-    if meta.quant || art.section("classifier_q").is_some() {
-        return Err(corrupt(
-            "artifact stores int8-quantized weights; serve it with --quant \
-             (or load it through the quantized decoder)",
-        ));
-    }
     let section = |name: &str| {
         art.section(name).ok_or_else(|| corrupt(format!("missing `{name}` section")))
     };
     let classifier = decode_model(section("classifier")?)?;
     let regressor = decode_model(section("regressor")?)?;
     let bram = decode_model(section("bram")?)?;
-    let normalizer = decode_normalizer(&art)?;
+    let factor: [u8; 8] = section("normalizer")?
+        .try_into()
+        .map_err(|_| corrupt("normalizer section must be exactly 8 bytes"))?;
+    let normalizer = Normalizer::with_factor(f64::from_le_bytes(factor));
     Ok((Predictor::from_parts(classifier, regressor, bram, normalizer), meta))
-}
-
-/// Rebuilds a [`QuantPredictor`] and its metadata from version-2 artifact
-/// bytes written by [`encode_quant_predictor`].
-///
-/// # Errors
-///
-/// The same typed failures as [`decode_predictor`]; a plain f32 artifact is
-/// rejected (quantize it at load time instead — see
-/// [`crate::serving::ArtifactProvider::open_quant`]).
-pub fn decode_quant_predictor(bytes: &[u8]) -> Result<(QuantPredictor, ArtifactMeta), Error> {
-    let art = Artifact::from_bytes(bytes)?;
-    let meta = decode_meta(&art)?;
-    let section = |name: &str| {
-        art.section(name).ok_or_else(|| corrupt(format!("missing `{name}` section")))
-    };
-    if art.section("classifier_q").is_none() {
-        return Err(corrupt(
-            "artifact stores plain f32 weights, not an int8-quantized model",
-        ));
-    }
-    let (classifier, cq) = decode_model_quant(section("classifier_q")?)?;
-    let (regressor, rq) = decode_model_quant(section("regressor_q")?)?;
-    let (bram, bq) = decode_model_quant(section("bram_q")?)?;
-    let normalizer = decode_normalizer(&art)?;
-    let base = Predictor::from_parts(classifier, regressor, bram, normalizer);
-    Ok((QuantPredictor::from_parts(base, cq, rq, bq), meta))
 }
 
 impl Predictor {
@@ -209,34 +128,6 @@ impl Predictor {
     pub fn load_artifact(path: &Path) -> Result<(Predictor, ArtifactMeta), Error> {
         let bytes = std::fs::read(path)?;
         decode_predictor(&bytes)
-    }
-}
-
-impl QuantPredictor {
-    /// Saves this quantized predictor as a version-2 binary `.gdse`
-    /// artifact, atomically. ~4x smaller than the f32 artifact of the same
-    /// model.
-    ///
-    /// # Errors
-    ///
-    /// Encoding failures as [`Error::Artifact`], write failures as
-    /// [`Error::Io`].
-    pub fn save_artifact(&self, path: &Path, meta: &ArtifactMeta) -> Result<(), Error> {
-        let bytes = encode_quant_predictor(self, meta)?;
-        crate::persist::atomic_write_bytes(path, &bytes)?;
-        Ok(())
-    }
-
-    /// Loads a quantized predictor saved by
-    /// [`QuantPredictor::save_artifact`].
-    ///
-    /// # Errors
-    ///
-    /// Read failures as [`Error::Io`]; validation/decode failures as the
-    /// typed [`Error::Artifact`] variants.
-    pub fn load_artifact(path: &Path) -> Result<(QuantPredictor, ArtifactMeta), Error> {
-        let bytes = std::fs::read(path)?;
-        decode_quant_predictor(&bytes)
     }
 }
 
@@ -328,81 +219,6 @@ mod tests {
             Err(Error::Io(_)) => {}
             other => panic!("expected Io, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn quant_artifact_round_trips_and_is_smaller() {
-        let p = tiny_predictor();
-        let qp = QuantPredictor::quantize(&p);
-        let f32_bytes = encode_predictor(&p, &meta_for(&p)).unwrap();
-        let bytes = encode_quant_predictor(&qp, &meta_for(&p)).unwrap();
-        assert!(
-            bytes.len() < f32_bytes.len() * 2 / 3,
-            "quant artifact {} not meaningfully smaller than f32 {}",
-            bytes.len(),
-            f32_bytes.len()
-        );
-
-        let (loaded, meta) = decode_quant_predictor(&bytes).unwrap();
-        assert!(meta.quant, "metadata must record the quantized flavor");
-
-        // The persisted quantized pipeline reproduces the in-memory one
-        // bit-for-bit: int8 weights and scales travel losslessly.
-        let k = kernels::gemm_ncubed();
-        let space = DesignSpace::from_kernel(&k);
-        let graph = build_graph_bidirectional(&k, &space);
-        let points: Vec<_> = (0..6u128).map(|i| space.point_at(i * 29 % space.size())).collect();
-        let a = qp.predict_batch(&graph, &points);
-        let b = loaded.predict_batch(&graph, &points);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.valid_prob.to_bits(), y.valid_prob.to_bits());
-            assert_eq!(x.cycles, y.cycles);
-            assert_eq!(x.util.dsp.to_bits(), y.util.dsp.to_bits());
-            assert_eq!(x.util.bram.to_bits(), y.util.bram.to_bits());
-        }
-        assert_eq!(
-            qp.normalizer().factor().to_bits(),
-            loaded.normalizer().factor().to_bits()
-        );
-    }
-
-    #[test]
-    fn quant_artifact_is_rejected_by_the_f32_decoder_with_guidance() {
-        let p = tiny_predictor();
-        let qp = QuantPredictor::quantize(&p);
-        let bytes = encode_quant_predictor(&qp, &meta_for(&p)).unwrap();
-        match decode_predictor(&bytes) {
-            Err(Error::Artifact(ArtifactError::Corrupt(msg))) => {
-                assert!(msg.contains("--quant"), "error must point at the quant path: {msg}");
-            }
-            other => panic!("expected typed rejection, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn f32_artifact_is_rejected_by_the_quant_decoder() {
-        let p = tiny_predictor();
-        let bytes = encode_predictor(&p, &meta_for(&p)).unwrap();
-        match decode_quant_predictor(&bytes) {
-            Err(Error::Artifact(ArtifactError::Corrupt(msg))) => {
-                assert!(msg.contains("f32"), "{msg}");
-            }
-            other => panic!("expected typed rejection, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn quant_artifact_declares_envelope_version_2() {
-        // The version field is what makes pre-quantization readers fail
-        // with UnsupportedVersion instead of misparsing the i8 payloads.
-        let p = tiny_predictor();
-        let qp = QuantPredictor::quantize(&p);
-        let bytes = encode_quant_predictor(&qp, &meta_for(&p)).unwrap();
-        let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        assert_eq!(version, FORMAT_V2);
-        // f32 artifacts keep the v1 wire format older builds understand.
-        let f32_bytes = encode_predictor(&p, &meta_for(&p)).unwrap();
-        assert_eq!(u32::from_le_bytes(f32_bytes[4..8].try_into().unwrap()), 1);
     }
 
     #[test]

@@ -6,16 +6,13 @@
 //! gnndse report <kernel> <index>                   per-loop synthesis report (II, cycles)
 //! gnndse emit <kernel> [index]                     Merlin-annotated C (placeholders or filled)
 //! gnndse gendb <out.json> [budget] [seed]          generate a training database
-//! gnndse train <db.json> [model.json] [epochs]     train the surrogate (M7);
-//!                                                  --save model.gdse writes a binary artifact,
-//!                                                  --save-quant model_q.gdse an int8 one
+//! gnndse train <db.json> --save model.gdse        train the surrogate (M7) [--epochs N]
 //! gnndse dse <model> <kernel> [top_m]              surrogate-driven DSE (or --model model.gdse)
 //! gnndse predict <model> <kernel> <index>          predict one design point locally
 //! gnndse predict <kernel> <index> --addr H:P       ... or against a running server
 //! gnndse rounds <db.json>                          iterative DSE rounds (Fig. 7);
 //!                                                  --model model.gdse seeds round 1
 //! gnndse serve --model model.gdse                  serve predictions over JSON-lines TCP
-//!                                                  (--quant serves the int8 inference path)
 //! gnndse daemon --db db.json --model model.gdse    serve + background fine-tune/hot-swap
 //! gnndse admin <addr> <reload|kill-replica N|shutdown>   control a running server
 //! gnndse admin <addr> stats [--prom]               live telemetry (JSON or Prometheus text)
@@ -24,10 +21,10 @@
 //! gnndse chaos-proxy --upstream H:P                TCP fault-injection proxy (tests/CI)
 //! ```
 //!
-//! Model files are sniffed by content: binary `.gdse` artifacts (written by
-//! `train --save`, validated by checksum, byte-identical predictions after
-//! load) and the legacy JSON model files are both accepted wherever a model
-//! path is expected.
+//! Every model path names a binary `.gdse` artifact, written by `train
+//! --save`: a checksummed envelope whose predictions after load are
+//! byte-identical to the trained model's. Any other file is rejected with
+//! a typed error.
 //!
 //! `gendb` and `rounds` drive a *fault-injected* oracle when `--fault-rate`
 //! is set: evaluations randomly crash / time out / return garbled reports
@@ -52,11 +49,11 @@
 //! queue rejects with a 429-style response instead of stalling, a crashed
 //! or wedged replica restarts under supervision while its requests are
 //! re-routed to siblings, and `--max-requests N` stops the server
-//! gracefully after N answers (useful for smoke tests). With a `.gdse`
-//! artifact, `--reload` watches the file and hot-swaps the model with
-//! zero downtime whenever it changes (a `gnndse admin <addr> reload`
-//! forces the same swap); a corrupt replacement is rejected — checksum
-//! plus canary prediction — and the previous model keeps serving.
+//! gracefully after N answers (useful for smoke tests). `--reload` watches
+//! the artifact and hot-swaps the model with zero downtime whenever it
+//! changes (a `gnndse admin <addr> reload` forces the same swap); a corrupt
+//! replacement is rejected — checksum plus canary prediction — and the
+//! previous model keeps serving.
 //! `serve.*` metrics land in `--metrics-out`.
 //!
 //! Every request is traced end to end: the server adopts the client's
@@ -102,7 +99,7 @@ use gnn_dse::objective::{Objective, ObjectiveKind, ObjectiveWeights, ResourceBud
 use gnn_dse::parallel::ExecEngine;
 use gnn_dse::rounds::{run_rounds_with_engine, RoundsConfig};
 use gnn_dse::trainer::TrainConfig;
-use gnn_dse::{dbgen, ArtifactMeta, ArtifactProvider, Database, PredictService, Predictor, QuantPredictor};
+use gnn_dse::{dbgen, ArtifactMeta, ArtifactProvider, Database, Predictor};
 use hls_ir::kernels;
 use merlin_sim::{FaultConfig, MerlinSimulator};
 use proggraph::build_graph_bidirectional;
@@ -239,7 +236,7 @@ fn jobs_arg(flags: &HashMap<String, String>) -> Result<ExecEngine, String> {
         return Err("--jobs must be at least 1".into());
     }
     obs::debug!("exec.jobs", "running on {jobs} workers"; jobs = jobs);
-    Ok(ExecEngine::builder().jobs(jobs).build())
+    Ok(ExecEngine::with_jobs(jobs))
 }
 
 /// The `--objective`/`--budget`/`--explorer` triple shared by `dse` and
@@ -284,30 +281,27 @@ fn fault_args(
     Ok((faults, builder))
 }
 
-/// Loads a model file, sniffing the format by content: binary `.gdse`
-/// artifacts (magic `GDSE`) decode through the checksummed envelope, and
-/// anything else is treated as a legacy JSON model file.
-fn load_model(path: &Path) -> Result<Predictor, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    if bytes.starts_with(&gdse_gnn::artifact::MAGIC) {
-        let (predictor, meta) =
-            gnn_dse::decode_predictor(&bytes).map_err(|e| e.to_string())?;
-        obs::info!(
-            "model.loaded",
-            "loaded artifact {} ({}, {} kernels, {} epochs, seed {})",
-            path.display(),
-            meta.model,
-            meta.kernels.len(),
-            meta.epochs,
-            meta.seed;
-            model = meta.model,
-            kernels = meta.kernels.len(),
-            epochs = meta.epochs,
-        );
-        Ok(predictor)
-    } else {
-        Predictor::load(path).map_err(|e| e.to_string())
-    }
+/// Loads the `.gdse` artifact at `path` and logs its training provenance.
+fn load_artifact(path: &str) -> Result<Predictor, String> {
+    let (predictor, meta) =
+        Predictor::load_artifact(Path::new(path)).map_err(|e| format!("{path}: {e}"))?;
+    log_loaded(path, &meta);
+    Ok(predictor)
+}
+
+/// Logs the training provenance of the artifact loaded from `path`.
+fn log_loaded(path: &str, meta: &ArtifactMeta) {
+    obs::info!(
+        "model.loaded",
+        "loaded artifact {path} ({}, {} kernels, {} epochs, seed {})",
+        meta.model,
+        meta.kernels.len(),
+        meta.epochs,
+        meta.seed;
+        model = meta.model.as_str(),
+        kernels = meta.kernels.len(),
+        epochs = meta.epochs,
+    );
 }
 
 fn cmd_kernels() -> CliResult {
@@ -537,7 +531,7 @@ fn cmd_rounds(args: &[String]) -> CliResult {
             model_ignored = true;
             None
         }
-        Some(p) => Some(load_model(Path::new(p))?),
+        Some(p) => Some(load_artifact(p)?),
         None => None,
     };
 
@@ -617,63 +611,27 @@ fn cmd_rounds(args: &[String]) -> CliResult {
 }
 
 fn cmd_train(args: &[String]) -> CliResult {
-    let (pos, flags) = split_flags(args, &["save", "save-quant", "epochs"], &[])?;
-    let usage = "usage: gnndse train <db.json> [model.json] [epochs] [--epochs N] \
-                 [--save model.gdse] [--save-quant model_q.gdse]";
-    let [db_path, rest @ ..] = &pos[..] else {
+    let (pos, flags) = split_flags(args, &["save", "epochs"], &[])?;
+    let usage = "usage: gnndse train <db.json> --save model.gdse [--epochs N]";
+    let ([db_path], Some(save)) = (&pos[..], flags.get("save")) else {
         return Err(usage.into());
     };
-    let model_json = rest.first();
-    let epochs: usize = match rest.get(1) {
-        Some(s) => s.parse().map_err(|e| format!("bad epochs: {e}"))?,
-        None => flag_or(&flags, "epochs", 40)?,
-    };
-    let save = flags.get("save").map(PathBuf::from);
-    let save_quant = flags.get("save-quant").map(PathBuf::from);
-    if model_json.is_none() && save.is_none() && save_quant.is_none() {
-        return Err(format!(
-            "nothing to write: give a model.json positional, --save model.gdse, \
-             or --save-quant model_q.gdse\n{usage}"
-        ));
-    }
+    let epochs: usize = flag_or(&flags, "epochs", 40)?;
     let db = Database::load(Path::new(db_path)).map_err(|e| e.to_string())?;
     let referenced = db.training_kernels().map_err(|e| format!("{db_path} {e}"))?;
     let cfg = TrainConfig { epochs, ..TrainConfig::paper() };
     println!("training M7 on {} designs for {epochs} epochs...", db.len());
     let model_cfg = ModelConfig { hidden: 32, gnn_layers: 4, mlp_layers: 4, seed: 42 };
     let (p, _) = Predictor::train(&db, &referenced, ModelKind::Full, model_cfg, &cfg);
-    if let Some(model_path) = model_json {
-        p.save(Path::new(model_path)).map_err(|e| e.to_string())?;
-        println!("saved model to {model_path}");
-    }
-    if save.is_some() || save_quant.is_some() {
-        let trained_on: Vec<String> =
-            referenced.iter().map(|k| k.name().to_string()).collect();
-        let meta = ArtifactMeta::describe(&p, &trained_on, epochs);
-        if let Some(path) = save {
-            p.save_artifact(&path, &meta).map_err(|e| e.to_string())?;
-            println!(
-                "saved artifact ({}, {} kernels, schema v{}) to {}",
-                meta.model,
-                meta.kernels.len(),
-                meta.schema_version,
-                path.display()
-            );
-        }
-        if let Some(path) = save_quant {
-            let qp = QuantPredictor::quantize(&p);
-            qp.save_artifact(&path, &meta).map_err(|e| e.to_string())?;
-            let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
-            println!(
-                "saved int8-quantized artifact ({}, {} kernels, {} KiB) to {} \
-                 — serve it with `gnndse serve --quant`",
-                meta.model,
-                meta.kernels.len(),
-                size / 1024,
-                path.display()
-            );
-        }
-    }
+    let trained_on: Vec<String> = referenced.iter().map(|k| k.name().to_string()).collect();
+    let meta = ArtifactMeta::describe(&p, &trained_on, epochs);
+    p.save_artifact(Path::new(save), &meta).map_err(|e| e.to_string())?;
+    println!(
+        "saved artifact ({}, {} kernels, schema v{}) to {save}",
+        meta.model,
+        meta.kernels.len(),
+        meta.schema_version
+    );
     Ok(())
 }
 
@@ -720,7 +678,7 @@ fn cmd_dse(args: &[String]) -> CliResult {
     let started = Instant::now();
     let predictor = {
         let _io = obs::span::stage("io");
-        load_model(Path::new(&model_path))?
+        load_artifact(&model_path)?
     };
     let kernel = lookup_kernel(kernel)?;
     let space = DesignSpace::from_kernel(&kernel);
@@ -833,7 +791,7 @@ fn cmd_predict(args: &[String]) -> CliResult {
         let [model_path, kernel, index] = &pos[..] else {
             return Err(usage.into());
         };
-        let predictor = load_model(Path::new(model_path))?;
+        let predictor = load_artifact(model_path)?;
         let kernel = lookup_kernel(kernel)?;
         let space = DesignSpace::from_kernel(&kernel);
         let index: u128 = index.parse().map_err(|e| format!("bad index: {e}"))?;
@@ -875,11 +833,11 @@ fn cmd_serve(args: &[String]) -> CliResult {
             "log-json",
             "metrics-out",
         ],
-        &["reload", "quant"],
+        &["reload"],
     )?;
     let usage = "usage: gnndse serve --model model.gdse [--addr 127.0.0.1:7878] [--jobs N] \
                  [--queue N] [--batch N] [--max-requests N] [--replicas N] [--reload] \
-                 [--quant] [--request-timeout MS] [--idle-timeout MS] \
+                 [--request-timeout MS] [--idle-timeout MS] \
                  [--trace-slow-ms MS] [--trace-capacity N] \
                  [--log-level L] [--log-json log.jsonl] [--metrics-out report.json]";
     if !pos.is_empty() {
@@ -910,7 +868,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         None => None,
     };
     let watch = flags.contains_key("reload");
-    let quant = flags.contains_key("quant");
     let trace_slow: Option<Duration> = match flags.get("trace-slow-ms") {
         Some(v) => Some(Duration::from_millis(
             v.parse().map_err(|e| format!("bad value for --trace-slow-ms: {e}"))?,
@@ -942,57 +899,13 @@ fn cmd_serve(args: &[String]) -> CliResult {
         ..ServeConfig::default()
     };
 
-    // A binary artifact gets the versioned hot-swap provider; a legacy
-    // JSON model can still be served, but only statically.
-    let bytes =
-        std::fs::read(Path::new(model_path)).map_err(|e| format!("{model_path}: {e}"))?;
-    let server = if bytes.starts_with(&gdse_gnn::artifact::MAGIC) {
-        let provider = {
-            let _io = obs::span::stage("io");
-            if quant {
-                ArtifactProvider::open_quant(Path::new(model_path), per_replica_jobs)?
-            } else {
-                ArtifactProvider::open(Path::new(model_path), per_replica_jobs)?
-            }
-        };
-        let meta = provider.meta();
-        obs::info!(
-            "model.loaded",
-            "loaded artifact {model_path} ({}, {} kernels, {} epochs, seed {}{})",
-            meta.model,
-            meta.kernels.len(),
-            meta.epochs,
-            meta.seed,
-            if meta.quant { ", int8" } else { "" };
-            model = meta.model,
-            kernels = meta.kernels.len(),
-            quant = meta.quant,
-        );
-        Server::bind_with_provider(&addr, config, std::sync::Arc::new(provider))
-            .map_err(|e| e.to_string())?
-    } else {
-        if watch {
-            return Err(
-                "--reload needs a binary .gdse artifact (JSON models are served statically)"
-                    .into(),
-            );
-        }
-        let predictor = {
-            let _io = obs::span::stage("io");
-            load_model(Path::new(model_path))?
-        };
-        let engine = if per_replica_jobs <= 1 {
-            ExecEngine::serial()
-        } else {
-            ExecEngine::builder().jobs(per_replica_jobs).build()
-        };
-        let service = if quant {
-            PredictService::new_quant(QuantPredictor::quantize(&predictor), engine)
-        } else {
-            PredictService::new(predictor, engine)
-        };
-        Server::bind(&addr, config, service).map_err(|e| e.to_string())?
+    let provider = {
+        let _io = obs::span::stage("io");
+        ArtifactProvider::open(Path::new(model_path), per_replica_jobs)?
     };
+    log_loaded(model_path, &provider.meta());
+    let server = Server::bind_with_provider(&addr, config, std::sync::Arc::new(provider))
+        .map_err(|e| e.to_string())?;
     let local = server.local_addr();
     obs::info!(
         "serve.listening",

@@ -430,11 +430,7 @@ fn learner_loop(
         });
         e
     };
-    let engine = if jobs <= 1 {
-        ExecEngine::serial()
-    } else {
-        ExecEngine::builder().jobs(jobs).build()
-    };
+    let engine = ExecEngine::with_jobs(jobs);
     let sim = MerlinSimulator::new();
     let mut driver = match CampaignDriver::new(
         &mut db,

@@ -186,39 +186,18 @@ impl Predictor {
     pub fn predict(&self, graph: &ProgramGraph, point: &DesignPoint) -> Prediction {
         self.predict_batch(graph, std::slice::from_ref(point))[0]
     }
-
-    /// Saves the trained predictor (all three models + normalizer) as JSON,
-    /// atomically (see [`crate::persist::atomic_write`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or serialization error.
-    pub fn save(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let json = serde_json::to_string(self).map_err(std::io::Error::other)?;
-        crate::persist::atomic_write(path, &json)
-    }
-
-    /// Loads a predictor saved by [`Predictor::save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O or deserialization error.
-    pub fn load(path: &std::path::Path) -> std::io::Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(std::io::Error::other)
-    }
 }
 
 /// The int8 twin of a [`Predictor`]: the same three models with every
 /// weight matrix calibrated to per-tensor symmetric int8
-/// ([`gdse_gnn::PredictionModel::quantize`]), served through the packed
-/// FMA kernel in `gdse_tensor::quant`.
+/// ([`gdse_gnn::PredictionModel::quantize`]), run through the packed FMA
+/// kernel in `gdse_tensor::quant`.
 ///
-/// The quantized path is **forward-only** and trades a bounded prediction
-/// drift (tested per kernel in the repo's quantization suite) for
-/// substantially higher inference throughput and a ~4x smaller on-disk
-/// artifact. It never replaces the f32 path implicitly: serving it requires
-/// an explicit opt-in (`gnndse serve --quant`).
+/// The quantized path is **forward-only** and stays on the tape, so it runs
+/// slower than the tape-free f32 [`Predictor::predict_batch`] while adding
+/// a bounded prediction drift (tested per kernel in the repo's
+/// quantization suite). No command or server uses it: it remains only as
+/// the subject of the benchmark's int8 measurement.
 #[derive(Debug, Clone)]
 pub struct QuantPredictor {
     base: Predictor,
@@ -236,40 +215,6 @@ impl QuantPredictor {
             bram_q: Arc::new(p.bram_model.quantize()),
             base: p.clone(),
         }
-    }
-
-    /// Reassembles a quantized predictor from decoded parts — the loading
-    /// half of the version-2 artifact path (see [`crate::artifact`]).
-    pub fn from_parts(
-        base: Predictor,
-        classifier_q: QuantParamSet,
-        regressor_q: QuantParamSet,
-        bram_q: QuantParamSet,
-    ) -> Self {
-        QuantPredictor {
-            base,
-            classifier_q: Arc::new(classifier_q),
-            regressor_q: Arc::new(regressor_q),
-            bram_q: Arc::new(bram_q),
-        }
-    }
-
-    /// The underlying models and normalizer. For int8-loaded artifacts the
-    /// base holds *dequantized* weights, so its own `predict_batch` only
-    /// approximates the f32 original; the quantized forward through
-    /// [`QuantPredictor::predict_batch`] is the exact persisted pipeline.
-    pub fn base(&self) -> &Predictor {
-        &self.base
-    }
-
-    /// The calibrated weight sets, in (classifier, regressor, bram) order.
-    pub fn param_sets(&self) -> (&QuantParamSet, &QuantParamSet, &QuantParamSet) {
-        (&self.classifier_q, &self.regressor_q, &self.bram_q)
-    }
-
-    /// The latency normalizer.
-    pub fn normalizer(&self) -> &Normalizer {
-        self.base.normalizer()
     }
 
     /// Predicts a batch of design points of one kernel through the int8
@@ -292,7 +237,7 @@ impl QuantPredictor {
         let bram = self.base.bram_model.forward_quant(&batch, &self.bram_q);
         let heads = [&cls, &reg, &bram]
             .map(|o| o.outputs.iter().map(|&id| o.graph.value(id)).collect::<Vec<_>>());
-        readout(self.normalizer(), &heads, started, true)
+        readout(&self.base.normalizer, &heads, started, true)
     }
 
     /// Predicts a single design point through the int8 kernels.
@@ -410,29 +355,6 @@ mod tests {
         p.fine_tune(&db2, &ks, &TrainConfig::quick().with_epochs(8));
         let after = eval_regression(p.regressor(), &ds, &valid).total();
         assert!(after < before, "fine-tuning should reduce error: {after} !< {before}");
-    }
-
-    #[test]
-    fn save_load_round_trip_preserves_predictions() {
-        let ks = vec![kernels::aes()];
-        let db = generate_database(&ks, &[], 20, 21);
-        let (p, _) = Predictor::train(
-            &db,
-            &ks,
-            ModelKind::Transformer,
-            ModelConfig::small(),
-            &TrainConfig::quick().with_epochs(2),
-        );
-        let dir = std::env::temp_dir().join("gnn_dse_predictor_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("predictor.json");
-        p.save(&path).unwrap();
-        let loaded = Predictor::load(&path).unwrap();
-        let space = DesignSpace::from_kernel(&ks[0]);
-        let graph = build_graph_bidirectional(&ks[0], &space);
-        let pt = space.point_at(3);
-        assert_eq!(p.predict(&graph, &pt), loaded.predict(&graph, &pt));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

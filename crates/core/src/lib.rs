@@ -83,7 +83,7 @@ pub use inference::{Prediction, Predictor, QuantPredictor};
 pub use learn::{ReplayBuffer, ReplayStats};
 pub use objective::{Objective, ObjectiveKind, ObjectiveWeights, ResourceBudget, Score};
 pub use pareto::{hypervolume, ParetoArchive};
-pub use parallel::{ExecEngine, ExecEngineBuilder};
+pub use parallel::ExecEngine;
 pub use report::{build_run_report, write_run_report};
 pub use rounds::{run_rounds, run_rounds_with_engine, CampaignDriver, RoundReport, RoundsConfig};
 pub use serving::{ArtifactProvider, PredictService};

@@ -38,86 +38,22 @@ pub struct ExecEngine {
     prediction_cache: ShardedCache<ConfigKey, Prediction>,
 }
 
-/// Fluent construction of an [`ExecEngine`]: worker count plus the shard
-/// granularity of the two pipeline caches.
-///
-/// ```
-/// use gnn_dse::parallel::ExecEngine;
-///
-/// let engine = ExecEngine::builder().jobs(4).oracle_cache_shards(32).build();
-/// assert_eq!(engine.jobs(), 4);
-/// ```
-#[derive(Debug, Clone)]
-pub struct ExecEngineBuilder {
-    jobs: Option<usize>,
-    oracle_shards: usize,
-    prediction_shards: usize,
-}
-
-impl Default for ExecEngineBuilder {
-    fn default() -> Self {
-        ExecEngineBuilder { jobs: Some(1), oracle_shards: 16, prediction_shards: 16 }
-    }
-}
-
-impl ExecEngineBuilder {
-    /// Workers in the pool (clamped to at least 1). Default: 1 (serial).
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs);
-        self
-    }
-
-    /// Size the pool to the machine's available parallelism.
-    pub fn auto_jobs(mut self) -> Self {
-        self.jobs = None;
-        self
-    }
-
-    /// Shard count of the oracle cache (rounded up to a power of two).
-    /// More shards mean less lock contention at high worker counts.
-    pub fn oracle_cache_shards(mut self, shards: usize) -> Self {
-        self.oracle_shards = shards;
-        self
-    }
-
-    /// Shard count of the prediction cache (rounded up to a power of two).
-    pub fn prediction_cache_shards(mut self, shards: usize) -> Self {
-        self.prediction_shards = shards;
-        self
-    }
-
-    /// Builds the engine.
-    pub fn build(self) -> ExecEngine {
-        ExecEngine {
-            pool: match self.jobs {
-                Some(jobs) => WorkerPool::new(jobs),
-                None => WorkerPool::auto(),
-            },
-            oracle_cache: ShardedCache::new(self.oracle_shards),
-            prediction_cache: ShardedCache::new(self.prediction_shards),
-        }
-    }
-}
+/// Shard count of each of the engine's two caches.
+const CACHE_SHARDS: usize = 16;
 
 impl ExecEngine {
-    /// A builder for tuning worker count and cache sharding.
-    pub fn builder() -> ExecEngineBuilder {
-        ExecEngineBuilder::default()
-    }
-
     /// An engine running on `jobs` workers (clamped to at least 1).
     pub fn with_jobs(jobs: usize) -> Self {
-        ExecEngine::builder().jobs(jobs).build()
+        ExecEngine {
+            pool: WorkerPool::new(jobs),
+            oracle_cache: ShardedCache::new(CACHE_SHARDS),
+            prediction_cache: ShardedCache::new(CACHE_SHARDS),
+        }
     }
 
     /// A single-worker engine: batched code paths, serial execution.
     pub fn serial() -> Self {
         ExecEngine::with_jobs(1)
-    }
-
-    /// An engine sized to the machine's available parallelism.
-    pub fn auto() -> Self {
-        ExecEngine::builder().auto_jobs().build()
     }
 
     /// The configured worker count.
@@ -296,32 +232,6 @@ mod tests {
         assert_eq!(out[0], out[1]);
         assert_eq!(out[1], out[2]);
         assert_eq!(engine.oracle_cache.len(), 1);
-    }
-
-    #[test]
-    fn builder_routes_jobs_and_shards() {
-        let engine = ExecEngine::builder()
-            .jobs(3)
-            .oracle_cache_shards(4)
-            .prediction_cache_shards(8)
-            .build();
-        assert_eq!(engine.jobs(), 3);
-        assert_eq!(engine.oracle_cache.num_shards(), 4);
-        assert_eq!(engine.prediction_cache.num_shards(), 8);
-
-        let auto = ExecEngine::builder().auto_jobs().build();
-        assert!(auto.jobs() >= 1);
-
-        // Shard count must not change results, only contention.
-        let (k, space) = setup();
-        let sim = MerlinSimulator::new();
-        let points = sample(&space, 12, 21);
-        let coarse = ExecEngine::builder().jobs(4).oracle_cache_shards(1).build();
-        let fine = ExecEngine::builder().jobs(4).oracle_cache_shards(64).build();
-        assert_eq!(
-            coarse.evaluate_ordered(&sim, &k, &space, &points),
-            fine.evaluate_ordered(&sim, &k, &space, &points),
-        );
     }
 
     #[test]

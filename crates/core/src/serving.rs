@@ -15,8 +15,8 @@
 //! (truncated file, bit flip, non-finite outputs) is rejected while the
 //! previous model keeps serving.
 
-use crate::artifact::{decode_predictor, decode_quant_predictor, ArtifactMeta};
-use crate::inference::{Predictor, QuantPredictor};
+use crate::artifact::ArtifactMeta;
+use crate::inference::Predictor;
 use crate::parallel::ExecEngine;
 use design_space::{DesignPoint, DesignSpace};
 use gdse_serve::{BatchPredictor, ModelProvider, PredictionRow};
@@ -34,20 +34,9 @@ struct KernelEntry {
     graph: ProgramGraph,
 }
 
-/// Either flavor of the surrogate a service can route through.
-enum Surrogate {
-    /// The default f32 pipeline, engine-routed (prediction cache, workers).
-    F32(Predictor),
-    /// The int8 pipeline. Served directly — the quantized forward is itself
-    /// the fast path, and keeping it out of the engine's prediction cache
-    /// guarantees a `--quant` server never silently answers from f32
-    /// cached entries (the two pipelines produce different bits).
-    Quant(QuantPredictor),
-}
-
 /// A loaded predictor exposed as a [`BatchPredictor`] for [`gdse_serve`].
 pub struct PredictService {
-    surrogate: Surrogate,
+    predictor: Predictor,
     engine: ExecEngine,
     kernels: Mutex<HashMap<String, Arc<KernelEntry>>>,
 }
@@ -55,35 +44,12 @@ pub struct PredictService {
 impl PredictService {
     /// Wraps a (typically artifact-loaded) predictor and an engine.
     pub fn new(predictor: Predictor, engine: ExecEngine) -> Self {
-        PredictService {
-            surrogate: Surrogate::F32(predictor),
-            engine,
-            kernels: Mutex::new(HashMap::new()),
-        }
+        PredictService { predictor, engine, kernels: Mutex::new(HashMap::new()) }
     }
 
-    /// Wraps an int8-quantized predictor. Requests bypass the engine's
-    /// prediction cache and run straight through the quantized kernels.
-    pub fn new_quant(predictor: QuantPredictor, engine: ExecEngine) -> Self {
-        PredictService {
-            surrogate: Surrogate::Quant(predictor),
-            engine,
-            kernels: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The wrapped predictor's models and normalizer (for a quantized
-    /// service: the dequantized base).
+    /// The wrapped predictor's models and normalizer.
     pub fn predictor(&self) -> &Predictor {
-        match &self.surrogate {
-            Surrogate::F32(p) => p,
-            Surrogate::Quant(q) => q.base(),
-        }
-    }
-
-    /// Whether requests run through the int8 pipeline.
-    pub fn is_quant(&self) -> bool {
-        matches!(self.surrogate, Surrogate::Quant(_))
+        &self.predictor
     }
 
     /// Resolves `kernel`, building its design space and program graph on
@@ -126,12 +92,7 @@ impl BatchPredictor for PredictService {
                 }
             })
             .collect::<Result<_, _>>()?;
-        let preds = match &self.surrogate {
-            Surrogate::F32(p) => {
-                self.engine.predict_ordered(p, &entry.graph, kernel, &points)
-            }
-            Surrogate::Quant(q) => q.predict_batch(&entry.graph, &points),
-        };
+        let preds = self.engine.predict_ordered(&self.predictor, &entry.graph, kernel, &points);
         Ok(preds
             .into_iter()
             .map(|p| PredictionRow {
@@ -156,14 +117,8 @@ fn fingerprint(path: &Path) -> Option<Fingerprint> {
     Some((mtime, meta.len()))
 }
 
-/// A provider-loaded model of either flavor, cloneable into services.
-enum LoadedModel {
-    F32(Predictor),
-    Quant(QuantPredictor),
-}
-
 struct ProviderState {
-    model: LoadedModel,
+    predictor: Predictor,
     meta: ArtifactMeta,
     /// Fingerprint of the artifact version we last *examined* — serving
     /// or rejected. A persistently corrupt file on disk is validated
@@ -184,69 +139,31 @@ pub struct ArtifactProvider {
     path: PathBuf,
     /// Engine parallelism of each backend built from this provider.
     jobs: usize,
-    /// Serve through the int8 pipeline (`--quant`): quantized artifacts
-    /// load directly, f32 artifacts are calibrated at load time.
-    quant: bool,
     epoch: AtomicU64,
     state: Mutex<ProviderState>,
 }
 
-/// Loads and classifies the artifact at `path` under the given serving
-/// mode. In f32 mode a quantized artifact is an error (the operator must
-/// opt into `--quant`); in quant mode an f32 artifact is calibrated on the
-/// spot and the metadata records the served flavor.
-fn load_for_mode(path: &Path, quant: bool) -> Result<(LoadedModel, ArtifactMeta), String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-    if !quant {
-        let (p, meta) =
-            decode_predictor(&bytes).map_err(|e| format!("cannot load {path:?}: {e}"))?;
-        return Ok((LoadedModel::F32(p), meta));
-    }
-    match decode_predictor(&bytes) {
-        Ok((p, meta)) => {
-            let qp = QuantPredictor::quantize(&p);
-            Ok((LoadedModel::Quant(qp), ArtifactMeta { quant: true, ..meta }))
-        }
-        Err(_) => {
-            let (qp, meta) = decode_quant_predictor(&bytes)
-                .map_err(|e| format!("cannot load {path:?}: {e}"))?;
-            Ok((LoadedModel::Quant(qp), meta))
-        }
-    }
+/// Loads the artifact at `path`, naming the file in the error.
+fn load(path: &Path) -> Result<(Predictor, ArtifactMeta), String> {
+    Predictor::load_artifact(path).map_err(|e| format!("cannot load {path:?}: {e}"))
 }
 
 impl ArtifactProvider {
     /// Loads the artifact at `path` and serves it as epoch 1; backends
     /// built from this provider run their engine with `jobs` workers
-    /// (≤ 1 = serial).
+    /// (at least 1).
     ///
     /// # Errors
     ///
-    /// Why the artifact cannot be loaded (missing, corrupt, wrong schema,
-    /// or int8-quantized — which requires [`ArtifactProvider::open_quant`]).
+    /// Why the artifact cannot be loaded (missing, corrupt, or wrong
+    /// schema).
     pub fn open(path: &Path, jobs: usize) -> Result<Self, String> {
-        Self::open_mode(path, jobs, false)
-    }
-
-    /// Like [`ArtifactProvider::open`], but serves through the int8
-    /// pipeline: a version-2 quantized artifact loads directly, and a plain
-    /// f32 artifact is quantized at load time.
-    ///
-    /// # Errors
-    ///
-    /// Why the artifact cannot be loaded.
-    pub fn open_quant(path: &Path, jobs: usize) -> Result<Self, String> {
-        Self::open_mode(path, jobs, true)
-    }
-
-    fn open_mode(path: &Path, jobs: usize, quant: bool) -> Result<Self, String> {
-        let (model, meta) = load_for_mode(path, quant)?;
+        let (predictor, meta) = load(path)?;
         Ok(ArtifactProvider {
             path: path.to_path_buf(),
             jobs,
-            quant,
             epoch: AtomicU64::new(1),
-            state: Mutex::new(ProviderState { model, meta, seen: fingerprint(path) }),
+            state: Mutex::new(ProviderState { predictor, meta, seen: fingerprint(path) }),
         })
     }
 
@@ -255,12 +172,8 @@ impl ArtifactProvider {
         self.state.lock().expect("provider lock").meta.clone()
     }
 
-    fn engine(&self) -> ExecEngine {
-        if self.jobs <= 1 {
-            ExecEngine::serial()
-        } else {
-            ExecEngine::with_jobs(self.jobs)
-        }
+    fn service(&self, predictor: Predictor) -> PredictService {
+        PredictService::new(predictor, ExecEngine::with_jobs(self.jobs))
     }
 
     /// The canary gate: a candidate model must answer a real prediction
@@ -290,10 +203,7 @@ impl ModelProvider for ArtifactProvider {
 
     fn build(&self) -> Result<(Box<dyn BatchPredictor>, u64), String> {
         let state = self.state.lock().expect("provider lock");
-        let service = match &state.model {
-            LoadedModel::F32(p) => PredictService::new(p.clone(), self.engine()),
-            LoadedModel::Quant(q) => PredictService::new_quant(q.clone(), self.engine()),
-        };
+        let service = self.service(state.predictor.clone());
         Ok((Box::new(service), self.epoch.load(Ordering::SeqCst)))
     }
 
@@ -301,22 +211,19 @@ impl ModelProvider for ArtifactProvider {
         // Validate entirely outside the lock: replicas keep building the
         // old version while the candidate is checked.
         let fp = fingerprint(&self.path);
-        let outcome: Result<(LoadedModel, ArtifactMeta), String> = (|| {
-            let (model, meta) = load_for_mode(&self.path, self.quant)
-                .map_err(|e| format!("artifact rejected: {e}"))?;
-            let service = match &model {
-                LoadedModel::F32(p) => PredictService::new(p.clone(), self.engine()),
-                LoadedModel::Quant(q) => PredictService::new_quant(q.clone(), self.engine()),
-            };
+        let outcome: Result<(Predictor, ArtifactMeta), String> = (|| {
+            let (predictor, meta) =
+                load(&self.path).map_err(|e| format!("artifact rejected: {e}"))?;
+            let service = self.service(predictor);
             Self::canary(&service, &meta)?;
-            Ok((model, meta))
+            Ok((service.predictor, meta))
         })();
         let mut state = self.state.lock().expect("provider lock");
         // Either way this version has been examined; don't re-validate it
         // on every watch tick.
         state.seen = fp;
-        let (model, meta) = outcome?;
-        state.model = model;
+        let (predictor, meta) = outcome?;
+        state.predictor = predictor;
         state.meta = meta;
         Ok(self.epoch.fetch_add(1, Ordering::SeqCst) + 1)
     }
@@ -438,6 +345,18 @@ mod tests {
         }
         assert_eq!(provider.epoch(), 1);
 
+        // The int8 files of earlier builds declare envelope version 2, with
+        // a valid checksum: rejected by version, the old model still serving.
+        let mut v2 = good.clone();
+        v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+        let body = v2.len() - 8;
+        let sum = gdse_gnn::artifact::fnv1a64(&v2[..body]);
+        v2[body..].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &v2).unwrap();
+        let err = provider.reload().expect_err("a version-2 artifact must be rejected");
+        assert!(err.contains("version 2 unsupported"), "{err}");
+        assert_eq!(provider.epoch(), 1, "epoch must not advance on rejection");
+
         // The intact artifact restored: the watcher cuts over to epoch 2.
         // (The flipped and intact bytes are the same length, so give the
         // mtime clock a tick to make the fingerprint move.)
@@ -452,96 +371,6 @@ mod tests {
         assert_eq!(epoch, 2);
         assert_eq!(backend.predict("gemm-ncubed", &[0, 1]).unwrap(), baseline);
 
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn quant_service_matches_direct_quant_predict_and_books_counters() {
-        use gdse_obs as obs;
-        let ks = vec![kernels::gemm_ncubed()];
-        let db = generate_database(&ks, &[], 20, 7);
-        let (p, _) = Predictor::train(
-            &db,
-            &ks,
-            ModelKind::Transformer,
-            ModelConfig::small(),
-            &TrainConfig::quick().with_epochs(2),
-        );
-        let qp = QuantPredictor::quantize(&p);
-        let svc = PredictService::new_quant(qp.clone(), ExecEngine::serial());
-        assert!(svc.is_quant());
-
-        let k = kernels::gemm_ncubed();
-        let space = DesignSpace::from_kernel(&k);
-        let graph = proggraph::build_graph_bidirectional(&k, &space);
-        let indices: Vec<u128> = (0..5).map(|i| i * 11 % space.size()).collect();
-        let points: Vec<_> = indices.iter().map(|&i| space.point_at(i)).collect();
-
-        obs::metrics::reset();
-        let rows = svc.predict(k.name(), &indices).expect("serves");
-        let direct = qp.predict_batch(&graph, &points);
-        for (r, d) in rows.iter().zip(&direct) {
-            assert_eq!(r.valid_prob.to_bits(), d.valid_prob.to_bits());
-            assert_eq!(r.cycles, d.cycles);
-        }
-        let snap = obs::metrics::snapshot();
-        assert!(snap.counter("infer.quant_calls").unwrap_or(0) > 0, "int8 kernel must serve");
-        // The quant path must NOT populate or read the f32 prediction cache.
-        obs::metrics::reset();
-        let again = svc.predict(k.name(), &indices).expect("serves");
-        assert_eq!(rows, again, "quantized predictions are deterministic");
-        let hits = obs::metrics::snapshot().counter("exec.cache_hits").unwrap_or(0);
-        assert_eq!(hits, 0, "quant serving bypasses the engine prediction cache");
-    }
-
-    #[test]
-    fn provider_modes_enforce_artifact_flavor() {
-        let dir = std::env::temp_dir().join("gnn_dse_quant_provider_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-
-        let (p, meta) = train_tiny();
-        let qp = QuantPredictor::quantize(&p);
-        let f32_path = dir.join("model.gdse");
-        let quant_path = dir.join("model_q.gdse");
-        p.save_artifact(&f32_path, &meta).unwrap();
-        qp.save_artifact(&quant_path, &meta).unwrap();
-
-        // A quantized artifact without --quant is an error pointing at it.
-        let err = match ArtifactProvider::open(&quant_path, 1) {
-            Err(e) => e,
-            Ok(_) => panic!("f32 provider must refuse a quantized artifact"),
-        };
-        assert!(err.contains("--quant"), "{err}");
-
-        // --quant over a quantized artifact serves it directly...
-        let provider = ArtifactProvider::open_quant(&quant_path, 1).expect("open quant");
-        assert!(provider.meta().quant);
-        let (backend, _) = provider.build().expect("build");
-        let served = backend.predict("gemm-ncubed", &[0, 1, 2]).expect("serves");
-
-        // ...and must answer exactly like the in-memory quantized pipeline.
-        let k = kernels::gemm_ncubed();
-        let space = DesignSpace::from_kernel(&k);
-        let graph = proggraph::build_graph_bidirectional(&k, &space);
-        let pts: Vec<_> = (0..3u128).map(|i| space.point_at(i)).collect();
-        let direct = qp.predict_batch(&graph, &pts);
-        for (r, d) in served.iter().zip(&direct) {
-            assert_eq!(r.valid_prob.to_bits(), d.valid_prob.to_bits());
-            assert_eq!(r.cycles, d.cycles);
-        }
-
-        // --quant over an f32 artifact calibrates at load time and serves
-        // the same pipeline (same weights -> same calibration -> same bits).
-        let provider = ArtifactProvider::open_quant(&f32_path, 1).expect("open f32 as quant");
-        assert!(provider.meta().quant, "served flavor must be recorded");
-        let (backend, _) = provider.build().expect("build");
-        let served2 = backend.predict("gemm-ncubed", &[0, 1, 2]).expect("serves");
-        assert_eq!(served, served2, "load-time calibration matches persisted calibration");
-
-        // Reload keeps the mode: epoch advances, flavor stays quantized.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        qp.save_artifact(&quant_path, &meta).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

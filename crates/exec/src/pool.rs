@@ -44,11 +44,6 @@ impl WorkerPool {
         WorkerPool::new(1)
     }
 
-    /// A pool sized to the machine's available parallelism.
-    pub fn auto() -> Self {
-        WorkerPool::new(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
-    }
-
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs

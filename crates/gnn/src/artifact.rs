@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! "GDSE" magic (4 bytes)
-//! format version   u32 LE
+//! format version   u32 LE        (always 1: FORMAT_VERSION)
 //! meta JSON        string        (training metadata, schema-versioned)
 //! section count    u32 LE
 //! section          string name + u32 length + payload bytes   (repeated)
@@ -17,7 +17,8 @@
 //! sections (produced by [`encode_model`]) store the architecture
 //! descriptor — kind, [`ModelConfig`], head names — followed by every
 //! parameter of the [`ParamStore`] as raw little-endian `f32` bits keyed by
-//! name and shape. Decoding rebuilds the architecture with
+//! name and shape. Decoding first checks that the declared architecture's
+//! weights fit in the payload, then rebuilds it with
 //! [`PredictionModel::new`] (parameter registration order is deterministic)
 //! and overwrites the freshly initialized weights in place, so a loaded
 //! model is **byte-identical** to the one that was saved: no float/text
@@ -27,22 +28,14 @@
 //! checksum and reported through the typed [`ArtifactError`].
 
 use crate::model::{ModelConfig, ModelKind, PredictionModel};
-use gdse_tensor::{Matrix, QuantMatrix, QuantParamSet};
+use gdse_tensor::Matrix;
 
 /// File magic: the first four bytes of every artifact.
 pub const MAGIC: [u8; 4] = *b"GDSE";
 
-/// The original envelope version: f32-only section payloads.
-pub const FORMAT_V1: u32 = 1;
-
-/// Envelope version 2: identical wire layout, but sections may carry
-/// int8-quantized model payloads ([`encode_model_quant`]). The version bump
-/// exists purely so builds that predate quantization refuse such files with
-/// a typed [`ArtifactError::UnsupportedVersion`] instead of misreading them.
-pub const FORMAT_V2: u32 = 2;
-
-/// Newest on-disk format version this build can read and write.
-pub const FORMAT_VERSION: u32 = FORMAT_V2;
+/// The envelope version this build reads and writes. Any other version is
+/// rejected with [`ArtifactError::UnsupportedVersion`].
+pub const FORMAT_VERSION: u32 = 1;
 
 /// Typed decode/validation failures of the artifact format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,7 +75,7 @@ impl std::fmt::Display for ArtifactError {
             ArtifactError::BadMagic => write!(f, "not a GDSE model artifact (bad magic)"),
             ArtifactError::UnsupportedVersion { found } => write!(
                 f,
-                "artifact format version {found} unsupported (this build reads 1..={FORMAT_VERSION})"
+                "artifact format version {found} unsupported (this build reads version {FORMAT_VERSION})"
             ),
             ArtifactError::ChecksumMismatch { expected, found } => write!(
                 f,
@@ -171,11 +164,6 @@ impl<'a> Reader<'a> {
 /// what the sections contain; `gnn-dse` layers predictor semantics on top.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Artifact {
-    /// Envelope version this artifact is (or will be) encoded as. `new`
-    /// artifacts stay [`FORMAT_V1`] so plain-f32 files remain readable by
-    /// older builds; writers that add quantized sections must bump to
-    /// [`FORMAT_V2`] via [`Artifact::with_version`].
-    pub version: u32,
     /// Training metadata as a JSON document (schema version, kernel set,
     /// epoch count, seed). Kept as text so the envelope stays zero-dependency.
     pub meta_json: String,
@@ -184,24 +172,9 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// An empty artifact with the given metadata document, encoded as
-    /// [`FORMAT_V1`] (readable by every build).
+    /// An empty artifact with the given metadata document.
     pub fn new(meta_json: impl Into<String>) -> Self {
-        Artifact { version: FORMAT_V1, meta_json: meta_json.into(), sections: Vec::new() }
-    }
-
-    /// Replaces the envelope version.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `version` is not one this build can write (1..=[`FORMAT_VERSION`]).
-    pub fn with_version(mut self, version: u32) -> Self {
-        assert!(
-            (FORMAT_V1..=FORMAT_VERSION).contains(&version),
-            "cannot write envelope version {version}"
-        );
-        self.version = version;
-        self
+        Artifact { meta_json: meta_json.into(), sections: Vec::new() }
     }
 
     /// Appends a named payload section.
@@ -219,7 +192,7 @@ impl Artifact {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
-        put_u32(&mut out, self.version);
+        put_u32(&mut out, FORMAT_VERSION);
         put_str(&mut out, &self.meta_json);
         put_u32(&mut out, self.sections.len() as u32);
         for (name, payload) in &self.sections {
@@ -250,7 +223,7 @@ impl Artifact {
             return Err(ArtifactError::BadMagic);
         }
         let version = r.u32()?;
-        if !(FORMAT_V1..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(ArtifactError::UnsupportedVersion { found: version });
         }
         if bytes.len() < 8 + 8 {
@@ -280,7 +253,7 @@ impl Artifact {
                 r.rest()
             )));
         }
-        Ok(Artifact { version, meta_json, sections })
+        Ok(Artifact { meta_json, sections })
     }
 }
 
@@ -338,8 +311,8 @@ pub fn encode_model(model: &PredictionModel) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns [`ArtifactError::Truncated`] on underrun and
-/// [`ArtifactError::Corrupt`] when the stored parameter list does not match
-/// the rebuilt architecture.
+/// [`ArtifactError::Corrupt`] when the declared architecture cannot fit in
+/// the payload or the stored parameter list does not match it.
 pub fn decode_model(payload: &[u8]) -> Result<PredictionModel, ArtifactError> {
     let mut r = Reader::new(payload);
     let kind = kind_from_tag(r.u8()?)?;
@@ -356,6 +329,19 @@ pub fn decode_model(payload: &[u8]) -> Result<PredictionModel, ArtifactError> {
     let mut head_names = Vec::with_capacity(n_heads);
     for _ in 0..n_heads {
         head_names.push(r.str()?);
+    }
+    // The architecture is built from the declaration, so check it against
+    // the bytes left before allocating: a checksummed file can still
+    // declare a model too large for memory.
+    if config.gnn_layers == 0 && !matches!(kind, ModelKind::MlpPragma | ModelKind::MlpContext) {
+        return Err(ArtifactError::Corrupt("GNN model declares zero layers".into()));
+    }
+    let weights = PredictionModel::weight_count(kind, &config, n_heads);
+    if weights.saturating_mul(4) > r.rest() as u64 {
+        return Err(ArtifactError::Corrupt(format!(
+            "declared architecture has {weights} weight(s) but only {} byte(s) remain",
+            r.rest()
+        )));
     }
     let head_refs: Vec<&str> = head_names.iter().map(String::as_str).collect();
     let mut model = PredictionModel::new(kind, config, &head_refs);
@@ -402,164 +388,6 @@ pub fn decode_model(payload: &[u8]) -> Result<PredictionModel, ArtifactError> {
         )));
     }
     Ok(model)
-}
-
-/// Per-parameter payload tags of the quantized model codec.
-const PARAM_F32: u8 = 0;
-const PARAM_I8: u8 = 1;
-
-/// Serializes a [`PredictionModel`] together with its calibrated
-/// [`QuantParamSet`] as a **version-2** section payload.
-///
-/// Layout matches [`encode_model`] — architecture descriptor, then every
-/// parameter in registration order — except each parameter carries a tag
-/// byte after its shape: [`PARAM_F32`] (`0`) followed by raw little-endian
-/// `f32` bits for uncalibrated parameters (biases), or [`PARAM_I8`] (`1`)
-/// followed by the `f32` scale and `rows*cols` raw `i8` bytes for quantized
-/// weights. Quantized weights are ~4x smaller on disk than their f32 form.
-///
-/// Sections produced by this function must live in a [`FORMAT_V2`] envelope
-/// (see [`Artifact::with_version`]) so pre-quantization builds reject the
-/// file instead of misparsing it.
-pub fn encode_model_quant(model: &PredictionModel, quant: &QuantParamSet) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(kind_tag(model.kind()));
-    let cfg = model.config();
-    put_u32(&mut out, cfg.hidden as u32);
-    put_u32(&mut out, cfg.gnn_layers as u32);
-    put_u32(&mut out, cfg.mlp_layers as u32);
-    put_u64(&mut out, cfg.seed);
-    put_u32(&mut out, model.head_names().len() as u32);
-    for name in model.head_names() {
-        put_str(&mut out, name);
-    }
-    let store = model.store();
-    put_u32(&mut out, store.len() as u32);
-    for id in store.ids() {
-        let m = store.value(id);
-        put_str(&mut out, store.name(id));
-        let (rows, cols) = m.shape();
-        put_u32(&mut out, rows as u32);
-        put_u32(&mut out, cols as u32);
-        match quant.get(id) {
-            Some(q) => {
-                out.push(PARAM_I8);
-                out.extend_from_slice(&q.scale().to_le_bytes());
-                out.extend(q.data().iter().map(|&v| v as u8));
-            }
-            None => {
-                out.push(PARAM_F32);
-                for &w in m.as_slice() {
-                    out.extend_from_slice(&w.to_le_bytes());
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Rebuilds a model and its [`QuantParamSet`] from an
-/// [`encode_model_quant`] payload.
-///
-/// The rebuilt [`PredictionModel`]'s f32 store holds the *dequantized*
-/// weights for int8 parameters (the exact f32 originals are not stored),
-/// so its plain `forward` approximates the source model while
-/// `forward_quant` with the returned set reproduces the quantized pipeline
-/// bit-for-bit.
-///
-/// # Errors
-///
-/// Returns [`ArtifactError::Truncated`] on underrun and
-/// [`ArtifactError::Corrupt`] on architecture mismatch or an unknown
-/// parameter tag.
-pub fn decode_model_quant(
-    payload: &[u8],
-) -> Result<(PredictionModel, QuantParamSet), ArtifactError> {
-    let mut r = Reader::new(payload);
-    let kind = kind_from_tag(r.u8()?)?;
-    let config = ModelConfig {
-        hidden: r.u32()? as usize,
-        gnn_layers: r.u32()? as usize,
-        mlp_layers: r.u32()? as usize,
-        seed: r.u64()?,
-    };
-    let n_heads = r.u32()? as usize;
-    if n_heads == 0 || n_heads > 64 {
-        return Err(ArtifactError::Corrupt(format!("implausible head count {n_heads}")));
-    }
-    let mut head_names = Vec::with_capacity(n_heads);
-    for _ in 0..n_heads {
-        head_names.push(r.str()?);
-    }
-    let head_refs: Vec<&str> = head_names.iter().map(String::as_str).collect();
-    let mut model = PredictionModel::new(kind, config, &head_refs);
-
-    let n_params = r.u32()? as usize;
-    if n_params != model.store().len() {
-        return Err(ArtifactError::Corrupt(format!(
-            "artifact stores {} parameter(s) but the architecture has {}",
-            n_params,
-            model.store().len()
-        )));
-    }
-    let mut quant = QuantParamSet::new();
-    let ids: Vec<_> = model.store().ids().collect();
-    for id in ids {
-        let name = r.str()?;
-        let rows = r.u32()? as usize;
-        let cols = r.u32()? as usize;
-        {
-            let store = model.store();
-            if store.name(id) != name {
-                return Err(ArtifactError::Corrupt(format!(
-                    "parameter order mismatch: expected `{}`, found `{name}`",
-                    store.name(id)
-                )));
-            }
-            if store.value(id).shape() != (rows, cols) {
-                return Err(ArtifactError::Corrupt(format!(
-                    "parameter `{name}` has shape {:?} but the artifact stores ({rows}, {cols})",
-                    store.value(id).shape()
-                )));
-            }
-        }
-        match r.u8()? {
-            PARAM_F32 => {
-                let raw = r.take(rows * cols * 4)?;
-                let data: Vec<f32> = raw
-                    .chunks_exact(4)
-                    .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-                    .collect();
-                *model.store_mut().value_mut(id) = Matrix::from_vec(rows, cols, data);
-            }
-            PARAM_I8 => {
-                let sb = r.take(4)?;
-                let scale = f32::from_le_bytes([sb[0], sb[1], sb[2], sb[3]]);
-                if !(scale.is_finite() && scale > 0.0) {
-                    return Err(ArtifactError::Corrupt(format!(
-                        "parameter `{name}` has non-finite or non-positive scale {scale}"
-                    )));
-                }
-                let raw = r.take(rows * cols)?;
-                let data: Vec<i8> = raw.iter().map(|&b| b as i8).collect();
-                let q = QuantMatrix::from_parts(rows, cols, scale, data);
-                *model.store_mut().value_mut(id) = q.dequantize();
-                quant.insert(id, q);
-            }
-            tag => {
-                return Err(ArtifactError::Corrupt(format!(
-                    "parameter `{name}` has unknown tag {tag}"
-                )));
-            }
-        }
-    }
-    if r.rest() != 0 {
-        return Err(ArtifactError::Corrupt(format!(
-            "{} trailing byte(s) after the last parameter",
-            r.rest()
-        )));
-    }
-    Ok((model, quant))
 }
 
 #[cfg(test)]
@@ -625,30 +453,10 @@ mod tests {
 
     #[test]
     fn plain_artifacts_stay_version_1_on_the_wire() {
-        // Back-compat: f32-only artifacts must keep encoding as v1 so
-        // pre-quantization builds can still read them.
+        // Every build since the format's first reads version 1, so the
+        // files this build writes stay readable by all of them.
         let bytes = Artifact::new("{}").to_bytes();
-        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), FORMAT_V1);
-    }
-
-    #[test]
-    fn v2_envelope_round_trips_and_v1_readers_would_reject_it() {
-        let mut art = Artifact::new("{\"quant\":true}").with_version(FORMAT_V2);
-        art.push_section("model_q", vec![9, 9, 9]);
-        let bytes = art.to_bytes();
-        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), FORMAT_V2);
-        let back = Artifact::from_bytes(&bytes).expect("this build reads v2");
-        assert_eq!(back, art);
-        // A version-1-only reader checks `version != 1` — replicate that
-        // check to pin the rejection contract for old builds.
-        let found = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        assert_ne!(found, FORMAT_V1, "old readers must see an unknown version");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot write envelope version")]
-    fn writing_a_future_version_is_rejected() {
-        let _ = Artifact::new("{}").with_version(FORMAT_VERSION + 1);
+        assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 1);
     }
 
     #[test]
@@ -696,64 +504,6 @@ mod tests {
         let mut payload = encode_model(&model);
         payload[0] = 200;
         assert!(matches!(decode_model(&payload), Err(ArtifactError::Corrupt(_))));
-    }
-
-    #[test]
-    fn quant_model_round_trip_reproduces_quant_forward_bitwise() {
-        use std::sync::Arc;
-        let k = kernels::gemm_ncubed();
-        let space = DesignSpace::from_kernel(&k);
-        let graph = build_graph_bidirectional(&k, &space);
-        let p = space.default_point();
-        let input = GraphInput::from_graph(&graph, Some(&p));
-        let batch = crate::input::GraphBatch::single(&input, &p);
-
-        let model = sample_model(ModelKind::Full);
-        let qs = model.quantize();
-        let payload = encode_model_quant(&model, &qs);
-        let f32_payload = encode_model(&model);
-        assert!(
-            payload.len() < f32_payload.len() * 2 / 3,
-            "quant payload {} not meaningfully smaller than f32 {}",
-            payload.len(),
-            f32_payload.len()
-        );
-
-        let (back, qs_back) = decode_model_quant(&payload).expect("decodes");
-        assert_eq!(back.kind(), model.kind());
-        assert_eq!(qs_back.len(), qs.len());
-        let a = model.forward_quant(&batch, &Arc::new(qs)).values();
-        let b = back.forward_quant(&batch, &Arc::new(qs_back)).values();
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits(), "quant pipeline must round-trip exactly");
-        }
-    }
-
-    #[test]
-    fn quant_payload_unknown_tag_is_corrupt() {
-        let model = sample_model(ModelKind::MlpPragma);
-        let qs = model.quantize();
-        let mut payload = encode_model_quant(&model, &qs);
-        // The first parameter's tag byte sits right after the architecture
-        // header + its name/shape; find it by decoding until it breaks.
-        // Simpler: flip every byte that equals a valid tag until decode
-        // reports an unknown-tag corruption.
-        let mut seen_unknown = false;
-        for i in 0..payload.len() {
-            if payload[i] == PARAM_I8 {
-                let orig = payload[i];
-                payload[i] = 7;
-                if let Err(ArtifactError::Corrupt(msg)) = decode_model_quant(&payload) {
-                    if msg.contains("unknown tag") {
-                        seen_unknown = true;
-                        payload[i] = orig;
-                        break;
-                    }
-                }
-                payload[i] = orig;
-            }
-        }
-        assert!(seen_unknown, "corrupting a tag byte must surface a typed error");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::input::{GraphBatch, GraphInput};
 use crate::layers::mlp::Mlp;
 use design_space::{DesignPoint, PragmaValue};
 use gdse_tensor::{Graph, Matrix, NodeId, ParamStore, QuantMatrix, QuantParamSet};
-use proggraph::NODE_FEATS;
+use proggraph::{EDGE_FEATS, NODE_FEATS};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -264,6 +264,52 @@ impl PredictionModel {
         }
     }
 
+    /// The number of `f32` weights [`PredictionModel::new`] registers for
+    /// this architecture, counted without building it. The arithmetic
+    /// saturates, so a decoder can check an untrusted declaration against
+    /// the bytes that claim to hold it before allocating anything.
+    pub fn weight_count(kind: ModelKind, config: &ModelConfig, heads: usize) -> u64 {
+        let h = config.hidden as u64;
+        let (h2, h4) = (h.saturating_mul(2), h.saturating_mul(4));
+        let linear = |d_in: u64, d_out: u64| d_in.saturating_mul(d_out).saturating_add(d_out);
+        let mlp = |dims: &[u64]| {
+            dims.windows(2).fold(0u64, |n, w| n.saturating_add(linear(w[0], w[1])))
+        };
+        let body = match kind {
+            ModelKind::MlpPragma => mlp(&[(MAX_SLOTS * SLOT_FEATS) as u64, h2, h]),
+            ModelKind::MlpContext => mlp(&[NODE_FEATS as u64, h2, h]),
+            _ => {
+                let conv = |d_in: u64| match kind {
+                    ModelKind::Gcn => linear(d_in, h),
+                    ModelKind::Gat => linear(d_in, h).saturating_add(h2),
+                    // query, key, value and root projections, the edge
+                    // projection, the gate and the bias.
+                    _ => d_in
+                        .saturating_mul(h4)
+                        .saturating_add(h.saturating_mul(EDGE_FEATS as u64))
+                        .saturating_add(h4),
+                };
+                let rest = (config.gnn_layers as u64).saturating_sub(1);
+                let convs = conv(NODE_FEATS as u64).saturating_add(rest.saturating_mul(conv(h)));
+                let pool = match kind {
+                    ModelKind::Full => mlp(&[h, h / 2, 1]).saturating_add(mlp(&[h, h])),
+                    _ => 0,
+                };
+                convs.saturating_add(pool)
+            }
+        };
+        // Each head is `config.head_dims()`'s halving pyramid, counted
+        // without materializing it: once the width reaches 2 it stays there.
+        let (mut d, mut left, mut head) = (h, (config.mlp_layers as u64).saturating_sub(1), 0u64);
+        while left > 0 && d != 2 {
+            let next = (d / 2).max(2);
+            head = head.saturating_add(linear(d, next));
+            (d, left) = (next, left - 1);
+        }
+        head = head.saturating_add(left.saturating_mul(linear(2, 2))).saturating_add(linear(d, 1));
+        body.saturating_add((heads as u64).saturating_mul(head))
+    }
+
     /// The model variant.
     pub fn kind(&self) -> ModelKind {
         self.kind
@@ -480,6 +526,31 @@ mod tests {
                     (a - b).abs() < 0.25 * (1.0 + a.abs()),
                     "{kind:?}: f32 {a} vs quant {b} drift too large"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn weight_count_matches_the_built_architecture() {
+        let configs = [
+            ModelConfig::small(),
+            ModelConfig::paper(),
+            ModelConfig { hidden: 5, gnn_layers: 1, mlp_layers: 1, seed: 1 },
+            ModelConfig { hidden: 1, gnn_layers: 2, mlp_layers: 0, seed: 2 },
+            ModelConfig { hidden: 2, gnn_layers: 1, mlp_layers: 6, seed: 3 },
+            ModelConfig { hidden: 33, gnn_layers: 2, mlp_layers: 9, seed: 4 },
+        ];
+        for kind in ModelKind::ALL {
+            for config in &configs {
+                for heads in [&["valid"][..], &["latency", "dsp", "lut", "ff"]] {
+                    let model = PredictionModel::new(kind, config.clone(), heads);
+                    assert_eq!(
+                        PredictionModel::weight_count(kind, config, heads.len()),
+                        model.store().num_weights() as u64,
+                        "{kind:?} {config:?} {} head(s)",
+                        heads.len()
+                    );
+                }
             }
         }
     }

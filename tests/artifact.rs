@@ -3,12 +3,13 @@
 //! be rejected with the right typed error instead of a garbage model.
 
 use design_space::DesignSpace;
-use gdse_gnn::artifact::ArtifactError;
+use gdse_gnn::artifact::{Artifact, ArtifactError};
 use gdse_gnn::{ModelConfig, ModelKind};
 use gnn_dse::trainer::TrainConfig;
 use gnn_dse::{dbgen, decode_predictor, encode_predictor, ArtifactMeta, Error, Predictor};
 use hls_ir::kernels;
 use proggraph::build_graph_bidirectional;
+use std::time::{Duration, Instant};
 
 fn tiny_predictor() -> (Predictor, ArtifactMeta) {
     let ks = vec![kernels::gemm_ncubed(), kernels::spmv_ellpack()];
@@ -29,9 +30,20 @@ fn tiny_predictor() -> (Predictor, ArtifactMeta) {
 fn round_trip_predictions_are_byte_identical_on_every_kernel() {
     let (p, meta) = tiny_predictor();
     let bytes = encode_predictor(&p, &meta).expect("encodes");
-    let (loaded, loaded_meta) = decode_predictor(&bytes).expect("decodes");
-    assert_eq!(loaded_meta, meta);
+    // Earlier builds also wrote `"quant": false` into the metadata; their
+    // f32 files must keep loading to the same model.
+    let mut older = Artifact::from_bytes(&bytes).expect("parses");
+    let fields = older.meta_json.strip_suffix('}').expect("metadata is a JSON object");
+    older.meta_json = format!("{fields},\"quant\":false}}");
+    for file in [bytes, older.to_bytes()] {
+        let (loaded, loaded_meta) = decode_predictor(&file).expect("decodes");
+        assert_eq!(loaded_meta, meta);
+        assert_predictions_match(&p, &loaded);
+    }
+}
 
+/// Asserts `p` and `loaded` predict bit-identically on every kernel.
+fn assert_predictions_match(p: &Predictor, loaded: &Predictor) {
     let all = kernels::all_kernels();
     assert!(all.len() >= 13, "expected the full kernel suite, got {}", all.len());
     for k in all {
@@ -97,11 +109,17 @@ fn wrong_versions_and_wrong_magic_are_typed_errors() {
     let (p, meta) = tiny_predictor();
     let clean = encode_predictor(&p, &meta).expect("encodes");
 
-    let mut wrong_envelope = clean.clone();
-    wrong_envelope[4..8].copy_from_slice(&99u32.to_le_bytes());
-    match decode_predictor(&wrong_envelope) {
-        Err(Error::Artifact(ArtifactError::UnsupportedVersion { found: 99 })) => {}
-        other => panic!("expected unsupported envelope version, got {other:?}"),
+    // Version 2 is the int8 envelope earlier builds wrote; 99 is from the
+    // future. This build reads version 1 only.
+    for version in [2u32, 99] {
+        let mut wrong_envelope = clean.clone();
+        wrong_envelope[4..8].copy_from_slice(&version.to_le_bytes());
+        match decode_predictor(&wrong_envelope) {
+            Err(Error::Artifact(ArtifactError::UnsupportedVersion { found })) => {
+                assert_eq!(found, version)
+            }
+            other => panic!("expected unsupported envelope version {version}, got {other:?}"),
+        }
     }
 
     let mut wrong_magic = clean.clone();
@@ -118,6 +136,37 @@ fn wrong_versions_and_wrong_magic_are_typed_errors() {
     match decode_predictor(&bytes) {
         Err(Error::Artifact(ArtifactError::UnsupportedVersion { .. })) => {}
         other => panic!("expected unsupported meta schema, got {other:?}"),
+    }
+}
+
+#[test]
+fn unbuildable_declared_architectures_are_rejected_before_allocating() {
+    let (p, meta) = tiny_predictor();
+    let clean = Artifact::from_bytes(&encode_predictor(&p, &meta).unwrap()).unwrap();
+    // A model section starts with the kind tag, then `hidden`, `gnn_layers`
+    // and `mlp_layers` as u32 LE. Building the first three architectures
+    // would take gigabytes or more, and a GNN without layers cannot be
+    // built at all; each file still carries a valid checksum.
+    for (field, offset, value) in [
+        ("hidden", 1, 65_536u32),
+        ("hidden", 1, u32::MAX),
+        ("gnn_layers", 5, 2_000_000),
+        ("gnn_layers", 5, 0),
+    ] {
+        let mut art = clean.clone();
+        let (_, classifier) =
+            art.sections.iter_mut().find(|(name, _)| name == "classifier").unwrap();
+        classifier[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+        let started = Instant::now();
+        match decode_predictor(&art.to_bytes()) {
+            Err(Error::Artifact(ArtifactError::Corrupt(_))) => {}
+            other => panic!("{field} = {value}: expected a corrupt artifact, got {other:?}"),
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "{field} = {value}: rejection took {:?}",
+            started.elapsed()
+        );
     }
 }
 

@@ -10,9 +10,9 @@
 
 use design_space::DesignSpace;
 use gnn_dse::dataset::{Dataset, MAIN_TARGETS};
-use gnn_dse::dse::{run_dse, DseConfig};
+use gnn_dse::dse::{run_dse_with_engine, DseConfig};
 use gnn_dse::trainer::{eval_regression, train_regression};
-use gnn_dse::Predictor;
+use gnn_dse::{ExecEngine, Predictor};
 use gnn_dse_bench::{rule, training_setup, Scale};
 use gdse_gnn::{ModelKind, PredictionModel};
 use hls_ir::kernels;
@@ -103,7 +103,15 @@ fn ablation_dse_order(kernels_train: &[hls_ir::Kernel], db: &gnn_dse::Database, 
         max_inferences: budget,
         ..DseConfig::default()
     };
-    let ordered = run_dse(&predictor, &kernel, &space, &ordered_cfg);
+    let graph = proggraph::build_graph_bidirectional(&kernel, &space);
+    let ordered = run_dse_with_engine(
+        &predictor,
+        &kernel,
+        &space,
+        &graph,
+        &ordered_cfg,
+        &ExecEngine::serial(),
+    );
     let best_ordered = validate_best(&sim, &kernel, &space, &ordered.top);
 
     // Naive: plain index order over the first `budget` canonical points.

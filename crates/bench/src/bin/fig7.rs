@@ -5,10 +5,12 @@
 //! committed to the database, refining the next round's model (§4.4).
 
 use gnn_dse::dse::DseConfig;
-use gnn_dse::rounds::{run_rounds, RoundsConfig};
+use gnn_dse::rounds::{run_rounds_with_engine, RoundsConfig};
+use gnn_dse::ExecEngine;
 use gnn_dse_bench::{rule, training_setup, Scale};
 use gdse_gnn::ModelKind;
 use gnn_dse_bench::{init_obs_from_env, out};
+use merlin_sim::MerlinSimulator;
 
 fn main() {
     init_obs_from_env();
@@ -46,7 +48,10 @@ fn main() {
     };
 
     let t0 = std::time::Instant::now();
-    let reports = run_rounds(&mut db, &kernels, &cfg);
+    let sim = MerlinSimulator::new();
+    let reports =
+        run_rounds_with_engine(&mut db, &kernels, &cfg, &sim, None, false, &ExecEngine::serial())
+            .expect("rounds without a checkpoint path cannot fail");
 
     // Per-kernel speedups per round (the Fig. 7 bars).
     print!("{:<14}", "Kernel");

@@ -24,7 +24,7 @@
 use design_space::DesignSpace;
 use gnn_dse::explorer::{Budget, GFlowExplorer, RandomExplorer};
 use gnn_dse::pareto::{hypervolume, weakly_dominates, AXES};
-use gnn_dse::{Database, Evaluated, Explorer, Objective, ParetoArchive};
+use gnn_dse::{Database, Evaluated, ExecEngine, Explorer, Objective, ParetoArchive};
 use gnn_dse_bench::{init_obs_from_env, out, rule, Scale};
 use merlin_sim::MerlinSimulator;
 
@@ -103,7 +103,8 @@ fn main() {
         let space = DesignSpace::from_kernel(kernel);
 
         let mut db_random = Database::new();
-        RandomExplorer::new(SEED).explore_scored(
+        RandomExplorer::new(SEED).explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             kernel,
             &space,
@@ -112,7 +113,8 @@ fn main() {
             &objective,
         );
         let mut db_gflow = Database::new();
-        GFlowExplorer::with_seed(SEED).explore_scored(
+        GFlowExplorer::with_seed(SEED).explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             kernel,
             &space,

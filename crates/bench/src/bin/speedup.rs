@@ -23,7 +23,7 @@
 use design_space::DesignSpace;
 use gdse_exec::virtual_makespan;
 use gnn_dse::dbgen;
-use gnn_dse::dse::{run_dse_with_engine, run_dse_with_graph, DseConfig};
+use gnn_dse::dse::{run_dse_with_engine, DseConfig};
 use gnn_dse::{ExecEngine, Normalizer, Predictor};
 use gnn_dse_bench::{init_obs_from_env, out, rule, Scale};
 use merlin_sim::MerlinSimulator;
@@ -135,7 +135,8 @@ fn main() {
     let cfg = DseConfig::default();
 
     let t = Instant::now();
-    let serial_dse = run_dse_with_graph(&predictor, &kernel, &space, &graph, &cfg);
+    let serial_dse =
+        run_dse_with_engine(&predictor, &kernel, &space, &graph, &cfg, &ExecEngine::serial());
     let dse_serial_wall = t.elapsed();
 
     let t = Instant::now();

@@ -9,9 +9,9 @@
 //! accounting the paper uses.
 
 use design_space::DesignSpace;
-use gnn_dse::dse::{run_dse, DseConfig};
+use gnn_dse::dse::{run_dse_with_engine, DseConfig};
 use gnn_dse::explorer::{BottleneckExplorer, Budget};
-use gnn_dse::{Database, Predictor};
+use gnn_dse::{Database, ExecEngine, Explorer, Predictor};
 use gnn_dse_bench::{human_u128, rule, training_setup, Scale};
 use gdse_gnn::ModelKind;
 use hls_ir::kernels;
@@ -73,7 +73,15 @@ fn main() {
         let space = DesignSpace::from_kernel(&kernel);
 
         // --- GNN-DSE ---
-        let outcome = run_dse(&predictor, &kernel, &space, &dse_cfg);
+        let graph = proggraph::build_graph_bidirectional(&kernel, &space);
+        let outcome = run_dse_with_engine(
+            &predictor,
+            &kernel,
+            &space,
+            &graph,
+            &dse_cfg,
+            &ExecEngine::serial(),
+        );
         // Validate candidates in parallel batches of 10: each batch costs its
         // slowest synthesis; stop as soon as a batch yields a valid design.
         let mut best_cycles = u64::MAX;
@@ -95,9 +103,8 @@ fn main() {
 
         // --- AutoDSE baseline ---
         let mut baseline_db = Database::new();
-        let autodse = BottleneckExplorer::new();
-        let log = gnn_dse::Explorer::explore_scored(
-            &autodse,
+        let log = BottleneckExplorer::new().explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &kernel,
             &space,

@@ -94,8 +94,8 @@ use gdse_gnn::{ModelConfig, ModelKind};
 use gdse_obs as obs;
 use gdse_serve::{ChaosConfig, ChaosProxy, Client, ClientConfig, Response, ServeConfig, Server};
 use gnn_dse::dse::{run_dse_with_engine, CandidateSampler, DseConfig};
-use gnn_dse::harness::{HarnessBuilder, RetryPolicy};
-use gnn_dse::objective::{Objective, ObjectiveKind, ObjectiveWeights, ResourceBudget};
+use gnn_dse::harness::RetryPolicy;
+use gnn_dse::objective::{ObjectiveKind, ObjectiveWeights, ResourceBudget};
 use gnn_dse::parallel::ExecEngine;
 use gnn_dse::rounds::{run_rounds_with_engine, RoundsConfig};
 use gnn_dse::trainer::TrainConfig;
@@ -225,16 +225,30 @@ fn write_metrics(path: &Path, command: &str, started: Instant) -> CliResult {
     Ok(())
 }
 
-/// Builds the execution engine from `--jobs N` (default: the machine's
-/// available parallelism). `--jobs 1` runs the same batched code paths
-/// serially, so any jobs count produces byte-identical outputs for the
-/// same seed.
-fn jobs_arg(flags: &HashMap<String, String>) -> Result<ExecEngine, String> {
-    let default = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let jobs: usize = flag_or(flags, "jobs", default)?;
-    if jobs == 0 {
-        return Err("--jobs must be at least 1".into());
+/// Parses count flag `name`, or returns `default` when absent; 0 is an
+/// error.
+fn count_flag(
+    flags: &HashMap<String, String>,
+    name: &str,
+    default: usize,
+) -> Result<usize, String> {
+    match flag_or(flags, name, default)? {
+        0 => Err(format!("--{name} must be at least 1")),
+        n => Ok(n),
     }
+}
+
+/// The `--jobs N` worker count (default: the machine's available
+/// parallelism).
+fn jobs_flag(flags: &HashMap<String, String>) -> Result<usize, String> {
+    count_flag(flags, "jobs", std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Builds the execution engine from `--jobs N`. `--jobs 1` runs the same
+/// batched code paths serially, so any jobs count produces byte-identical
+/// outputs for the same seed.
+fn jobs_arg(flags: &HashMap<String, String>) -> Result<ExecEngine, String> {
+    let jobs = jobs_flag(flags)?;
     obs::debug!("exec.jobs", "running on {jobs} workers"; jobs = jobs);
     Ok(ExecEngine::with_jobs(jobs))
 }
@@ -246,39 +260,82 @@ fn jobs_arg(flags: &HashMap<String, String>) -> Result<ExecEngine, String> {
 /// (`sweep` or the learned `gflow` trajectory sampler).
 fn objective_args(
     flags: &HashMap<String, String>,
-) -> Result<(Objective, CandidateSampler), String> {
-    let mut objective = match flags.get("objective").map(String::as_str) {
-        None | Some("latency") => Objective::latency(),
-        Some("weighted") => Objective::weighted(ObjectiveWeights::default()),
-        Some("pareto") => Objective::pareto(),
+) -> Result<(ObjectiveKind, ResourceBudget, CandidateSampler), String> {
+    let kind = match flags.get("objective").map(String::as_str) {
+        None | Some("latency") => ObjectiveKind::Latency,
+        Some("weighted") => ObjectiveKind::Weighted(ObjectiveWeights::default()),
+        Some("pareto") => ObjectiveKind::Pareto,
         Some(other) => {
             return Err(format!("--objective must be latency|weighted|pareto, got '{other}'"))
         }
     };
-    if let Some(spec) = flags.get("budget") {
-        let budget = ResourceBudget::parse(spec).map_err(|e| format!("bad --budget: {e}"))?;
-        objective = objective.with_budget(budget);
-    }
+    let budget = match flags.get("budget") {
+        Some(spec) => ResourceBudget::parse(spec).map_err(|e| format!("bad --budget: {e}"))?,
+        None => ResourceBudget::none(),
+    };
     let sampler: CandidateSampler = flag_or(flags, "explorer", CandidateSampler::default())?;
-    Ok((objective, sampler))
+    Ok((kind, budget, sampler))
 }
 
 /// The `--fault-rate`/`--fault-seed`/`--max-retries` triple shared by
-/// `gendb` and `rounds`, parsed into the harness builder.
-fn fault_args(
-    flags: &HashMap<String, String>,
-) -> Result<(FaultConfig, HarnessBuilder), String> {
+/// `gendb` and `rounds`: what to inject and how to retry it
+/// (`dbgen::fault_injected_harness` builds the harness from both).
+fn fault_args(flags: &HashMap<String, String>) -> Result<(FaultConfig, RetryPolicy), String> {
     let rate: f64 = flag_or(flags, "fault-rate", 0.0)?;
     if !(0.0..=1.0).contains(&rate) {
         return Err(format!("--fault-rate must be in [0, 1], got {rate}"));
     }
     let seed: u64 = flag_or(flags, "fault-seed", 0)?;
     let max_retries: u32 = flag_or(flags, "max-retries", 3)?;
-    let faults = FaultConfig::uniform(rate, seed);
-    let builder = HarnessBuilder::new()
-        .faults(faults)
-        .retry_policy(RetryPolicy::with_max_retries(max_retries));
-    Ok((faults, builder))
+    Ok((FaultConfig::uniform(rate, seed), RetryPolicy::with_max_retries(max_retries)))
+}
+
+/// Logs the oracle's accounting as `event`. It reads the `oracle.*`
+/// counters, as the run report does, so both tell the same totals (after
+/// `rounds --resume`, those of the whole campaign).
+fn log_oracle(event: &str) {
+    let [attempts, retries, exhausted, permanent, backoff_ms] = [
+        "oracle.attempts",
+        "oracle.retries",
+        "oracle.exhausted",
+        "oracle.permanent_failures",
+        "oracle.virtual_backoff_ms",
+    ]
+    .map(obs::metrics::counter_value);
+    let lost = exhausted + permanent;
+    obs::info!(
+        event,
+        "oracle: {attempts} attempts, {retries} transient failures retried, {lost} evaluations \
+         lost ({exhausted} exhausted retries, {permanent} permanent), {:.1}s virtual backoff",
+        backoff_ms as f64 / 1e3;
+        attempts = attempts,
+        retries = retries,
+        lost = lost,
+        exhausted = exhausted,
+        permanent_failures = permanent,
+        virtual_backoff_ms = backoff_ms,
+    );
+}
+
+/// The serving flags shared by `serve` and `daemon` — `--queue`, `--batch`,
+/// `--replicas`, `--max-requests`, `--request-timeout` — as a server
+/// configuration, plus the `--jobs` worker budget.
+fn serve_args(flags: &HashMap<String, String>) -> Result<(ServeConfig, usize), String> {
+    let defaults = ServeConfig::default();
+    let max_requests: Option<u64> = match flags.get("max-requests") {
+        Some(v) => Some(v.parse().map_err(|e| format!("bad value for --max-requests: {e}"))?),
+        None => None,
+    };
+    let request_timeout_ms: u64 = flag_or(flags, "request-timeout", 60_000)?;
+    let config = ServeConfig {
+        queue_capacity: count_flag(flags, "queue", defaults.queue_capacity)?,
+        max_batch: count_flag(flags, "batch", defaults.max_batch)?,
+        replicas: count_flag(flags, "replicas", defaults.replicas)?,
+        max_requests,
+        request_timeout: Duration::from_millis(request_timeout_ms),
+        ..defaults
+    };
+    Ok((config, jobs_flag(flags)?))
 }
 
 /// Loads the `.gdse` artifact at `path` and logs its training provenance.
@@ -429,32 +486,15 @@ fn cmd_gendb(args: &[String]) -> CliResult {
     let seed: u64 = pos.get(2).map_or(Ok(42), |s| s.parse()).map_err(|e| format!("{e}"))?;
     let metrics_out = obs_args(&flags)?;
     let started = Instant::now();
-    let (faults, harness_builder) = fault_args(&flags)?;
+    let (faults, policy) = fault_args(&flags)?;
     let engine = jobs_arg(&flags)?;
     let ks = kernels::training_kernels();
     let db = if faults.is_disabled() {
         dbgen::generate_database_par(&engine, &MerlinSimulator::new(), &ks, &[], budget, seed)
     } else {
-        let harness = harness_builder.build();
+        let harness = dbgen::fault_injected_harness(faults, policy);
         let db = dbgen::generate_database_par(&engine, &harness, &ks, &[], budget, seed);
-        let stats = harness.stats();
-        obs::info!(
-            "gendb.oracle",
-            "oracle: {} attempts, {} transient failures retried, {} evaluations lost \
-             ({} exhausted retries, {} permanent), {:.1}s virtual backoff",
-            stats.attempts,
-            stats.transient_failures,
-            stats.losses(),
-            stats.exhausted,
-            stats.permanent_failures,
-            stats.virtual_backoff_ms as f64 / 1e3;
-            attempts = stats.attempts,
-            transient_failures = stats.transient_failures,
-            lost = stats.losses(),
-            exhausted = stats.exhausted,
-            permanent_failures = stats.permanent_failures,
-            virtual_backoff_ms = stats.virtual_backoff_ms,
-        );
+        log_oracle("gendb.oracle");
         db
     };
     {
@@ -510,7 +550,7 @@ fn cmd_rounds(args: &[String]) -> CliResult {
     let out = flags.get("out").cloned().unwrap_or_else(|| db_path.clone());
     let metrics_out = obs_args(&flags)?;
     let started = Instant::now();
-    let (faults, harness_builder) = fault_args(&flags)?;
+    let (faults, policy) = fault_args(&flags)?;
     let checkpoint = flags.get("checkpoint").cloned();
     let resume = flags.contains_key("resume");
     if resume && checkpoint.is_none() {
@@ -540,11 +580,10 @@ fn cmd_rounds(args: &[String]) -> CliResult {
         Database::load(Path::new(db_path)).map_err(|e| e.to_string())?
     };
     let ks = db.training_kernels().map_err(|e| format!("{db_path} {e}"))?;
-    let (objective, sampler) = objective_args(&flags)?;
+    let (kind, budget, sampler) = objective_args(&flags)?;
     let mut cfg =
         RoundsConfig { rounds: n_rounds, stop_after, initial_model, ..RoundsConfig::quick() };
-    cfg.dse.objective = objective;
-    cfg.dse.sampler = sampler;
+    cfg.dse = DseConfig { kind, budget, sampler, ..cfg.dse };
 
     obs::info!(
         "rounds.start",
@@ -556,7 +595,7 @@ fn cmd_rounds(args: &[String]) -> CliResult {
         designs = db.len(),
     );
     let engine = jobs_arg(&flags)?;
-    let harness = harness_builder.build();
+    let harness = dbgen::fault_injected_harness(faults, policy);
     run_rounds_with_engine(
         &mut db,
         &ks,
@@ -575,21 +614,8 @@ fn cmd_rounds(args: &[String]) -> CliResult {
         obs::metrics::counter_inc("rounds.model_ignored");
     }
 
-    let stats = harness.stats();
-    if stats.attempts > 0 && !faults.is_disabled() {
-        obs::info!(
-            "rounds.oracle",
-            "oracle: {} attempts, {} transient failures retried, {} evaluations lost, \
-             {:.1}s virtual backoff",
-            stats.attempts,
-            stats.transient_failures,
-            stats.losses(),
-            stats.virtual_backoff_ms as f64 / 1e3;
-            attempts = stats.attempts,
-            transient_failures = stats.transient_failures,
-            lost = stats.losses(),
-            virtual_backoff_ms = stats.virtual_backoff_ms,
-        );
+    if !faults.is_disabled() && obs::metrics::counter_value("oracle.attempts") > 0 {
+        log_oracle("rounds.oracle");
     }
     {
         let _io = obs::span::stage("io");
@@ -682,8 +708,8 @@ fn cmd_dse(args: &[String]) -> CliResult {
     };
     let kernel = lookup_kernel(kernel)?;
     let space = DesignSpace::from_kernel(&kernel);
-    let (objective, sampler) = objective_args(&flags)?;
-    let cfg = DseConfig { top_m, objective, sampler, ..DseConfig::default() };
+    let (kind, budget, sampler) = objective_args(&flags)?;
+    let cfg = DseConfig { top_m, kind, budget, sampler, ..DseConfig::default() };
     let engine = jobs_arg(&flags)?;
     let graph = build_graph_bidirectional(&kernel, &space);
     let outcome = run_dse_with_engine(&predictor, &kernel, &space, &graph, &cfg, &engine);
@@ -717,7 +743,7 @@ fn cmd_dse(args: &[String]) -> CliResult {
         );
     }
     drop(_validate);
-    if objective.kind == ObjectiveKind::Pareto {
+    if kind == ObjectiveKind::Pareto {
         obs::info!(
             "dse.front",
             "predicted Pareto front: {} mutually non-dominated designs",
@@ -847,20 +873,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let addr = flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7878".to_string());
     let metrics_out = obs_args(&flags)?;
     let started = Instant::now();
-    let queue_capacity: usize = flag_or(&flags, "queue", 64)?;
-    let max_batch: usize = flag_or(&flags, "batch", 16)?;
-    if max_batch == 0 {
-        return Err("--batch must be at least 1".into());
-    }
-    let max_requests: Option<u64> = match flags.get("max-requests") {
-        Some(v) => Some(v.parse().map_err(|e| format!("bad value for --max-requests: {e}"))?),
-        None => None,
-    };
-    let replicas: usize = flag_or(&flags, "replicas", 1)?;
-    if replicas == 0 {
-        return Err("--replicas must be at least 1".into());
-    }
-    let request_timeout_ms: u64 = flag_or(&flags, "request-timeout", 60_000)?;
+    let (base, total_jobs) = serve_args(&flags)?;
     let idle_timeout: Option<Duration> = match flags.get("idle-timeout") {
         Some(v) => Some(Duration::from_millis(
             v.parse().map_err(|e| format!("bad value for --idle-timeout: {e}"))?,
@@ -878,25 +891,14 @@ fn cmd_serve(args: &[String]) -> CliResult {
 
     // Split the worker budget across replicas: each replica owns a private
     // engine, so N replicas × per-replica jobs ≈ the machine budget.
-    let total_jobs: usize = flag_or(&flags, "jobs", {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    })?;
-    if total_jobs == 0 {
-        return Err("--jobs must be at least 1".into());
-    }
-    let per_replica_jobs = (total_jobs / replicas).max(1);
+    let per_replica_jobs = (total_jobs / base.replicas).max(1);
 
     let config = ServeConfig {
-        queue_capacity,
-        max_batch,
-        max_requests,
-        replicas,
-        request_timeout: Duration::from_millis(request_timeout_ms),
         idle_timeout,
         reload_watch: watch.then(|| Duration::from_millis(500)),
         trace_slow,
         trace_capacity,
-        ..ServeConfig::default()
+        ..base
     };
 
     let provider = {
@@ -909,13 +911,16 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let local = server.local_addr();
     obs::info!(
         "serve.listening",
-        "serving predictions on {local} ({replicas} replica(s) × {per_replica_jobs} job(s), \
-         queue {queue_capacity}, batch {max_batch}{})",
+        "serving predictions on {local} ({} replica(s) × {per_replica_jobs} job(s), \
+         queue {}, batch {}{})",
+        config.replicas,
+        config.queue_capacity,
+        config.max_batch,
         if watch { ", watching artifact for hot swap" } else { "" };
         addr = local.to_string(),
-        replicas = replicas,
-        queue = queue_capacity,
-        batch = max_batch,
+        replicas = config.replicas,
+        queue = config.queue_capacity,
+        batch = config.max_batch,
     );
     // Scripts block on this line to learn the (possibly ephemeral) port.
     println!("listening on {local}");
@@ -1004,38 +1009,14 @@ fn cmd_daemon(args: &[String]) -> CliResult {
     let replay_capacity: usize = flag_or(&flags, "replay-capacity", 512)?;
     let train_epochs: usize = flag_or(&flags, "train-epochs", 4)?;
     let pause_ms: u64 = flag_or(&flags, "pause-ms", 500)?;
-    let replicas: usize = flag_or(&flags, "replicas", 1)?;
-    if replicas == 0 {
-        return Err("--replicas must be at least 1".into());
-    }
-    let max_requests: Option<u64> = match flags.get("max-requests") {
-        Some(v) => Some(v.parse().map_err(|e| format!("bad value for --max-requests: {e}"))?),
-        None => None,
-    };
+    let (base, jobs) = serve_args(&flags)?;
     let watch: Option<Duration> = match flags.get("watch-ms") {
         Some(v) => Some(Duration::from_millis(
             v.parse().map_err(|e| format!("bad value for --watch-ms: {e}"))?,
         )),
         None => None,
     };
-    let jobs: usize = flag_or(&flags, "jobs", {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    })?;
-    if jobs == 0 {
-        return Err("--jobs must be at least 1".into());
-    }
-    let serve = ServeConfig {
-        queue_capacity: flag_or(&flags, "queue", 64)?,
-        max_batch: flag_or(&flags, "batch", 16)?,
-        max_requests,
-        replicas,
-        request_timeout: Duration::from_millis(flag_or(&flags, "request-timeout", 60_000)?),
-        reload_watch: watch,
-        ..ServeConfig::default()
-    };
-    if serve.max_batch == 0 {
-        return Err("--batch must be at least 1".into());
-    }
+    let serve = ServeConfig { reload_watch: watch, ..base };
     let rounds = RoundsConfig {
         rounds: n_rounds,
         train_cfg: gnn_dse::TrainConfig::quick().with_epochs(train_epochs),

@@ -220,18 +220,6 @@ pub struct Daemon {
     learner: JoinHandle<Result<(Vec<RoundReport>, obs::MetricsSnapshot), String>>,
 }
 
-/// Starts a daemon and runs it to completion on the current thread —
-/// `Daemon::start(cfg)?.run()`.
-///
-/// # Errors
-///
-/// Setup failures: unreadable database, bootstrap-train/save failure, or
-/// an unbindable address. Learning-plane failures after startup do *not*
-/// error — they land in [`DaemonReport::learner_error`].
-pub fn run_daemon(cfg: DaemonConfig) -> Result<DaemonReport, String> {
-    Daemon::start(cfg)?.run()
-}
-
 impl Daemon {
     /// Loads (or bootstrap-trains) the artifact, binds the serving plane,
     /// and spawns the learning plane.

@@ -37,21 +37,9 @@ pub fn small_budgets() -> Vec<(&'static str, usize)> {
 
 /// Runs the three explorers on one kernel: 40% of the budget to the
 /// bottleneck optimizer, 30% to the hybrid explorer, the rest to random
-/// sampling.
-pub fn explore_kernel<B: EvalBackend + Sync>(
-    sim: &B,
-    kernel: &Kernel,
-    space: &DesignSpace,
-    db: &mut Database,
-    budget: usize,
-    seed: u64,
-) {
-    explore_kernel_with(&ExecEngine::serial(), sim, kernel, space, db, budget, seed);
-}
-
-/// [`explore_kernel`] with every explorer's candidate frontiers scored
-/// through the engine's worker pool (batched, cached evaluation).
-pub fn explore_kernel_with<B: EvalBackend + Sync>(
+/// sampling, every candidate frontier scored through the engine's worker
+/// pool (batched, cached evaluation).
+fn explore_kernel_with<B: EvalBackend + Sync>(
     engine: &ExecEngine,
     eval: &B,
     kernel: &Kernel,
@@ -95,7 +83,8 @@ pub fn explore_kernel_with<B: EvalBackend + Sync>(
     );
 }
 
-/// Generates the initial database for a set of kernels.
+/// Generates the initial database for a set of kernels with the analytical
+/// simulator, one kernel after another on a single worker.
 ///
 /// `budgets` maps kernel names to evaluation budgets; kernels without an
 /// entry get `default_budget`.
@@ -105,20 +94,8 @@ pub fn generate_database(
     default_budget: usize,
     seed: u64,
 ) -> Database {
-    generate_database_with(&MerlinSimulator::new(), kernels, budgets, default_budget, seed)
-}
-
-/// [`generate_database`] against an arbitrary evaluation backend (e.g. a
-/// retrying [`Harness`] over a fault-injecting oracle). Points the backend
-/// loses to tool failure are skipped; the rest of the campaign proceeds.
-pub fn generate_database_with<B: EvalBackend + Sync>(
-    eval: &B,
-    kernels: &[Kernel],
-    budgets: &[(&str, usize)],
-    default_budget: usize,
-    seed: u64,
-) -> Database {
     let _stage = obs::span::stage("explore");
+    let sim = MerlinSimulator::new();
     let mut db = Database::new();
     for (i, k) in kernels.iter().enumerate() {
         let space = DesignSpace::from_kernel(k);
@@ -128,7 +105,8 @@ pub fn generate_database_with<B: EvalBackend + Sync>(
             .map(|&(_, b)| b)
             .unwrap_or(default_budget);
         let before = db.len();
-        explore_kernel(eval, k, &space, &mut db, budget, seed.wrapping_add(i as u64));
+        let seed = seed.wrapping_add(i as u64);
+        explore_kernel_with(&ExecEngine::serial(), &sim, k, &space, &mut db, budget, seed);
         obs::debug!(
             "dbgen.kernel",
             "{}: {} designs recorded (budget {budget})",
@@ -142,10 +120,13 @@ pub fn generate_database_with<B: EvalBackend + Sync>(
     db
 }
 
-/// [`generate_database_with`] across the engine's worker pool: kernels fan
-/// out over the pool (one private database per kernel, merged back in
-/// kernel order), and within each kernel the explorers batch their
-/// candidate frontiers through the same pool.
+/// Generates the initial database against an arbitrary evaluation backend
+/// (e.g. a retrying [`Harness`] over a fault-injecting oracle) across the
+/// engine's worker pool: kernels fan out over the pool (one private
+/// database per kernel, merged back in kernel order), and within each
+/// kernel the explorers batch their candidate frontiers through the same
+/// pool. Points the backend loses to tool failure are skipped; the rest of
+/// the campaign proceeds.
 ///
 /// Because each kernel's exploration is independent — keys in the shared
 /// database are namespaced by kernel name, and the serial generator

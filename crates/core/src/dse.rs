@@ -18,13 +18,13 @@
 use crate::evaluated::Evaluated;
 use crate::explorer::GFlowSampler;
 use crate::inference::{Prediction, Predictor};
-use crate::objective::{Objective, ObjectiveKind};
+use crate::objective::{Objective, ObjectiveKind, ResourceBudget};
 use crate::parallel::ExecEngine;
 use crate::pareto::{prediction_axes, strictly_dominates, ParetoArchive};
 use design_space::{order::ordered_slots, rules, DesignPoint, DesignSpace};
 use gdse_obs as obs;
 use hls_ir::Kernel;
-use proggraph::{build_graph_bidirectional, ProgramGraph};
+use proggraph::ProgramGraph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -58,9 +58,7 @@ impl std::str::FromStr for CandidateSampler {
 /// DSE limits and constraints.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DseConfig {
-    /// Utilization constraint `T_u` (eq. 7). Authoritative: the effective
-    /// objective is [`DseConfig::objective`] with *this* threshold, so
-    /// legacy callers that only set `util_threshold` keep their semantics.
+    /// Utilization constraint `T_u` (eq. 7).
     pub util_threshold: f64,
     /// How many top designs to return for HLS validation (§5.3: top 10).
     pub top_m: usize,
@@ -72,9 +70,10 @@ pub struct DseConfig {
     pub max_inferences: usize,
     /// Wall-clock limit (the paper uses 1 hour for `mvt` and `2mm`).
     pub time_limit: Duration,
-    /// What to optimize (kind + resource budget; the utilization threshold
-    /// inside is overridden by [`DseConfig::util_threshold`]).
-    pub objective: Objective,
+    /// What to minimize.
+    pub kind: ObjectiveKind,
+    /// Per-axis resource caps on top of the utilization threshold.
+    pub budget: ResourceBudget,
     /// Candidate generation for non-exhaustive spaces.
     pub sampler: CandidateSampler,
 }
@@ -88,7 +87,8 @@ impl Default for DseConfig {
             exhaustive_limit: 100_000,
             max_inferences: 60_000,
             time_limit: Duration::from_secs(3600),
-            objective: Objective::latency(),
+            kind: ObjectiveKind::Latency,
+            budget: ResourceBudget::none(),
             sampler: CandidateSampler::PrioritySweep,
         }
     }
@@ -105,10 +105,10 @@ impl DseConfig {
         }
     }
 
-    /// The objective actually enforced: [`DseConfig::objective`] under
-    /// [`DseConfig::util_threshold`].
-    pub fn effective_objective(&self) -> Objective {
-        self.objective.with_util_threshold(self.util_threshold)
+    /// The objective the search enforces: [`DseConfig::kind`] under
+    /// [`DseConfig::util_threshold`] and [`DseConfig::budget`].
+    pub fn objective(&self) -> Objective {
+        Objective { kind: self.kind, util_threshold: self.util_threshold, budget: self.budget }
     }
 }
 
@@ -135,32 +135,11 @@ pub struct DseOutcome {
     pub used_fallback: bool,
 }
 
-/// Runs the surrogate-driven DSE for one kernel.
-pub fn run_dse(
-    predictor: &Predictor,
-    kernel: &Kernel,
-    space: &DesignSpace,
-    cfg: &DseConfig,
-) -> DseOutcome {
-    let graph = build_graph_bidirectional(kernel, space);
-    run_dse_with_graph(predictor, kernel, space, &graph, cfg)
-}
-
-/// [`run_dse`] with a pre-built program graph (avoids rebuilding across
-/// rounds). Runs serially (a single-worker engine).
-pub fn run_dse_with_graph(
-    predictor: &Predictor,
-    kernel: &Kernel,
-    space: &DesignSpace,
-    graph: &ProgramGraph,
-    cfg: &DseConfig,
-) -> DseOutcome {
-    run_dse_with_engine(predictor, kernel, space, graph, cfg, &ExecEngine::serial())
-}
-
-/// [`run_dse_with_graph`] with every surrogate batch scored through the
-/// engine: misses are chunked across the worker pool and previously
-/// predicted configs come from the engine's prediction cache.
+/// Runs the surrogate-driven DSE for one kernel over its program graph
+/// (`proggraph::build_graph_bidirectional`), scoring every surrogate batch
+/// through the engine: misses are chunked across the worker pool and
+/// previously predicted configs come from the engine's prediction cache.
+/// `ExecEngine::serial()` runs the same code on one worker.
 ///
 /// Prediction is item-independent, so the outcome is identical at any
 /// worker count — provided the run is not truncated by `cfg.time_limit`
@@ -176,7 +155,7 @@ pub fn run_dse_with_engine(
 ) -> DseOutcome {
     let _stage = obs::span::stage("dse");
     let start = Instant::now();
-    let objective = cfg.effective_objective();
+    let objective = cfg.objective();
     let pareto_mode = objective.kind == ObjectiveKind::Pareto;
     let exhaustive = space.size() <= cfg.exhaustive_limit;
     let mut top: Vec<(DesignPoint, Prediction)> = Vec::new();
@@ -411,11 +390,11 @@ pub fn pareto_front(results: &[Evaluated]) -> Vec<usize> {
 mod tests {
     use super::*;
     use crate::dbgen::generate_database;
-    use crate::objective::ResourceBudget;
     use crate::trainer::TrainConfig;
     use gdse_gnn::{ModelConfig, ModelKind};
     use hls_ir::kernels;
     use merlin_sim::MerlinSimulator;
+    use proggraph::build_graph_bidirectional;
 
     fn trained(kernel_fn: fn() -> Kernel, budget: usize) -> (Predictor, Kernel, DesignSpace) {
         let k = kernel_fn();
@@ -432,6 +411,17 @@ mod tests {
         (p, k, space)
     }
 
+    /// The search on a single-worker engine.
+    fn serial_dse(
+        p: &Predictor,
+        k: &Kernel,
+        space: &DesignSpace,
+        cfg: &DseConfig,
+    ) -> DseOutcome {
+        let graph = build_graph_bidirectional(k, space);
+        run_dse_with_engine(p, k, space, &graph, cfg, &ExecEngine::serial())
+    }
+
     fn evaluated_all(kernel: &Kernel, space: &DesignSpace) -> Vec<Evaluated> {
         let sim = MerlinSimulator::new();
         (0..space.size())
@@ -446,7 +436,7 @@ mod tests {
     #[test]
     fn exhaustive_dse_covers_small_space() {
         let (p, k, space) = trained(kernels::aes, 30);
-        let out = run_dse(&p, &k, &space, &DseConfig::quick());
+        let out = serial_dse(&p, &k, &space, &DseConfig::quick());
         assert!(out.exhaustive);
         assert!(out.inferences > 0);
         assert!(out.top.len() <= 10);
@@ -459,7 +449,7 @@ mod tests {
         let mut cfg = DseConfig::quick();
         cfg.exhaustive_limit = 10; // force the heuristic path
         cfg.max_inferences = 300;
-        let out = run_dse(&p, &k, &space, &cfg);
+        let out = serial_dse(&p, &k, &space, &cfg);
         assert!(!out.exhaustive);
         assert!(out.inferences <= 300 + cfg.batch_size);
     }
@@ -469,7 +459,7 @@ mod tests {
         let (p, k, space) = trained(kernels::spmv_ellpack, 40);
         let graph = build_graph_bidirectional(&k, &space);
         let cfg = DseConfig::quick();
-        let serial = run_dse_with_graph(&p, &k, &space, &graph, &cfg);
+        let serial = run_dse_with_engine(&p, &k, &space, &graph, &cfg, &ExecEngine::serial());
         for jobs in [4, 8] {
             let engine = ExecEngine::with_jobs(jobs);
             let par = run_dse_with_engine(&p, &k, &space, &graph, &cfg, &engine);
@@ -496,7 +486,7 @@ mod tests {
         cfg.exhaustive_limit = 10; // force the heuristic path
         cfg.max_inferences = 400;
         cfg.sampler = CandidateSampler::Gflow;
-        let serial = run_dse_with_graph(&p, &k, &space, &graph, &cfg);
+        let serial = run_dse_with_engine(&p, &k, &space, &graph, &cfg, &ExecEngine::serial());
         assert!(!serial.exhaustive);
         assert!(serial.inferences <= cfg.max_inferences + cfg.batch_size);
         assert!(!serial.top.is_empty());
@@ -511,7 +501,7 @@ mod tests {
     #[test]
     fn top_designs_are_sorted_by_predicted_cycles() {
         let (p, k, space) = trained(kernels::spmv_ellpack, 40);
-        let out = run_dse(&p, &k, &space, &DseConfig::quick());
+        let out = serial_dse(&p, &k, &space, &DseConfig::quick());
         for w in out.top.windows(2) {
             assert!(w[0].1.cycles <= w[1].1.cycles);
         }
@@ -525,7 +515,7 @@ mod tests {
         let (p, k, space) = trained(kernels::spmv_ellpack, 30);
         let mut cfg = DseConfig::quick();
         cfg.util_threshold = -1.0;
-        let out = run_dse(&p, &k, &space, &cfg);
+        let out = serial_dse(&p, &k, &space, &cfg);
         assert!(!out.top.is_empty(), "fallback candidates expected");
         assert!(out.used_fallback);
         for w in out.top.windows(2) {
@@ -537,8 +527,8 @@ mod tests {
     fn pareto_objective_publishes_a_mutually_non_dominated_front() {
         let (p, k, space) = trained(kernels::spmv_ellpack, 40);
         let mut cfg = DseConfig::quick();
-        cfg.objective = Objective::pareto();
-        let out = run_dse(&p, &k, &space, &cfg);
+        cfg.kind = ObjectiveKind::Pareto;
+        let out = serial_dse(&p, &k, &space, &cfg);
         if out.used_fallback {
             return; // nothing usable predicted; nothing to check
         }
@@ -560,8 +550,9 @@ mod tests {
         let (p, k, space) = trained(kernels::spmv_ellpack, 40);
         let mut cfg = DseConfig::quick();
         let budget = ResourceBudget::parse("dsp=0.6,bram=0.6").unwrap();
-        cfg.objective = Objective::pareto().with_budget(budget);
-        let out = run_dse(&p, &k, &space, &cfg);
+        cfg.kind = ObjectiveKind::Pareto;
+        cfg.budget = budget;
+        let out = serial_dse(&p, &k, &space, &cfg);
         if !out.used_fallback {
             for (_, pred) in &out.top {
                 assert!(budget.admits(&pred.util), "top candidate violates the budget");

@@ -1,44 +1,29 @@
-//! The unified error surface of the crate.
+//! The error the model-artifact functions return: [`encode_predictor`],
+//! [`decode_predictor`] and `Predictor::{save_artifact, load_artifact}`.
 //!
-//! Each subsystem keeps its own precise error type ([`EvalError`],
-//! [`DbError`], [`RoundsError`], [`ArtifactError`], [`ServeError`]) — those
-//! stay the right thing to match on near the failure — but library users
-//! driving whole campaigns get one [`enum@Error`] with `From` impls from every
-//! subsystem error, so `?` composes across layers and a single `match`
-//! covers the crate.
+//! Every other subsystem returns its own precise error type
+//! ([`EvalError`](crate::harness::EvalError), [`DbError`](crate::db::DbError),
+//! [`RoundsError`](crate::rounds::RoundsError), `ServeError`).
+//!
+//! [`encode_predictor`]: crate::artifact::encode_predictor
+//! [`decode_predictor`]: crate::artifact::decode_predictor
 
-use crate::db::DbError;
-use crate::harness::EvalError;
-use crate::rounds::RoundsError;
 use gdse_gnn::ArtifactError;
-use gdse_serve::ServeError;
 use std::fmt;
 
-/// Any failure the `gnn-dse` crate can surface, by subsystem.
+/// Why a model artifact could not be written or read.
 #[derive(Debug)]
 pub enum Error {
-    /// An evaluation could not produce a result (oracle/harness layer).
-    Eval(EvalError),
-    /// Database persistence failed.
-    Db(DbError),
-    /// The rounds-loop checkpoint was unreadable or mismatched.
-    Rounds(RoundsError),
     /// A model artifact failed to encode, decode, or validate.
     Artifact(ArtifactError),
-    /// The prediction service failed (bind, socket, protocol).
-    Serve(ServeError),
-    /// A bare I/O failure outside the typed paths above.
+    /// The artifact file could not be read or written.
     Io(std::io::Error),
 }
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::Eval(e) => write!(f, "evaluation failed: {e}"),
-            Error::Db(e) => write!(f, "database error: {e}"),
-            Error::Rounds(e) => write!(f, "rounds checkpoint error: {e}"),
             Error::Artifact(e) => write!(f, "model artifact error: {e}"),
-            Error::Serve(e) => write!(f, "prediction service error: {e}"),
             Error::Io(e) => write!(f, "I/O error: {e}"),
         }
     }
@@ -47,43 +32,15 @@ impl fmt::Display for Error {
 impl std::error::Error for Error {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            Error::Eval(e) => Some(e),
-            Error::Db(e) => Some(e),
-            Error::Rounds(e) => Some(e),
             Error::Artifact(e) => Some(e),
-            Error::Serve(e) => Some(e),
             Error::Io(e) => Some(e),
         }
-    }
-}
-
-impl From<EvalError> for Error {
-    fn from(e: EvalError) -> Self {
-        Error::Eval(e)
-    }
-}
-
-impl From<DbError> for Error {
-    fn from(e: DbError) -> Self {
-        Error::Db(e)
-    }
-}
-
-impl From<RoundsError> for Error {
-    fn from(e: RoundsError) -> Self {
-        Error::Rounds(e)
     }
 }
 
 impl From<ArtifactError> for Error {
     fn from(e: ArtifactError) -> Self {
         Error::Artifact(e)
-    }
-}
-
-impl From<ServeError> for Error {
-    fn from(e: ServeError) -> Self {
-        Error::Serve(e)
     }
 }
 
@@ -96,50 +53,23 @@ impl From<std::io::Error> for Error {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use merlin_sim::OracleFailure;
 
     #[test]
     fn every_subsystem_error_converts() {
-        fn unified(e: impl Into<Error>) -> Error {
-            e.into()
-        }
-        assert!(matches!(
-            unified(EvalError::Permanent {
-                failure: OracleFailure::Fatal { detail: "x".into() }
-            }),
-            Error::Eval(_)
-        ));
-        assert!(matches!(
-            unified(DbError::Parse { path: "db.json".into(), detail: "bad".into() }),
-            Error::Db(_)
-        ));
-        assert!(matches!(
-            unified(RoundsError::Corrupt { path: "ckpt.json".into(), detail: "bad".into() }),
-            Error::Rounds(_)
-        ));
-        assert!(matches!(unified(ArtifactError::BadMagic), Error::Artifact(_)));
-        assert!(matches!(
-            unified(ServeError::Protocol("bad".into())),
-            Error::Serve(_)
-        ));
-        assert!(matches!(
-            unified(std::io::Error::other("disk on fire")),
-            Error::Io(_)
-        ));
+        assert!(matches!(Error::from(ArtifactError::BadMagic), Error::Artifact(_)));
+        assert!(matches!(Error::from(std::io::Error::other("disk on fire")), Error::Io(_)));
     }
 
     #[test]
     fn display_names_the_subsystem() {
-        let e = Error::from(ArtifactError::BadMagic);
-        assert!(e.to_string().contains("artifact"));
-        let e = Error::from(ServeError::Protocol("x".into()));
-        assert!(e.to_string().contains("service"));
+        assert!(Error::from(ArtifactError::BadMagic).to_string().contains("artifact"));
+        assert!(Error::from(std::io::Error::other("x")).to_string().contains("I/O"));
     }
 
     #[test]
     fn source_chains_to_the_subsystem_error() {
         use std::error::Error as _;
-        let e = Error::from(ArtifactError::BadMagic);
-        assert!(e.source().is_some());
+        assert!(Error::from(ArtifactError::BadMagic).source().is_some());
+        assert!(Error::from(std::io::Error::other("x")).source().is_some());
     }
 }

@@ -165,7 +165,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let log = AnnealingExplorer::with_seed(3).explore_scored(
+        let log = AnnealingExplorer::with_seed(3).explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -185,7 +186,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let log = AnnealingExplorer::with_seed(5).explore_scored(
+        let log = AnnealingExplorer::with_seed(5).explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -205,7 +207,8 @@ mod tests {
         let obj = Objective::latency();
 
         let mut db_serial = Database::new();
-        let serial = AnnealingExplorer::with_seed(9).explore_scored(
+        let serial = AnnealingExplorer::with_seed(9).explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -240,10 +243,24 @@ mod tests {
         let mut a = Database::new();
         let mut b = Database::new();
         let obj = Objective::latency();
-        let la = AnnealingExplorer::with_seed(9)
-            .explore_scored(&sim, &k, &space, &mut a, Budget::evals(30), &obj);
-        let lb = AnnealingExplorer::with_seed(9)
-            .explore_scored(&sim, &k, &space, &mut b, Budget::evals(30), &obj);
+        let la = AnnealingExplorer::with_seed(9).explore_scored_with(
+            &ExecEngine::serial(),
+            &sim,
+            &k,
+            &space,
+            &mut a,
+            Budget::evals(30),
+            &obj,
+        );
+        let lb = AnnealingExplorer::with_seed(9).explore_scored_with(
+            &ExecEngine::serial(),
+            &sim,
+            &k,
+            &space,
+            &mut b,
+            Budget::evals(30),
+            &obj,
+        );
         assert_eq!(a.entries(), b.entries());
         assert_eq!(la.best.map(|(_, r)| r.cycles), lb.best.map(|(_, r)| r.cycles));
     }

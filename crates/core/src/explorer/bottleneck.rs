@@ -242,7 +242,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let log = BottleneckExplorer::new().explore_scored(
+        let log = BottleneckExplorer::new().explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -268,7 +269,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let log = BottleneckExplorer::new().explore_scored(
+        let log = BottleneckExplorer::new().explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -288,7 +290,8 @@ mod tests {
         let obj = Objective::latency();
 
         let mut db_serial = Database::new();
-        let serial = BottleneckExplorer::new().explore_scored(
+        let serial = BottleneckExplorer::new().explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -326,7 +329,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let log = BottleneckExplorer::new().explore_scored(
+        let log = BottleneckExplorer::new().explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -347,7 +351,8 @@ mod tests {
         let mut db = Database::new();
         let budget = ResourceBudget::parse("dsp=0.5,lut=0.5").unwrap();
         let obj = Objective::latency().with_budget(budget);
-        let log = BottleneckExplorer::new().explore_scored(
+        let log = BottleneckExplorer::new().explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,

@@ -301,7 +301,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let log = GFlowExplorer::with_seed(3).explore_scored(
+        let log = GFlowExplorer::with_seed(3).explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -351,10 +352,24 @@ mod tests {
         let mut a = Database::new();
         let mut b = Database::new();
         let obj = Objective::latency();
-        let la = GFlowExplorer::with_seed(9)
-            .explore_scored(&sim, &k, &space, &mut a, Budget::evals(500), &obj);
-        let lb = GFlowExplorer::with_seed(9)
-            .explore_scored(&sim, &k, &space, &mut b, Budget::evals(500), &obj);
+        let la = GFlowExplorer::with_seed(9).explore_scored_with(
+            &ExecEngine::serial(),
+            &sim,
+            &k,
+            &space,
+            &mut a,
+            Budget::evals(500),
+            &obj,
+        );
+        let lb = GFlowExplorer::with_seed(9).explore_scored_with(
+            &ExecEngine::serial(),
+            &sim,
+            &k,
+            &space,
+            &mut b,
+            Budget::evals(500),
+            &obj,
+        );
         assert_eq!(a.entries(), b.entries());
         assert_eq!(la.evals, lb.evals);
         assert!(la.evals <= 45, "tiny canonical space bounds the evals");
@@ -368,7 +383,8 @@ mod tests {
         let mut db = Database::new();
         let budget = crate::objective::ResourceBudget::parse("dsp=0.5").unwrap();
         let obj = Objective::latency().with_budget(budget);
-        let log = GFlowExplorer::with_seed(1).explore_scored(
+        let log = GFlowExplorer::with_seed(1).explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,

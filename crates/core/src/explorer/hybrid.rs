@@ -185,7 +185,8 @@ mod tests {
         let obj = Objective::latency();
 
         let mut db_greedy = Database::new();
-        BottleneckExplorer::new().explore_scored(
+        BottleneckExplorer::new().explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -195,7 +196,8 @@ mod tests {
         );
 
         let mut db_hybrid = Database::new();
-        let log = HybridExplorer::with_seed(1).explore_scored(
+        let log = HybridExplorer::with_seed(1).explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -222,7 +224,8 @@ mod tests {
         let obj = Objective::latency();
 
         let mut db_serial = Database::new();
-        let serial = HybridExplorer::with_seed(1).explore_scored(
+        let serial = HybridExplorer::with_seed(1).explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -261,15 +264,30 @@ mod tests {
         let obj = Objective::latency();
         let mut db = Database::new();
         let explorer = HybridExplorer::with_seed(2);
-        let log = explorer.explore_scored(&sim, &k, &space, &mut db, Budget::evals(100), &obj);
+        let log = explorer.explore_scored_with(
+            &ExecEngine::serial(),
+            &sim,
+            &k,
+            &space,
+            &mut db,
+            Budget::evals(100),
+            &obj,
+        );
         let best = log.best.expect("valid design").1;
         let mut db2 = Database::new();
         // Reconstruct exactly the greedy phase the hybrid ran (same seed and
         // threshold, half the budget) so the comparison is structural rather
         // than dependent on a particular RNG stream.
         let greedy_phase = BottleneckExplorer { seed: explorer.seed };
-        let greedy =
-            greedy_phase.explore_scored(&sim, &k, &space, &mut db2, Budget::evals(50), &obj);
+        let greedy = greedy_phase.explore_scored_with(
+            &ExecEngine::serial(),
+            &sim,
+            &k,
+            &space,
+            &mut db2,
+            Budget::evals(50),
+            &obj,
+        );
         let greedy_best = greedy.best.expect("valid design").1;
         assert!(best.cycles <= greedy_best.cycles);
     }

@@ -18,10 +18,10 @@
 
 //! All five implement the [`Explorer`] trait — one engine-taking,
 //! [`Objective`]-parameterized entry point,
-//! [`Explorer::explore_scored_with`], with [`Explorer::explore_scored`] as a
-//! serial-engine convenience — so campaigns can drive any mix of explorers
-//! through one shared [`ExecEngine`] under any objective (scalar latency,
-//! weighted sum, or Pareto, with optional resource budgets).
+//! [`Explorer::explore_scored_with`] — so campaigns can drive any mix of
+//! explorers through one shared [`ExecEngine`] under any objective (scalar
+//! latency, weighted sum, or Pareto, with optional resource budgets).
+//! `ExecEngine::serial()` runs the same code on one worker.
 
 mod annealing;
 mod bottleneck;
@@ -68,8 +68,6 @@ impl Budget {
 /// through the objective's ordered, dominance-aware
 /// [`Score`](crate::objective::Score) (never raw `f64` cycles), and the
 /// serial behavior is just the same code on a single-worker engine.
-/// [`Explorer::explore_scored`] is that serial convenience — a default
-/// method, so implementors only write [`Explorer::explore_scored_with`].
 /// The utilization threshold, like every other constraint, comes from the
 /// objective.
 pub trait Explorer {
@@ -91,20 +89,6 @@ pub trait Explorer {
         budget: Budget,
         objective: &Objective,
     ) -> Self::Log;
-
-    /// [`Explorer::explore_scored_with`] on a fresh single-worker engine:
-    /// batched code path, serial execution.
-    fn explore_scored<B: EvalBackend + Sync>(
-        &self,
-        eval: &B,
-        kernel: &Kernel,
-        space: &DesignSpace,
-        db: &mut Database,
-        budget: Budget,
-        objective: &Objective,
-    ) -> Self::Log {
-        self.explore_scored_with(&ExecEngine::serial(), eval, kernel, space, db, budget, objective)
-    }
 }
 
 /// Canonicalizes `points` and drops canonical duplicates (first occurrence

@@ -88,7 +88,8 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
-        let n = RandomExplorer::new(3).explore_scored(
+        let n = RandomExplorer::new(3).explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -107,7 +108,8 @@ mod tests {
         let sim = MerlinSimulator::new();
         let mut db = Database::new();
         // Budget exceeds the canonical space; attempts cap must stop it.
-        let n = RandomExplorer::new(4).explore_scored(
+        let n = RandomExplorer::new(4).explore_scored_with(
+            &ExecEngine::serial(),
             &sim,
             &k,
             &space,
@@ -154,8 +156,24 @@ mod tests {
         let mut a = Database::new();
         let mut b = Database::new();
         let obj = Objective::latency();
-        RandomExplorer::new(9).explore_scored(&sim, &k, &space, &mut a, Budget::evals(20), &obj);
-        RandomExplorer::new(9).explore_scored(&sim, &k, &space, &mut b, Budget::evals(20), &obj);
+        RandomExplorer::new(9).explore_scored_with(
+            &ExecEngine::serial(),
+            &sim,
+            &k,
+            &space,
+            &mut a,
+            Budget::evals(20),
+            &obj,
+        );
+        RandomExplorer::new(9).explore_scored_with(
+            &ExecEngine::serial(),
+            &sim,
+            &k,
+            &space,
+            &mut b,
+            Budget::evals(20),
+            &obj,
+        );
         assert_eq!(a.entries(), b.entries());
     }
 }

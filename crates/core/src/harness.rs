@@ -9,18 +9,21 @@
 //! permanent failures into typed [`EvalError`]s the caller can degrade
 //! gracefully on.
 //!
-//! Backoff is *virtual*: the harness records how long a real driver would
-//! have slept (`HarnessStats::virtual_backoff_ms`) without actually
+//! Backoff is *virtual*: the harness books how long a real driver would
+//! have slept (the `oracle.virtual_backoff_ms` counter) without actually
 //! sleeping, keeping simulated campaigns fast and fully deterministic.
+//!
+//! Every attempt, success, failure and backoff is counted once, in the
+//! `oracle.*` counters of the calling thread's metrics registry; the run
+//! report's `oracle` section and the CLI's oracle log lines read them.
 
-use merlin_sim::{FaultConfig, FaultyOracle, HlsOracle, HlsResult, MerlinSimulator, OracleFailure};
+use merlin_sim::{HlsOracle, HlsResult, MerlinSimulator, OracleFailure};
 
 use design_space::{DesignPoint, DesignSpace};
 use gdse_obs as obs;
 use hls_ir::Kernel;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Why an evaluation could not produce a result, after the harness did all
@@ -103,46 +106,10 @@ impl RetryPolicy {
             .min(self.max_backoff_ms)
     }
 
-    /// Total attempts allowed (first try + retries).
+    /// Total attempts allowed (first try + retries), saturating at
+    /// `u32::MAX`.
     pub fn max_attempts(&self) -> u32 {
-        self.max_retries + 1
-    }
-}
-
-/// Counters the harness accumulates across a campaign.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HarnessStats {
-    /// Oracle invocations (including retries).
-    pub attempts: u64,
-    /// Evaluations that eventually produced a result.
-    pub successes: u64,
-    /// Transient failures that were retried.
-    pub transient_failures: u64,
-    /// Evaluations abandoned on a non-retryable failure.
-    pub permanent_failures: u64,
-    /// Evaluations abandoned after exhausting all retries.
-    pub exhausted: u64,
-    /// Milliseconds a real driver would have spent backing off.
-    pub virtual_backoff_ms: u64,
-}
-
-impl HarnessStats {
-    /// Evaluations that produced no result.
-    pub fn losses(&self) -> u64 {
-        self.permanent_failures + self.exhausted
-    }
-
-    /// Adds another stats block into this one — how per-worker harness
-    /// accounting folds back into campaign totals after a parallel section.
-    /// Every field is a sum, so merging worker partitions in any order
-    /// equals evaluating the same points serially.
-    pub fn merge(&mut self, other: &HarnessStats) {
-        self.attempts += other.attempts;
-        self.successes += other.successes;
-        self.transient_failures += other.transient_failures;
-        self.permanent_failures += other.permanent_failures;
-        self.exhausted += other.exhausted;
-        self.virtual_backoff_ms += other.virtual_backoff_ms;
+        self.max_retries.saturating_add(1)
     }
 }
 
@@ -186,36 +153,20 @@ impl<T: EvalBackend + ?Sized> EvalBackend for &T {
 
 /// Drives an [`HlsOracle`] with bounded retries and failure accounting.
 ///
-/// Counters sit behind a [`Mutex`], so one harness can be shared across the
-/// worker pool: per-point retry decisions are independent (fault outcomes
-/// are stateless per attempt) and the stats lock is touched only around
-/// counter bumps, never across an oracle invocation.
+/// The harness holds no mutable state, so one harness can be shared across
+/// the worker pool: per-point retry decisions are independent (fault
+/// outcomes are stateless per attempt), and each worker's `oracle.*`
+/// counters fold back into the caller's registry.
 #[derive(Debug)]
 pub struct Harness<O> {
     oracle: O,
     policy: RetryPolicy,
-    stats: Mutex<HarnessStats>,
 }
 
 impl<O: HlsOracle> Harness<O> {
     /// Wraps `oracle` under `policy`.
     pub fn new(oracle: O, policy: RetryPolicy) -> Self {
-        Harness { oracle, policy, stats: Mutex::new(HarnessStats::default()) }
-    }
-
-    /// The retry policy.
-    pub fn policy(&self) -> &RetryPolicy {
-        &self.policy
-    }
-
-    /// Snapshot of the accumulated counters.
-    pub fn stats(&self) -> HarnessStats {
-        *self.stats.lock().expect("harness stats lock")
-    }
-
-    /// Resets the counters (e.g. between rounds).
-    pub fn reset_stats(&self) {
-        *self.stats.lock().expect("harness stats lock") = HarnessStats::default();
+        Harness { oracle, policy }
     }
 
     /// Runs the oracle on one point, retrying transient failures with
@@ -229,19 +180,16 @@ impl<O: HlsOracle> Harness<O> {
         let max_attempts = self.policy.max_attempts();
         let mut attempt = 0u32;
         loop {
-            self.stats.lock().expect("harness stats lock").attempts += 1;
             obs::metrics::counter_inc("oracle.attempts");
             let started = Instant::now();
             let outcome = self.oracle.run(kernel, space, point, attempt);
             obs::metrics::observe_us("oracle.eval_us", started.elapsed().as_micros() as u64);
             match outcome {
                 Ok(result) => {
-                    self.stats.lock().expect("harness stats lock").successes += 1;
                     obs::metrics::counter_inc("oracle.successes");
                     return Ok(result);
                 }
                 Err(failure) if !failure.is_retryable() => {
-                    self.stats.lock().expect("harness stats lock").permanent_failures += 1;
                     obs::metrics::counter_inc("oracle.permanent_failures");
                     obs::metrics::counter_add_labeled("harness.faults", "kind", failure.kind(), 1);
                     obs::warn!(
@@ -253,16 +201,7 @@ impl<O: HlsOracle> Harness<O> {
                     return Err(EvalError::Permanent { failure });
                 }
                 Err(failure) => {
-                    {
-                        let mut stats = self.stats.lock().expect("harness stats lock");
-                        stats.transient_failures += 1;
-                        attempt += 1;
-                        if attempt >= max_attempts {
-                            stats.exhausted += 1;
-                        } else {
-                            stats.virtual_backoff_ms += self.policy.backoff_ms(attempt);
-                        }
-                    }
+                    attempt += 1;
                     obs::metrics::counter_inc("oracle.transient_failures");
                     obs::metrics::counter_add_labeled("harness.faults", "kind", failure.kind(), 1);
                     if attempt >= max_attempts {
@@ -304,80 +243,22 @@ impl<O: HlsOracle> EvalBackend for Harness<O> {
     }
 }
 
-/// Fluent construction of a [`Harness`]: retry discipline plus an optional
-/// fault-injection layer, in one place.
-///
-/// ```
-/// use gnn_dse::harness::{HarnessBuilder, RetryPolicy};
-/// use merlin_sim::FaultConfig;
-///
-/// let harness = HarnessBuilder::new()
-///     .faults(FaultConfig::uniform(0.1, 7))
-///     .max_retries(5)
-///     .build();
-/// assert_eq!(harness.policy().max_retries, 5);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HarnessBuilder {
-    policy: RetryPolicy,
-    faults: FaultConfig,
-}
-
-impl Default for HarnessBuilder {
-    fn default() -> Self {
-        HarnessBuilder { policy: RetryPolicy::default(), faults: FaultConfig::none() }
-    }
-}
-
-impl HarnessBuilder {
-    /// A builder with the default retry policy and no fault injection.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replaces the whole retry policy.
-    pub fn retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the retry count, keeping the default backoff curve.
-    pub fn max_retries(mut self, max_retries: u32) -> Self {
-        self.policy.max_retries = max_retries;
-        self
-    }
-
-    /// Injects faults per `config` between the oracle and the harness.
-    pub fn faults(mut self, config: FaultConfig) -> Self {
-        self.faults = config;
-        self
-    }
-
-    /// Builds the standard resilient backend: the analytical simulator
-    /// behind the configured fault injector behind the retrying harness.
-    pub fn build(self) -> Harness<FaultyOracle<MerlinSimulator>> {
-        self.build_with(MerlinSimulator::new())
-    }
-
-    /// Like [`HarnessBuilder::build`], wrapping an arbitrary `oracle`
-    /// instead of the analytical simulator. A [`FaultConfig::none`] layer is
-    /// pass-through, so the fault injector costs nothing when disabled.
-    pub fn build_with<O: HlsOracle>(self, oracle: O) -> Harness<FaultyOracle<O>> {
-        Harness::new(FaultyOracle::new(oracle, self.faults), self.policy)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use design_space::DesignSpace;
     use hls_ir::kernels;
     use merlin_sim::{FaultConfig, FaultyOracle};
+    use std::sync::Arc;
 
     fn setup() -> (Kernel, DesignSpace) {
         let k = kernels::gemm_ncubed();
         let space = DesignSpace::from_kernel(&k);
         (k, space)
+    }
+
+    fn count(name: &str) -> u64 {
+        obs::metrics::counter_value(name)
     }
 
     /// Oracle that always fails the same retryable way.
@@ -410,9 +291,28 @@ mod tests {
         }
     }
 
+    /// Oracle that crashes on the first attempt and succeeds on the next.
+    struct CrashOnce;
+
+    impl HlsOracle for CrashOnce {
+        fn run(
+            &self,
+            kernel: &Kernel,
+            space: &DesignSpace,
+            point: &DesignPoint,
+            attempt: u32,
+        ) -> Result<HlsResult, OracleFailure> {
+            if attempt == 0 {
+                return Err(OracleFailure::ToolCrash { detail: "first try".into() });
+            }
+            Ok(MerlinSimulator::new().evaluate(kernel, space, point))
+        }
+    }
+
     #[test]
     fn gives_up_after_max_retries() {
         let (k, space) = setup();
+        obs::metrics::reset();
         let h = Harness::new(AlwaysCrash, RetryPolicy::with_max_retries(2));
         let err = h.evaluate(&k, &space, &space.default_point()).unwrap_err();
         match err {
@@ -422,21 +322,36 @@ mod tests {
             }
             other => panic!("expected Exhausted, got {other:?}"),
         }
-        let stats = h.stats();
-        assert_eq!(stats.attempts, 3);
-        assert_eq!(stats.successes, 0);
-        assert_eq!(stats.exhausted, 1);
-        assert_eq!(stats.transient_failures, 3);
+        assert_eq!(count("oracle.attempts"), 3);
+        assert_eq!(count("oracle.successes"), 0);
+        assert_eq!(count("oracle.exhausted"), 1);
+        assert_eq!(count("oracle.transient_failures"), 3);
+        assert_eq!(count("oracle.retries"), 2, "the last failure is not retried");
     }
 
     #[test]
     fn fatal_failures_are_not_retried() {
         let (k, space) = setup();
+        obs::metrics::reset();
         let h = Harness::new(BrokenInstall, RetryPolicy::with_max_retries(5));
         let err = h.evaluate(&k, &space, &space.default_point()).unwrap_err();
         assert!(matches!(err, EvalError::Permanent { .. }));
-        assert_eq!(h.stats().attempts, 1, "fatal failure must not burn retries");
-        assert_eq!(h.stats().permanent_failures, 1);
+        assert_eq!(count("oracle.attempts"), 1, "fatal failure must not burn retries");
+        assert_eq!(count("oracle.permanent_failures"), 1);
+        assert_eq!(count("oracle.retries"), 0);
+    }
+
+    #[test]
+    fn the_largest_retry_count_still_retries() {
+        let (k, space) = setup();
+        obs::metrics::reset();
+        let h = Harness::new(CrashOnce, RetryPolicy::with_max_retries(u32::MAX));
+        assert_eq!(h.policy.max_attempts(), u32::MAX, "saturates instead of wrapping to 0");
+        let r = h.evaluate(&k, &space, &space.default_point()).expect("the retry succeeds");
+        assert_eq!(r, MerlinSimulator::new().evaluate(&k, &space, &space.default_point()));
+        assert_eq!(count("oracle.attempts"), 2);
+        assert_eq!(count("oracle.retries"), 1);
+        assert_eq!(count("oracle.successes"), 1);
     }
 
     #[test]
@@ -453,16 +368,18 @@ mod tests {
     #[test]
     fn virtual_backoff_accumulates() {
         let (k, space) = setup();
+        obs::metrics::reset();
         let policy = RetryPolicy { max_retries: 3, base_backoff_ms: 10, max_backoff_ms: 1_000 };
         let h = Harness::new(AlwaysCrash, policy);
         let _ = h.evaluate(&k, &space, &space.default_point());
         // Backoffs before retries 1..=3: 10 + 20 + 40.
-        assert_eq!(h.stats().virtual_backoff_ms, 70);
+        assert_eq!(count("oracle.virtual_backoff_ms"), 70);
     }
 
     #[test]
     fn retries_recover_transient_faults() {
         let (k, space) = setup();
+        obs::metrics::reset();
         // At a 30% transient rate with 5 retries, nearly every point should
         // eventually evaluate; and the harness result must equal the bare
         // simulator's (faults never corrupt results, only delay them).
@@ -483,35 +400,7 @@ mod tests {
             }
         }
         assert!(evaluated >= 38, "only {evaluated}/40 recovered at 30% transient rate");
-        assert!(h.stats().transient_failures > 0, "faults should have fired at 30% rate");
-    }
-
-    #[test]
-    fn stats_merge_is_field_wise_addition() {
-        let a = HarnessStats {
-            attempts: 5,
-            successes: 3,
-            transient_failures: 2,
-            permanent_failures: 1,
-            exhausted: 1,
-            virtual_backoff_ms: 30,
-        };
-        let mut b = HarnessStats {
-            attempts: 7,
-            successes: 6,
-            transient_failures: 1,
-            permanent_failures: 0,
-            exhausted: 0,
-            virtual_backoff_ms: 10,
-        };
-        b.merge(&a);
-        assert_eq!(b.attempts, 12);
-        assert_eq!(b.successes, 9);
-        assert_eq!(b.transient_failures, 3);
-        assert_eq!(b.permanent_failures, 1);
-        assert_eq!(b.exhausted, 1);
-        assert_eq!(b.virtual_backoff_ms, 40);
-        assert_eq!(b.losses(), 2);
+        assert!(count("oracle.transient_failures") > 0, "faults should have fired at 30% rate");
     }
 
     #[test]
@@ -521,16 +410,18 @@ mod tests {
         assert_send_sync::<Harness<AlwaysCrash>>();
 
         // Concurrent evaluations through one shared harness must account
-        // every attempt exactly once.
+        // every point exactly once.
         let (k, space) = setup();
         let h = Harness::new(
             FaultyOracle::new(MerlinSimulator::new(), FaultConfig::uniform(0.3, 5)),
             RetryPolicy::with_max_retries(4),
         );
+        let shared = Arc::new(obs::metrics::SharedMetrics::new());
         std::thread::scope(|s| {
             for t in 0..4u64 {
-                let (h, k, space) = (&h, &k, &space);
+                let (h, k, space, shared) = (&h, &k, &space, &shared);
                 s.spawn(move || {
+                    let _bound = obs::metrics::bind(shared);
                     for i in 0..10u64 {
                         let idx = u128::from((t * 10 + i).wrapping_mul(0x9E37_79B9)) % space.size();
                         let _ = h.evaluate(k, space, &space.point_at(idx));
@@ -538,36 +429,14 @@ mod tests {
                 });
             }
         });
-        let stats = h.stats();
-        assert_eq!(stats.successes + stats.losses(), 40, "every point accounted once");
-        assert!(stats.attempts >= 40);
-    }
-
-    #[test]
-    fn builder_configures_policy_and_faults() {
-        let (k, space) = setup();
-        // No faults: every evaluation succeeds and matches the bare sim.
-        let clean = HarnessBuilder::new().max_retries(0).build();
-        let r = clean.evaluate(&k, &space, &space.default_point()).expect("no faults");
-        let expect = MerlinSimulator::new().evaluate(&k, &space, &space.default_point());
-        assert_eq!(r.cycles, expect.cycles);
-
-        // Full crash rate, zero retries: the configured layers must both be
-        // in effect (the fault fires, the policy refuses to retry).
-        let crashy = HarnessBuilder::new()
-            .faults(FaultConfig { crash_rate: 1.0, ..FaultConfig::none() })
-            .retry_policy(RetryPolicy::with_max_retries(0))
-            .build();
-        assert!(crashy.evaluate(&k, &space, &space.default_point()).is_err());
-        assert_eq!(crashy.stats().attempts, 1);
-    }
-
-    #[test]
-    fn builder_wraps_arbitrary_oracles() {
-        let (k, space) = setup();
-        let h = HarnessBuilder::new().max_retries(1).build_with(AlwaysCrash);
-        let err = h.evaluate(&k, &space, &space.default_point()).unwrap_err();
-        assert!(matches!(err, EvalError::Exhausted { attempts: 2, .. }));
+        let snap = shared.snapshot();
+        let c = |name: &str| snap.counter(name).unwrap_or(0);
+        assert_eq!(
+            c("oracle.successes") + c("oracle.permanent_failures") + c("oracle.exhausted"),
+            40,
+            "every point accounted once"
+        );
+        assert!(c("oracle.attempts") >= 40);
     }
 
     #[test]

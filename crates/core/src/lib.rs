@@ -25,10 +25,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use gnn_dse::{dbgen, dse, inference::Predictor, trainer::TrainConfig};
+//! use gnn_dse::{dbgen, dse, inference::Predictor, trainer::TrainConfig, ExecEngine};
 //! use gdse_gnn::{ModelConfig, ModelKind};
 //! use design_space::DesignSpace;
 //! use hls_ir::kernels;
+//! use proggraph::build_graph_bidirectional;
 //!
 //! // 1. Build a small database for one kernel.
 //! let ks = vec![kernels::spmv_ellpack()];
@@ -42,7 +43,10 @@
 //!
 //! // 3. Explore.
 //! let space = DesignSpace::from_kernel(&ks[0]);
-//! let out = dse::run_dse(&predictor, &ks[0], &space, &dse::DseConfig::quick());
+//! let graph = build_graph_bidirectional(&ks[0], &space);
+//! let cfg = dse::DseConfig::quick();
+//! let out =
+//!     dse::run_dse_with_engine(&predictor, &ks[0], &space, &graph, &cfg, &ExecEngine::serial());
 //! println!("explored {} candidates", out.inferences);
 //! ```
 
@@ -71,20 +75,20 @@ pub mod serving;
 pub mod trainer;
 
 pub use artifact::{decode_predictor, encode_predictor, ArtifactMeta, META_SCHEMA_VERSION};
-pub use daemon::{run_daemon, Daemon, DaemonConfig, DaemonReport, DaemonStatus};
+pub use daemon::{Daemon, DaemonConfig, DaemonReport, DaemonStatus};
 pub use dataset::{Dataset, Normalizer};
 pub use db::{Database, DbEntry, DbError, UntrainableDb};
-pub use dse::{pareto_front, run_dse, run_dse_with_engine, CandidateSampler, DseConfig, DseOutcome};
+pub use dse::{pareto_front, run_dse_with_engine, CandidateSampler, DseConfig, DseOutcome};
 pub use error::Error;
 pub use evaluated::Evaluated;
 pub use explorer::{Budget, Explorer, GFlowExplorer};
-pub use harness::{EvalBackend, EvalError, Harness, HarnessBuilder, HarnessStats, RetryPolicy};
+pub use harness::{EvalBackend, EvalError, Harness, RetryPolicy};
 pub use inference::{Prediction, Predictor, QuantPredictor};
 pub use learn::{ReplayBuffer, ReplayStats};
 pub use objective::{Objective, ObjectiveKind, ObjectiveWeights, ResourceBudget, Score};
 pub use pareto::{hypervolume, ParetoArchive};
 pub use parallel::ExecEngine;
 pub use report::{build_run_report, write_run_report};
-pub use rounds::{run_rounds, run_rounds_with_engine, CampaignDriver, RoundReport, RoundsConfig};
+pub use rounds::{run_rounds_with_engine, CampaignDriver, RoundReport, RoundsConfig};
 pub use serving::{ArtifactProvider, PredictService};
 pub use trainer::{ClassificationMetrics, RegressionMetrics, TrainConfig};

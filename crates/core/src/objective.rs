@@ -196,12 +196,6 @@ impl Objective {
         Self { kind: ObjectiveKind::Pareto, ..Self::latency() }
     }
 
-    /// Replaces the utilization threshold.
-    pub fn with_util_threshold(mut self, threshold: f64) -> Self {
-        self.util_threshold = threshold;
-        self
-    }
-
     /// Replaces the resource budget.
     pub fn with_budget(mut self, budget: ResourceBudget) -> Self {
         self.budget = budget;

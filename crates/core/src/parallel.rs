@@ -159,13 +159,6 @@ impl ExecEngine {
     }
 }
 
-impl Default for ExecEngine {
-    /// Serial engine — the safe default for library callers.
-    fn default() -> Self {
-        ExecEngine::serial()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,8 +24,8 @@
 //! The loop is implemented as a resumable [`CampaignDriver`]: [`new`]
 //! performs setup (or checkpoint resume), and each [`step`] runs exactly one
 //! round and persists the checkpoint before returning. The run-to-completion
-//! functions ([`run_rounds`], [`run_rounds_with`], [`run_rounds_with_engine`])
-//! are thin wrappers that step the driver until it is done. A supervisor —
+//! entry point, [`run_rounds_with_engine`], steps the driver until it is
+//! done. A supervisor —
 //! e.g. the continuous-learning daemon in [`crate::daemon`] — instead
 //! interleaves steps with serving: publish an artifact after one step, wait,
 //! step again. An optional [`ReplayBuffer`] attached to the driver collects
@@ -50,7 +50,6 @@ use design_space::DesignSpace;
 use gdse_gnn::{ModelConfig, ModelKind};
 use gdse_obs as obs;
 use hls_ir::Kernel;
-use merlin_sim::MerlinSimulator;
 use proggraph::ProgramGraph;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -473,7 +472,7 @@ impl<'a, B: EvalBackend + Sync> CampaignDriver<'a, B> {
         // model are stale.
         self.engine.clear_predictions();
 
-        let objective = cfg.dse.effective_objective();
+        let objective = cfg.dse.objective();
         let mut per_kernel = Vec::with_capacity(self.kernels.len());
         for (ki, kernel) in self.kernels.iter().enumerate() {
             let outcome = run_dse_with_engine(
@@ -585,42 +584,20 @@ impl<'a, B: EvalBackend + Sync> CampaignDriver<'a, B> {
 }
 
 /// Runs `cfg.rounds` rounds of train -> DSE -> validate -> augment over all
-/// `kernels`, mutating `db` in place. Evaluates with the infallible
-/// analytical simulator and no checkpointing — the original API.
-pub fn run_rounds(db: &mut Database, kernels: &[Kernel], cfg: &RoundsConfig) -> Vec<RoundReport> {
-    run_rounds_with(db, kernels, cfg, &MerlinSimulator::new(), None, false)
-        .expect("rounds without a checkpoint path cannot fail")
-}
-
-/// [`run_rounds`] against an arbitrary evaluation backend, with optional
-/// crash-safe checkpointing.
+/// `kernels`, mutating `db` in place, on an execution engine: surrogate
+/// batches are chunked across the engine's worker pool during DSE, and each
+/// round's top-M validation runs as one parallel batch per kernel
+/// (`ExecEngine::serial()` runs the same code on one worker).
 ///
-/// * `eval` — validation backend; lost candidates degrade the round instead
-///   of aborting it.
+/// * `eval` — validation backend (the analytical simulator, or a retrying
+///   harness over a fallible oracle); lost candidates degrade the round
+///   instead of aborting it.
 /// * `checkpoint` — if set, the complete loop state is atomically persisted
 ///   to this file after every round.
 /// * `resume` — if set and `checkpoint` names an existing file, the run
 ///   continues from it (replacing `db`'s contents with the checkpointed
-///   database) instead of starting over.
-///
-/// # Errors
-///
-/// Only checkpoint I/O / validity errors; a run without a checkpoint path
-/// never fails.
-pub fn run_rounds_with<B: EvalBackend + Sync>(
-    db: &mut Database,
-    kernels: &[Kernel],
-    cfg: &RoundsConfig,
-    eval: &B,
-    checkpoint: Option<&Path>,
-    resume: bool,
-) -> Result<Vec<RoundReport>, RoundsError> {
-    run_rounds_with_engine(db, kernels, cfg, eval, checkpoint, resume, &ExecEngine::serial())
-}
-
-/// [`run_rounds_with`] on an execution engine: surrogate batches are
-/// chunked across the engine's worker pool during DSE, and each round's
-/// top-M validation runs as one parallel batch per kernel.
+///   database) instead of starting over. A missing checkpoint file starts
+///   fresh.
 ///
 /// The engine's prediction cache is cleared at every retrain (stale
 /// predictions from the previous round's model would otherwise leak in);
@@ -628,6 +605,11 @@ pub fn run_rounds_with<B: EvalBackend + Sync>(
 /// run report is identical at any worker count. Resumed campaigns start
 /// with empty caches — recomputing a prediction yields the same value a
 /// cache hit would have, so resume stays byte-identical.
+///
+/// # Errors
+///
+/// Only checkpoint I/O / validity errors; a run without a checkpoint path
+/// never fails.
 pub fn run_rounds_with_engine<B: EvalBackend + Sync>(
     db: &mut Database,
     kernels: &[Kernel],
@@ -648,14 +630,36 @@ mod tests {
     use crate::dbgen::{fault_injected_harness, generate_database};
     use crate::harness::RetryPolicy;
     use hls_ir::kernels;
-    use merlin_sim::FaultConfig;
+    use merlin_sim::{FaultConfig, MerlinSimulator};
+
+    /// A campaign on a single-worker engine.
+    fn serial_campaign<B: EvalBackend + Sync>(
+        db: &mut Database,
+        kernels: &[Kernel],
+        cfg: &RoundsConfig,
+        eval: &B,
+        checkpoint: Option<&Path>,
+        resume: bool,
+    ) -> Result<Vec<RoundReport>, RoundsError> {
+        run_rounds_with_engine(db, kernels, cfg, eval, checkpoint, resume, &ExecEngine::serial())
+    }
+
+    /// A simulator-validated campaign without a checkpoint.
+    fn simulated_campaign(
+        db: &mut Database,
+        kernels: &[Kernel],
+        cfg: &RoundsConfig,
+    ) -> Vec<RoundReport> {
+        serial_campaign(db, kernels, cfg, &MerlinSimulator::new(), None, false)
+            .expect("rounds without a checkpoint path cannot fail")
+    }
 
     #[test]
     fn fine_tuned_rounds_also_progress() {
         let ks = vec![kernels::gemm_ncubed()];
         let mut db = generate_database(&ks, &[("gemm-ncubed", 40)], 40, 51);
         let cfg = RoundsConfig { fine_tune: true, ..RoundsConfig::quick() };
-        let reports = run_rounds(&mut db, &ks, &cfg);
+        let reports = simulated_campaign(&mut db, &ks, &cfg);
         assert_eq!(reports.len(), 2);
         assert!(reports[1].avg_speedup >= reports[0].avg_speedup);
     }
@@ -680,12 +684,12 @@ mod tests {
         let mut db_mem = db0.clone();
         let mut db_loaded = db0.clone();
         let base = RoundsConfig { rounds: 1, ..RoundsConfig::quick() };
-        let r_mem = run_rounds(
+        let r_mem = simulated_campaign(
             &mut db_mem,
             &ks,
             &RoundsConfig { initial_model: Some(p), ..base.clone() },
         );
-        let r_loaded = run_rounds(
+        let r_loaded = simulated_campaign(
             &mut db_loaded,
             &ks,
             &RoundsConfig { initial_model: Some(loaded), ..base },
@@ -699,7 +703,7 @@ mod tests {
         let ks = vec![kernels::spmv_ellpack(), kernels::gemm_ncubed()];
         let mut db = generate_database(&ks, &[("spmv-ellpack", 30), ("gemm-ncubed", 50)], 40, 31);
         let before = db.len();
-        let reports = run_rounds(&mut db, &ks, &RoundsConfig::quick());
+        let reports = simulated_campaign(&mut db, &ks, &RoundsConfig::quick());
         assert_eq!(reports.len(), 2);
         assert!(db.len() > before, "top designs must be committed");
         // Speedups should not regress across rounds (best-so-far is kept).
@@ -717,8 +721,8 @@ mod tests {
         let ks = vec![kernels::gemm_ncubed()];
         let mut db = generate_database(&ks, &[("gemm-ncubed", 40)], 40, 51);
         let cfg = RoundsConfig::quick();
-        let obj = cfg.dse.effective_objective();
-        let reports = run_rounds(&mut db, &ks, &cfg);
+        let obj = cfg.dse.objective();
+        let reports = simulated_campaign(&mut db, &ks, &cfg);
         let mut saw_points = false;
         for rep in &reports {
             for kr in &rep.kernels {
@@ -753,7 +757,7 @@ mod tests {
             RetryPolicy::with_max_retries(0),
         );
         let reports =
-            run_rounds_with(&mut db, &ks, &RoundsConfig::quick(), &h, None, false).unwrap();
+            serial_campaign(&mut db, &ks, &RoundsConfig::quick(), &h, None, false).unwrap();
         assert_eq!(reports.len(), 2, "every round must complete despite losses");
         let total_lost: usize = reports.iter().map(|r| r.lost).sum();
         let total_added: usize =
@@ -776,7 +780,7 @@ mod tests {
         std::fs::remove_file(&full_ck).ok();
         let mut db_full = base_db.clone();
         let full_reports =
-            run_rounds_with(&mut db_full, &ks, &cfg, &sim, Some(&full_ck), false).unwrap();
+            serial_campaign(&mut db_full, &ks, &cfg, &sim, Some(&full_ck), false).unwrap();
 
         // Killed after round 1, then resumed.
         let part_ck = dir.join("part.json");
@@ -784,13 +788,13 @@ mod tests {
         let mut db_killed = base_db.clone();
         let killed_cfg = RoundsConfig { stop_after: Some(1), ..cfg.clone() };
         let partial =
-            run_rounds_with(&mut db_killed, &ks, &killed_cfg, &sim, Some(&part_ck), false)
+            serial_campaign(&mut db_killed, &ks, &killed_cfg, &sim, Some(&part_ck), false)
                 .unwrap();
         assert_eq!(partial.len(), 1);
 
         let mut db_resumed = base_db.clone(); // stale copy, as after a crash
         let resumed_reports =
-            run_rounds_with(&mut db_resumed, &ks, &cfg, &sim, Some(&part_ck), true).unwrap();
+            serial_campaign(&mut db_resumed, &ks, &cfg, &sim, Some(&part_ck), true).unwrap();
 
         assert_eq!(resumed_reports, full_reports);
         let out_full = dir.join("db_full.json");
@@ -817,11 +821,11 @@ mod tests {
         let mut db = generate_database(&ks, &[], 30, 31);
         let cfg = RoundsConfig { rounds: 1, ..RoundsConfig::quick() };
         let sim = MerlinSimulator::new();
-        run_rounds_with(&mut db, &ks, &cfg, &sim, Some(&ck), false).unwrap();
+        serial_campaign(&mut db, &ks, &cfg, &sim, Some(&ck), false).unwrap();
 
         let other = vec![kernels::gemm_ncubed()];
         let mut db2 = generate_database(&other, &[], 30, 31);
-        let err = run_rounds_with(&mut db2, &other, &cfg, &sim, Some(&ck), true).unwrap_err();
+        let err = serial_campaign(&mut db2, &other, &cfg, &sim, Some(&ck), true).unwrap_err();
         assert!(matches!(err, RoundsError::Mismatch { .. }), "got {err}");
         std::fs::remove_file(&ck).ok();
     }
@@ -834,7 +838,7 @@ mod tests {
         std::fs::write(&ck, "not a checkpoint").unwrap();
         let ks = vec![kernels::spmv_ellpack()];
         let mut db = generate_database(&ks, &[], 20, 31);
-        let err = run_rounds_with(
+        let err = serial_campaign(
             &mut db,
             &ks,
             &RoundsConfig::quick(),
@@ -856,7 +860,7 @@ mod tests {
         let engine = ExecEngine::serial();
 
         let mut db_loop = base_db.clone();
-        let loop_reports = run_rounds(&mut db_loop, &ks, &cfg);
+        let loop_reports = simulated_campaign(&mut db_loop, &ks, &cfg);
 
         let mut db_step = base_db.clone();
         let mut driver =

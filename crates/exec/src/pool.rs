@@ -39,19 +39,9 @@ impl WorkerPool {
         WorkerPool { jobs: jobs.max(1) }
     }
 
-    /// A single-worker pool: runs everything inline on the calling thread.
-    pub fn serial() -> Self {
-        WorkerPool::new(1)
-    }
-
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
-    }
-
-    /// Whether this pool runs everything inline.
-    pub fn is_serial(&self) -> bool {
-        self.jobs == 1
     }
 
     /// Applies `f` to every item and returns the results **in input order**.

@@ -35,7 +35,8 @@ pub struct OracleSummary {
     pub attempts: u64,
     /// Evaluations that produced a result.
     pub successes: u64,
-    /// Transient failures that were retried.
+    /// Transient failures, retried or not: the last one of an exhausted
+    /// evaluation is not (the `oracle.retries` counter counts retries).
     pub transient_failures: u64,
     /// Evaluations abandoned on a non-retryable failure.
     pub permanent_failures: u64,

@@ -7,7 +7,7 @@
 
 use design_space::DesignSpace;
 use gnn_dse::explorer::{BottleneckExplorer, Budget, HybridExplorer, RandomExplorer};
-use gnn_dse::{pareto_front, Database, Evaluated, Explorer, Objective};
+use gnn_dse::{pareto_front, Database, Evaluated, ExecEngine, Explorer, Objective};
 use hls_ir::kernels;
 use merlin_sim::MerlinSimulator;
 
@@ -21,7 +21,8 @@ fn main() {
     let objective = Objective::latency();
 
     // 1. The AutoDSE-style bottleneck optimizer finds high-quality designs.
-    let log = BottleneckExplorer::new().explore_scored(
+    let log = BottleneckExplorer::new().explore_scored_with(
+        &ExecEngine::serial(),
         &sim,
         &kernel,
         &space,
@@ -37,7 +38,8 @@ fn main() {
     );
 
     // 2. The hybrid explorer adds neighbors of the incumbents.
-    let log = HybridExplorer::with_seed(1).explore_scored(
+    let log = HybridExplorer::with_seed(1).explore_scored_with(
+        &ExecEngine::serial(),
         &sim,
         &kernel,
         &space,
@@ -48,7 +50,8 @@ fn main() {
     println!("hybrid    : db now {} entries (best {:?})", db.len(), log.best.map(|(_, r)| r.cycles));
 
     // 3. The random explorer covers what the guided ones skip.
-    RandomExplorer::new(2).explore_scored(
+    RandomExplorer::new(2).explore_scored_with(
+        &ExecEngine::serial(),
         &sim,
         &kernel,
         &space,

@@ -7,12 +7,13 @@
 //! ```
 
 use design_space::DesignSpace;
-use gnn_dse::dse::{run_dse, DseConfig};
+use gnn_dse::dse::{run_dse_with_engine, DseConfig};
 use gnn_dse::trainer::TrainConfig;
-use gnn_dse::{dbgen, Predictor};
+use gnn_dse::{dbgen, ExecEngine, Predictor};
 use gdse_gnn::{ModelConfig, ModelKind};
 use hls_ir::kernels;
 use merlin_sim::MerlinSimulator;
+use proggraph::build_graph_bidirectional;
 
 fn main() {
     // Train on three matrix/vector kernels...
@@ -42,7 +43,10 @@ fn main() {
         space.size()
     );
 
-    let outcome = run_dse(&predictor, &unseen, &space, &DseConfig::default());
+    let graph = build_graph_bidirectional(&unseen, &space);
+    let cfg = DseConfig::default();
+    let outcome =
+        run_dse_with_engine(&predictor, &unseen, &space, &graph, &cfg, &ExecEngine::serial());
     println!(
         "DSE: {} inferences in {:?} ({})",
         outcome.inferences,

@@ -2,22 +2,34 @@
 //! DSE -> validation, across crates, at a tiny but complete scale.
 
 use design_space::DesignSpace;
-use gnn_dse::dse::{run_dse, DseConfig};
-use gnn_dse::rounds::{run_rounds, RoundsConfig};
+use gnn_dse::dse::{run_dse_with_engine, DseConfig, DseOutcome};
+use gnn_dse::rounds::{run_rounds_with_engine, RoundsConfig};
 use gnn_dse::trainer::{
     eval_classifier, eval_regression, train_classifier, train_regression, TrainConfig,
 };
 use gnn_dse::dataset::{Dataset, MAIN_TARGETS};
-use gnn_dse::{dbgen, Predictor};
+use gnn_dse::{dbgen, ExecEngine, Predictor};
 use gdse_gnn::{ModelConfig, ModelKind, PredictionModel};
 use hls_ir::kernels;
 use merlin_sim::MerlinSimulator;
+use proggraph::build_graph_bidirectional;
 
 fn small_db() -> (Vec<hls_ir::Kernel>, gnn_dse::Database) {
     let ks = vec![kernels::gemm_ncubed(), kernels::spmv_ellpack(), kernels::stencil()];
     let budgets = [("gemm-ncubed", 70), ("spmv-ellpack", 40), ("stencil", 90)];
     let db = dbgen::generate_database(&ks, &budgets, 60, 2024);
     (ks, db)
+}
+
+/// The surrogate search on a single-worker engine.
+fn serial_dse(
+    predictor: &Predictor,
+    kernel: &hls_ir::Kernel,
+    space: &DesignSpace,
+    cfg: &DseConfig,
+) -> DseOutcome {
+    let graph = build_graph_bidirectional(kernel, space);
+    run_dse_with_engine(predictor, kernel, space, &graph, cfg, &ExecEngine::serial())
 }
 
 #[test]
@@ -34,7 +46,7 @@ fn full_pipeline_produces_usable_designs() {
     // DSE on one of the training kernels.
     let kernel = kernels::gemm_ncubed();
     let space = DesignSpace::from_kernel(&kernel);
-    let outcome = run_dse(&predictor, &kernel, &space, &DseConfig::quick());
+    let outcome = serial_dse(&predictor, &kernel, &space, &DseConfig::quick());
     assert!(!outcome.top.is_empty(), "DSE must propose candidates");
 
     // Validate: the best proposed design must beat the default by a wide
@@ -114,7 +126,17 @@ fn classifier_learns_validity_signal() {
 fn dse_rounds_never_regress() {
     let ks = vec![kernels::spmv_ellpack()];
     let mut db = dbgen::generate_database(&ks, &[("spmv-ellpack", 30)], 30, 77);
-    let reports = run_rounds(&mut db, &ks, &RoundsConfig::quick());
+    let sim = MerlinSimulator::new();
+    let reports = run_rounds_with_engine(
+        &mut db,
+        &ks,
+        &RoundsConfig::quick(),
+        &sim,
+        None,
+        false,
+        &ExecEngine::serial(),
+    )
+    .unwrap();
     assert_eq!(reports.len(), 2);
     assert!(reports[1].avg_speedup >= reports[0].avg_speedup);
     // Round designs were committed with true evaluations.
@@ -141,7 +163,7 @@ fn unseen_kernel_transfer_finds_good_designs() {
 
     let unseen = kernels::gesummv();
     let space = DesignSpace::from_kernel(&unseen);
-    let outcome = run_dse(&predictor, &unseen, &space, &DseConfig::quick());
+    let outcome = serial_dse(&predictor, &unseen, &space, &DseConfig::quick());
     assert!(!outcome.top.is_empty(), "transfer DSE should propose candidates");
 
     let sim = MerlinSimulator::new();

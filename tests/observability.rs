@@ -1,34 +1,63 @@
 //! End-to-end observability: a faulty rounds campaign must produce a run
 //! report whose stage breakdown covers the run, whose oracle accounting
-//! matches the harness's own statistics, and which survives a disk round
+//! matches the oracle calls actually made, and which survives a disk round
 //! trip — all through the public API, exactly as the `gnndse` CLI uses it.
 
+use design_space::{DesignPoint, DesignSpace};
 use gdse_obs::metrics;
 use gdse_obs::RunReport;
-use gnn_dse::dbgen::{self, fault_injected_harness};
-use gnn_dse::harness::RetryPolicy;
-use gnn_dse::rounds::{run_rounds_with, RoundsConfig};
-use hls_ir::kernels;
-use merlin_sim::FaultConfig;
+use gnn_dse::harness::{Harness, RetryPolicy};
+use gnn_dse::rounds::{run_rounds_with_engine, RoundsConfig};
+use gnn_dse::{dbgen, ExecEngine};
+use hls_ir::{kernels, Kernel};
+use merlin_sim::{FaultConfig, FaultyOracle, HlsOracle, HlsResult, MerlinSimulator, OracleFailure};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
+
+/// Counts the invocations of the oracle it wraps, independently of the
+/// harness's own accounting.
+struct CountingOracle<O> {
+    inner: O,
+    calls: Arc<AtomicU64>,
+}
+
+impl<O: HlsOracle> HlsOracle for CountingOracle<O> {
+    fn run(
+        &self,
+        kernel: &Kernel,
+        space: &DesignSpace,
+        point: &DesignPoint,
+        attempt: u32,
+    ) -> Result<HlsResult, OracleFailure> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.run(kernel, space, point, attempt)
+    }
+}
 
 /// Runs a small end-to-end campaign (database generation + 2 faulty rounds
 /// with checkpointing) with a fresh metric registry, returning the report
-/// and the harness stats it must agree with.
-fn run_campaign(dir: &std::path::Path) -> (RunReport, gnn_dse::HarnessStats) {
+/// and the number of oracle calls the campaign made.
+fn run_campaign(dir: &std::path::Path) -> (RunReport, u64) {
     metrics::reset();
     let started = Instant::now();
     let ks = vec![kernels::spmv_ellpack()];
-    let harness =
-        fault_injected_harness(FaultConfig::uniform(0.2, 17), RetryPolicy::with_max_retries(3));
-    let mut db = dbgen::generate_database_with(&harness, &ks, &[("spmv-ellpack", 30)], 30, 5);
+    let calls = Arc::new(AtomicU64::new(0));
+    let oracle = CountingOracle {
+        inner: FaultyOracle::new(MerlinSimulator::new(), FaultConfig::uniform(0.2, 17)),
+        calls: Arc::clone(&calls),
+    };
+    let harness = Harness::new(oracle, RetryPolicy::with_max_retries(3));
+    let engine = ExecEngine::serial();
+    let mut db =
+        dbgen::generate_database_par(&engine, &harness, &ks, &[("spmv-ellpack", 30)], 30, 5);
     let ck = dir.join("obs_ck.json");
     std::fs::remove_file(&ck).ok();
     let cfg = RoundsConfig { rounds: 2, ..RoundsConfig::quick() };
-    run_rounds_with(&mut db, &ks, &cfg, &harness, Some(&ck), false).unwrap();
+    run_rounds_with_engine(&mut db, &ks, &cfg, &harness, Some(&ck), false, &engine).unwrap();
     std::fs::remove_file(&ck).ok();
     let report = gnn_dse::build_run_report("rounds", started.elapsed());
-    (report, harness.stats())
+    (report, calls.load(Ordering::Relaxed))
 }
 
 #[test]
@@ -61,21 +90,27 @@ fn campaign_report_separates_stages_and_covers_the_runtime() {
 fn campaign_report_oracle_section_matches_harness_stats() {
     let dir = std::env::temp_dir().join("gnn_dse_obs_it_oracle");
     std::fs::create_dir_all(&dir).unwrap();
-    let (report, stats) = run_campaign(&dir);
+    let (report, calls) = run_campaign(&dir);
+    let oracle = &report.oracle;
 
-    assert!(report.oracle.attempts > 0);
-    assert_eq!(report.oracle.attempts, stats.attempts);
-    assert_eq!(report.oracle.transient_failures, stats.transient_failures);
-    assert_eq!(report.oracle.permanent_failures, stats.permanent_failures);
-    assert_eq!(report.oracle.exhausted, stats.exhausted);
-    assert_eq!(report.oracle.lost, stats.losses());
-    assert_eq!(report.oracle.virtual_backoff_ms, stats.virtual_backoff_ms);
+    assert!(oracle.attempts > 0);
+    assert_eq!(oracle.attempts, calls, "one attempt per oracle call");
+    // Each attempt ends in exactly one of three outcomes...
+    assert_eq!(
+        oracle.attempts,
+        oracle.successes + oracle.transient_failures + oracle.permanent_failures
+    );
+    // ...and an evaluation is lost on a permanent failure or an exhausted
+    // retry budget.
+    assert_eq!(oracle.lost, oracle.permanent_failures + oracle.exhausted);
+    assert!(oracle.transient_failures > 0, "20% fault rate must inject something");
+    assert!(oracle.virtual_backoff_ms > 0, "retried failures book backoff");
 
     // Every recorded failure carries a fault-kind label, so the per-kind
     // breakdown must sum to exactly the failures the harness saw.
-    let fault_total: u64 = report.oracle.faults.iter().map(|(_, n)| n).sum();
-    assert_eq!(fault_total, stats.transient_failures + stats.permanent_failures);
-    assert!(!report.oracle.faults.is_empty(), "20% fault rate must inject something");
+    let fault_total: u64 = oracle.faults.iter().map(|(_, n)| n).sum();
+    assert_eq!(fault_total, oracle.transient_failures + oracle.permanent_failures);
+    assert!(!oracle.faults.is_empty(), "20% fault rate must inject something");
 }
 
 #[test]

@@ -5,7 +5,7 @@ use gdse_gnn::{GraphBatch, GraphInput};
 use gnn_dse::explorer::HybridExplorer;
 use gnn_dse::objective::{Objective, ObjectiveWeights, ResourceBudget};
 use gnn_dse::pareto::{result_axes, strictly_dominates, AXES};
-use gnn_dse::{Budget, Database, Explorer, ParetoArchive};
+use gnn_dse::{Budget, Database, ExecEngine, Explorer, ParetoArchive};
 use hls_ir::kernels;
 use merlin_sim::MerlinSimulator;
 use proggraph::{build_graph_bidirectional, node_features};
@@ -237,7 +237,8 @@ proptest! {
         let budget = ResourceBudget { dsp: Some(cap), bram: Some(cap), lut: Some(cap), ff: Some(cap) };
         let objective = Objective::latency().with_budget(budget);
         let mut db = Database::new();
-        let log = HybridExplorer::with_seed(seed).explore_scored(
+        let log = HybridExplorer::with_seed(seed).explore_scored_with(
+            &ExecEngine::serial(),
             &MerlinSimulator::new(),
             &kernel,
             &space,

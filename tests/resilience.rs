@@ -3,12 +3,26 @@
 //! all through the public API.
 
 use design_space::DesignSpace;
+use gdse_obs::metrics;
 use gnn_dse::dbgen::{self, fault_injected_harness};
 use gnn_dse::harness::{EvalBackend, Harness, RetryPolicy};
-use gnn_dse::rounds::{run_rounds_with, RoundsConfig};
-use gnn_dse::Database;
-use hls_ir::kernels;
+use gnn_dse::rounds::{run_rounds_with_engine, RoundReport, RoundsConfig, RoundsError};
+use gnn_dse::{Database, ExecEngine};
+use hls_ir::{kernels, Kernel};
 use merlin_sim::{FaultConfig, FaultyOracle, HlsOracle, MerlinSimulator};
+use std::path::Path;
+
+/// A campaign on a single-worker engine.
+fn serial_campaign<B: EvalBackend + Sync>(
+    db: &mut Database,
+    kernels: &[Kernel],
+    cfg: &RoundsConfig,
+    eval: &B,
+    checkpoint: Option<&Path>,
+    resume: bool,
+) -> Result<Vec<RoundReport>, RoundsError> {
+    run_rounds_with_engine(db, kernels, cfg, eval, checkpoint, resume, &ExecEngine::serial())
+}
 
 #[test]
 fn fault_sequences_reproduce_from_the_seed() {
@@ -33,7 +47,8 @@ fn faulty_database_generation_contains_only_validated_entries() {
     let ks = vec![kernels::spmv_ellpack()];
     let harness =
         fault_injected_harness(FaultConfig::uniform(0.25, 7), RetryPolicy::with_max_retries(3));
-    let db = dbgen::generate_database_with(&harness, &ks, &[], 40, 11);
+    metrics::reset();
+    let db = dbgen::generate_database_par(&ExecEngine::serial(), &harness, &ks, &[], 40, 11);
     // Every committed entry must match the fault-free ground truth: faults
     // may delay or lose evaluations but never corrupt committed results.
     let sim = MerlinSimulator::new();
@@ -44,7 +59,10 @@ fn faulty_database_generation_contains_only_validated_entries() {
         assert_eq!(e.result.validity, truth.validity);
         assert_eq!(e.result.cycles, truth.cycles);
     }
-    assert!(harness.stats().transient_failures > 0, "the fault injector should have fired");
+    assert!(
+        metrics::counter_value("oracle.transient_failures") > 0,
+        "the fault injector should have fired"
+    );
 }
 
 #[test]
@@ -60,15 +78,21 @@ fn harness_loses_points_without_retries_but_recovers_with_them() {
         FaultyOracle::new(MerlinSimulator::new(), faults),
         RetryPolicy::with_max_retries(6),
     );
-    let (mut fragile_ok, mut sturdy_ok) = (0, 0);
-    for i in 0..30u64 {
-        let p = space.point_at(u128::from(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % space.size());
-        fragile_ok += usize::from(fragile.try_evaluate(&k, &space, &p).is_ok());
-        sturdy_ok += usize::from(sturdy.try_evaluate(&k, &space, &p).is_ok());
-    }
+    let points: Vec<_> = (0..30u64)
+        .map(|i| space.point_at(u128::from(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % space.size()))
+        .collect();
+    let successes = |h: &dyn EvalBackend| {
+        points.iter().filter(|p| h.try_evaluate(&k, &space, p).is_ok()).count()
+    };
+    let fragile_ok = successes(&fragile);
+    metrics::reset();
+    let sturdy_ok = successes(&sturdy);
     assert!(fragile_ok < 30, "50% faults with no retries must lose something");
     assert!(sturdy_ok > fragile_ok, "retries must recover transient faults");
-    assert!(sturdy.stats().virtual_backoff_ms > 0, "retries imply recorded backoff");
+    assert!(
+        metrics::counter_value("oracle.virtual_backoff_ms") > 0,
+        "retries imply recorded backoff"
+    );
 }
 
 #[test]
@@ -84,7 +108,7 @@ fn faulty_rounds_complete_and_checkpoint_resume_matches() {
     // Uninterrupted faulty run.
     let mut db_full = base.clone();
     let h1 = fault_injected_harness(faults, policy);
-    let full = run_rounds_with(&mut db_full, &ks, &cfg, &h1, None, false).unwrap();
+    let full = serial_campaign(&mut db_full, &ks, &cfg, &h1, None, false).unwrap();
     assert_eq!(full.len(), 2, "every round completes despite 20% faults");
 
     // Same campaign, killed after round 1 and resumed from the checkpoint.
@@ -93,11 +117,11 @@ fn faulty_rounds_complete_and_checkpoint_resume_matches() {
     let mut db_killed = base.clone();
     let h2 = fault_injected_harness(faults, policy);
     let killed_cfg = RoundsConfig { stop_after: Some(1), ..cfg.clone() };
-    run_rounds_with(&mut db_killed, &ks, &killed_cfg, &h2, Some(&ck), false).unwrap();
+    serial_campaign(&mut db_killed, &ks, &killed_cfg, &h2, Some(&ck), false).unwrap();
 
     let mut db_resumed = base.clone();
     let h3 = fault_injected_harness(faults, policy);
-    let resumed = run_rounds_with(&mut db_resumed, &ks, &cfg, &h3, Some(&ck), true).unwrap();
+    let resumed = serial_campaign(&mut db_resumed, &ks, &cfg, &h3, Some(&ck), true).unwrap();
 
     assert_eq!(resumed, full, "resumed reports must match the uninterrupted run");
     let a = dir.join("full.json");
@@ -116,8 +140,6 @@ fn faulty_rounds_complete_and_checkpoint_resume_matches() {
 
 #[test]
 fn resumed_campaign_metrics_match_an_uninterrupted_run() {
-    use gdse_obs::metrics;
-
     let dir = std::env::temp_dir().join("gnn_dse_resilience_metrics");
     std::fs::create_dir_all(&dir).unwrap();
     let ks = vec![kernels::spmv_ellpack()];
@@ -158,7 +180,7 @@ fn resumed_campaign_metrics_match_an_uninterrupted_run() {
     metrics::reset();
     let mut db_full = base.clone();
     let h1 = fault_injected_harness(faults, policy);
-    run_rounds_with(&mut db_full, &ks, &cfg, &h1, None, false).unwrap();
+    serial_campaign(&mut db_full, &ks, &cfg, &h1, None, false).unwrap();
     let full = work(&metrics::snapshot());
 
     // Same campaign killed after round 1; the checkpoint carries the metric
@@ -169,14 +191,14 @@ fn resumed_campaign_metrics_match_an_uninterrupted_run() {
     let mut db_killed = base.clone();
     let h2 = fault_injected_harness(faults, policy);
     let killed_cfg = RoundsConfig { stop_after: Some(1), ..cfg.clone() };
-    run_rounds_with(&mut db_killed, &ks, &killed_cfg, &h2, Some(&ck), false).unwrap();
+    serial_campaign(&mut db_killed, &ks, &killed_cfg, &h2, Some(&ck), false).unwrap();
 
     // ...so a resume in a fresh process (registry wiped) still reports the
     // whole campaign, not just the post-crash rounds.
     metrics::reset();
     let mut db_resumed = base.clone();
     let h3 = fault_injected_harness(faults, policy);
-    run_rounds_with(&mut db_resumed, &ks, &cfg, &h3, Some(&ck), true).unwrap();
+    serial_campaign(&mut db_resumed, &ks, &cfg, &h3, Some(&ck), true).unwrap();
     let resumed = work(&metrics::snapshot());
 
     assert!(

@@ -642,7 +642,7 @@ fn cmd_train(args: &[String]) -> CliResult {
     let ([db_path], Some(save)) = (&pos[..], flags.get("save")) else {
         return Err(usage.into());
     };
-    let epochs: usize = flag_or(&flags, "epochs", 40)?;
+    let epochs = count_flag(&flags, "epochs", 40)?;
     let db = Database::load(Path::new(db_path)).map_err(|e| e.to_string())?;
     let referenced = db.training_kernels().map_err(|e| format!("{db_path} {e}"))?;
     let cfg = TrainConfig { epochs, ..TrainConfig::paper() };
@@ -1000,14 +1000,14 @@ fn cmd_daemon(args: &[String]) -> CliResult {
     let db = flags.get("db").ok_or(usage)?;
     let model = flags.get("model").ok_or(usage)?;
     let addr = flags.get("addr").cloned().unwrap_or_else(|| "127.0.0.1:7878".to_string());
+    let replay_capacity = count_flag(&flags, "replay-capacity", 512)?;
+    let train_epochs = count_flag(&flags, "train-epochs", 4)?;
     let metrics_out = obs_args(&flags)?;
     let started = Instant::now();
     let n_rounds: usize = flag_or(&flags, "rounds", 4)?;
     let checkpoint =
         flags.get("checkpoint").cloned().unwrap_or_else(|| format!("{model}.ck.json"));
     let replay = flags.get("replay").cloned().unwrap_or_else(|| format!("{model}.replay.json"));
-    let replay_capacity: usize = flag_or(&flags, "replay-capacity", 512)?;
-    let train_epochs: usize = flag_or(&flags, "train-epochs", 4)?;
     let pause_ms: u64 = flag_or(&flags, "pause-ms", 500)?;
     let (base, jobs) = serve_args(&flags)?;
     let watch: Option<Duration> = match flags.get("watch-ms") {

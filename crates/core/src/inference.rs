@@ -5,6 +5,7 @@ use crate::db::Database;
 use crate::trainer::{train_classifier, train_regression, TrainConfig};
 use design_space::DesignPoint;
 use gdse_gnn::{GraphBatch, GraphInput, KernelBatch, ModelConfig, ModelKind, PredictionModel};
+use gdse_obs as obs;
 use gdse_tensor::{Matrix, QuantParamSet};
 use hls_ir::Kernel;
 use merlin_sim::Utilization;
@@ -120,6 +121,11 @@ impl Predictor {
     /// database — the cheap alternative to retraining from scratch that the
     /// rounds loop (§4.4) and cross-application transfer use. The latency
     /// normalizer is kept (targets must stay comparable across rounds).
+    ///
+    /// The regressors learn only from valid designs. With none (a replay
+    /// window of validated top-M picks can hold only invalid ones), only the
+    /// classifier trains and both regressors keep their weights; with no
+    /// design at all, nothing trains. Either case logs a warning.
     pub fn fine_tune(
         &mut self,
         db: &Database,
@@ -127,9 +133,22 @@ impl Predictor {
         train_cfg: &TrainConfig,
     ) -> Dataset {
         let ds = Dataset::from_database_with_normalizer(db, kernels, self.normalizer);
+        if ds.is_empty() {
+            obs::warn!("train.fine_tune_skipped", "fine-tune set is empty; the model is unchanged");
+            return ds;
+        }
         let all: Vec<usize> = (0..ds.len()).collect();
-        let valid = ds.valid_indices();
         train_classifier(&mut self.classifier, &ds, &all, train_cfg);
+        let valid = ds.valid_indices();
+        if valid.is_empty() {
+            obs::warn!(
+                "train.fine_tune_regressors_skipped",
+                "fine-tune set holds no valid design ({} invalid); only the classifier trained",
+                ds.len();
+                designs = ds.len(),
+            );
+            return ds;
+        }
         train_regression(&mut self.regressor, &ds, &valid, train_cfg);
         train_regression(&mut self.bram_model, &ds, &valid, train_cfg);
         ds
@@ -357,9 +376,48 @@ mod tests {
         assert!(after < before, "fine-tuning should reduce error: {after} !< {before}");
     }
 
+    /// Every parameter's bits, in store order.
+    fn weight_bits(model: &PredictionModel) -> Vec<u32> {
+        let store = model.store();
+        store.ids().flat_map(|id| store.value(id).as_slice().iter().map(|v| v.to_bits())).collect()
+    }
+
+    #[test]
+    fn fine_tuning_on_no_valid_design_trains_only_the_classifier() {
+        let ks = vec![kernels::gemm_ncubed()];
+        let db = generate_database(&ks, &[], 40, 29);
+        let mut invalid = Database::new();
+        for e in db.entries().iter().filter(|e| !e.result.is_valid()) {
+            invalid.insert(&e.kernel, e.point.clone(), e.result);
+        }
+        assert!(!invalid.is_empty() && invalid.valid_count() == 0);
+        let untrained = || {
+            Predictor::untrained(ModelKind::Full, ModelConfig::small(), Normalizer::with_factor(1e6))
+        };
+        let cfg = TrainConfig::quick().with_epochs(2);
+
+        let mut p = untrained();
+        let ds = p.fine_tune(&invalid, &ks, &cfg);
+        assert_eq!(ds.len(), invalid.len());
+        let before = untrained();
+        assert_ne!(weight_bits(p.classifier()), weight_bits(before.classifier()));
+        assert_eq!(weight_bits(p.regressor()), weight_bits(before.regressor()));
+        assert_eq!(weight_bits(p.bram_model()), weight_bits(before.bram_model()));
+
+        // No design at all: nothing trains.
+        let mut p = untrained();
+        assert!(p.fine_tune(&Database::new(), &ks, &cfg).is_empty());
+        for (a, b) in [
+            (p.classifier(), before.classifier()),
+            (p.regressor(), before.regressor()),
+            (p.bram_model(), before.bram_model()),
+        ] {
+            assert_eq!(weight_bits(a), weight_bits(b));
+        }
+    }
+
     #[test]
     fn quantized_predictor_tracks_f32_predictions() {
-        use gdse_obs as obs;
         let ks = vec![kernels::gemm_ncubed()];
         let db = generate_database(&ks, &[], 40, 23);
         let (p, _) = Predictor::train(

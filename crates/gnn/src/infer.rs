@@ -29,9 +29,10 @@
 //!   starts at +0.0 is unchanged by adding `0 * w` for finite `w`;
 //! - the CSR keeps every node's incoming edges in edge-list order, the order
 //!   the tape's scatter-add and segment softmax visit them in;
-//! - activations, dot products and LayerNorm call the same
-//!   [`gdse_tensor::scalar`] functions as the tape, and every other
-//!   expression below is written as the tape op it replaces computes it.
+//! - activations, dot products, LayerNorm, the segment softmax and the
+//!   TransformerConv gate call the same [`gdse_tensor::scalar`] functions
+//!   as the tape, and every other expression below is written as the tape
+//!   op it replaces computes it.
 //!
 //! A layer runs in phases over each block of rows (edge logits, per-node
 //! softmax and aggregation, gate, activation) rather than one node at a
@@ -39,7 +40,7 @@
 //! sequential sums.
 
 use crate::encoder::{Conv, GnnEncoder, Readout, LAYER_NORM_EPS};
-use crate::input::{InEdges, KernelBatch, Layout};
+use crate::input::{KernelBatch, Layout};
 use crate::layers::gat::{GatConv, LEAKY_SLOPE};
 use crate::layers::gcn::GcnConv;
 use crate::layers::mlp::Mlp;
@@ -47,7 +48,9 @@ use crate::layers::pool::AttentionPool;
 use crate::layers::transformer::TransformerConv;
 use crate::model::{Body, PredictionModel};
 use gdse_tensor::gemm::{gemm, gemm_bias_act};
-use gdse_tensor::scalar::{dot, elu, layer_norm_row, leaky_relu, stable_sigmoid};
+use gdse_tensor::scalar::{
+    dot, elu, gate_logit, gated_row, layer_norm_row, leaky_relu, softmax_in_place, stable_sigmoid,
+};
 use gdse_tensor::{arena, Activation, Matrix, ParamStore};
 
 impl PredictionModel {
@@ -86,25 +89,6 @@ fn relu(mut m: Matrix) -> Matrix {
         *x = x.max(0.0);
     }
     m
-}
-
-/// The tape's `segment_softmax` over one segment: running max by `>`,
-/// `exp(x - max)`, a left-to-right sum, then one division per entry.
-fn softmax_in_place(xs: &mut [f32]) {
-    let mut max = f32::NEG_INFINITY;
-    for &x in xs.iter() {
-        if x > max {
-            max = x;
-        }
-    }
-    let mut sum = 0.0f32;
-    for x in xs.iter_mut() {
-        *x = (*x - max).exp();
-        sum += *x;
-    }
-    for x in xs.iter_mut() {
-        *x /= sum;
-    }
 }
 
 /// ELU then LayerNorm on rows `rows` of `m`, as the encoder applies them
@@ -312,7 +296,8 @@ impl TransformerConv {
         let scale = 1.0 / (d as f32).sqrt();
 
         let (input, output) = (batch.layout(l), batch.layout(l + 1));
-        let InEdges { offsets, edge, src } = &batch.in_edges;
+        let in_edges = &batch.in_edges;
+        let (edge, src) = (in_edges.edges(), in_edges.all_sources());
         let mut aggr = arena::zeros(output.rows(batch.num_graphs), d);
         let mut out = arena::zeros(aggr.rows(), d);
         let mut scores = vec![0.0f32; edge.len()];
@@ -324,7 +309,7 @@ impl TransformerConv {
             // Attention logits of the block's edges: `q[dst] · (k[src] + e)`.
             for &i in block.nodes {
                 let qi = q.row(at[i]);
-                for s in offsets[i]..offsets[i + 1] {
+                for s in in_edges.entries(i) {
                     let ks = k.row(at[src[s]]);
                     for ((o, kv), ev) in key.iter_mut().zip(ks).zip(e.row(edge[s])) {
                         *o = kv + ev;
@@ -335,7 +320,7 @@ impl TransformerConv {
             // Softmax over each node's edges, then the weighted sum of
             // `v[src] + e`.
             for (r, &i) in block.nodes.iter().enumerate() {
-                let slots = offsets[i]..offsets[i + 1];
+                let slots = in_edges.entries(i);
                 let alpha = &mut scores[slots.clone()];
                 softmax_in_place(alpha);
                 let row = aggr.row_mut(block.first + r);
@@ -351,21 +336,8 @@ impl TransformerConv {
             // increasing-k order.
             for (r, &i) in block.nodes.iter().enumerate() {
                 let (a, rt) = (aggr.row(block.first + r), root.row(at[i]));
-                let mut logit = 0.0f32;
-                for (x, w) in a.iter().zip(&w_gate[..d]) {
-                    logit += x * w;
-                }
-                for (x, w) in rt.iter().zip(&w_gate[d..2 * d]) {
-                    logit += x * w;
-                }
-                for ((x, y), w) in a.iter().zip(rt).zip(&w_gate[2 * d..]) {
-                    logit += (x - y) * w;
-                }
-                let beta = stable_sigmoid(logit);
-                let inv_beta = 1.0 - beta;
-                for (c, o) in out.row_mut(block.first + r).iter_mut().enumerate() {
-                    *o = rt[c] * beta + a[c] * inv_beta + bias[c];
-                }
+                let beta = stable_sigmoid(gate_logit(a, rt, w_gate));
+                gated_row(out.row_mut(block.first + r), a, rt, beta, bias);
             }
             activate(&mut out, block.rows());
         }

@@ -3,7 +3,7 @@
 //! of many design points of one kernel that the tape-free forward reads.
 
 use design_space::DesignPoint;
-use gdse_tensor::Matrix;
+use gdse_tensor::{InEdges, Matrix};
 use proggraph::{edge_features, node_features, pragma_node_features, ProgramGraph};
 
 /// One graph lowered to the tensors a GNN consumes.
@@ -111,51 +111,6 @@ impl GraphBatch {
     /// Total number of nodes across the batch.
     pub fn num_nodes(&self) -> usize {
         self.x.rows()
-    }
-}
-
-/// Incoming edges grouped by destination node (compressed sparse rows).
-///
-/// The grouping is stable: each node's incoming edges keep their order in
-/// the graph's edge list, which is the order the tape's scatter-add and
-/// segment softmax visit them in.
-#[derive(Debug, Clone)]
-pub(crate) struct InEdges {
-    /// Node `i`'s edges are entries `offsets[i]..offsets[i + 1]`.
-    pub(crate) offsets: Vec<usize>,
-    /// Edge id (row of the edge features) of each entry.
-    pub(crate) edge: Vec<usize>,
-    /// Source node of each entry.
-    pub(crate) src: Vec<usize>,
-}
-
-impl InEdges {
-    fn new(num_nodes: usize, src: &[usize], dst: &[usize]) -> Self {
-        let mut offsets = vec![0usize; num_nodes + 1];
-        for &d in dst {
-            offsets[d + 1] += 1;
-        }
-        for i in 0..num_nodes {
-            offsets[i + 1] += offsets[i];
-        }
-        let mut cursor = offsets.clone();
-        let mut edge = vec![0usize; dst.len()];
-        let mut from = vec![0usize; dst.len()];
-        for (e, (&s, &d)) in src.iter().zip(dst).enumerate() {
-            edge[cursor[d]] = e;
-            from[cursor[d]] = s;
-            cursor[d] += 1;
-        }
-        Self { offsets, edge, src: from }
-    }
-
-    fn num_nodes(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Source nodes of node `i`'s incoming edges, in edge-list order.
-    pub(crate) fn sources(&self, i: usize) -> &[usize] {
-        &self.src[self.offsets[i]..self.offsets[i + 1]]
     }
 }
 
@@ -402,9 +357,10 @@ mod tests {
     #[test]
     fn in_edges_group_by_destination_in_edge_order() {
         let e = InEdges::new(3, &[0, 2, 1, 0], &[1, 1, 2, 1]);
-        assert_eq!(e.offsets, [0, 0, 3, 4]);
-        assert_eq!(e.edge, [0, 1, 3, 2]);
-        assert_eq!(e.src, [0, 2, 0, 1]);
+        assert_eq!(e.num_nodes(), 3);
+        assert_eq!([e.entries(0), e.entries(1), e.entries(2)], [0..0, 0..3, 3..4]);
+        assert_eq!(e.edges(), [0, 1, 3, 2]);
+        assert_eq!(e.all_sources(), [0, 2, 0, 1]);
         assert_eq!(e.sources(1), [0, 2, 0]);
     }
 

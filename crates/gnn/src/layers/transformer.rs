@@ -1,7 +1,7 @@
 //! TransformerConv layer (eq. 8 of the paper; Shi et al. 2021) with edge
 //! embeddings and a gated residual connection.
 
-use gdse_tensor::{Graph, Init, Matrix, NodeId, ParamId, ParamStore};
+use gdse_tensor::{Graph, Init, NodeId, ParamId, ParamStore};
 use serde::{Deserialize, Serialize};
 
 /// Transformer-style graph convolution:
@@ -56,7 +56,6 @@ impl TransformerConv {
         src: &[usize],
         dst: &[usize],
     ) -> NodeId {
-        let n = g.value(x).rows();
         let wq = g.param(store, self.w_query);
         let wk = g.param(store, self.w_key);
         let wv = g.param(store, self.w_value);
@@ -67,40 +66,21 @@ impl TransformerConv {
         let k = g.matmul(x, wk); // [N, D]
         let v = g.matmul(x, wv); // [N, D]
         let e = g.matmul(edge_attr, we); // [E, D]
-
-        let q_e = g.gather_rows(q, dst); // query of the receiving node
-        let k_src = g.gather_rows(k, src);
-        let k_e = g.add(k_src, e); // W2 h_j + W3 e_ij
-
-        let dots = g.row_dot(q_e, k_e); // [E, 1]
-        let scaled = g.scale(dots, 1.0 / (self.out_dim as f32).sqrt());
-        let alpha = g.segment_softmax(scaled, dst);
-
-        let v_src = g.gather_rows(v, src);
-        let msg = g.add(v_src, e); // value also carries the edge embedding
-        let weighted = g.mul_col_broadcast(msg, alpha);
-        let aggr = g.scatter_add_rows(weighted, dst, n);
+        let scale = 1.0 / (self.out_dim as f32).sqrt();
+        let aggr = g.attention_aggregate([q, k, v, e], src, dst, scale); // [N, D]
 
         // Gated residual.
         let root = g.matmul(x, wr);
-        let diff = g.sub(aggr, root);
-        let gate_in = g.concat_cols(&[aggr, root, diff]);
         let wg = g.param(store, self.w_gate);
-        let beta_logit = g.matmul(gate_in, wg); // [N, 1]
-        let beta = g.sigmoid(beta_logit);
-        let gated_root = g.mul_col_broadcast(root, beta);
-        let ones = g.input(Matrix::filled(n, 1, 1.0));
-        let inv_beta = g.sub(ones, beta);
-        let gated_aggr = g.mul_col_broadcast(aggr, inv_beta);
-        let out = g.add(gated_root, gated_aggr);
         let bv = g.param(store, self.b);
-        g.add_bias(out, bv)
+        g.gated_residual(aggr, root, wg, bv)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdse_tensor::Matrix;
 
     fn toy_forward(edge_val: f32, store_seed: u64) -> Vec<f32> {
         let mut store = ParamStore::new(store_seed);

@@ -31,8 +31,8 @@
 //! `matmul -> add_bias -> relu` chain exactly.
 //!
 //! Skipping a zero entry of `a` (the reference kernel's `a[i][k] == 0.0`
-//! test, and the loops [`gemm_tn`] takes for mostly-zero operands) drops
-//! a `±0` product. An accumulator that starts at +0.0 never becomes −0.0
+//! test, and the [`Nonzeros`] products over one-hot inputs) drops a `±0`
+//! product. An accumulator that starts at +0.0 never becomes −0.0
 //! under round-to-nearest (`x + y` is −0.0 only when both are −0.0), and
 //! `s + ±0 == s` for every other `s`, so the skip cannot change a sum unless
 //! the zero meets a non-finite `b` entry, which finite-weight models never
@@ -139,15 +139,102 @@ fn packs(m: usize, k: usize, n: usize) -> bool {
     m >= MR && n >= 4 && k >= 4 && m * n * k >= 2048
 }
 
-/// Whether fewer than a quarter of `a`'s entries are nonzero, as in the
-/// one-hot node and edge features. Products with such a left operand take
-/// the zero-skipping loops: [`Matrix::matmul_reference`] forward and
-/// [`gemm_tn`]'s for the weight gradient.
+/// The nonzero entries of a mostly-zero matrix, row by row: the one-hot
+/// node and edge features, which the tape finds once when it records them.
+///
+/// Its products visit only these entries, in the order of the kernels they
+/// replace, so they give those kernels' bits for finite inputs (see the
+/// module docs): [`matmul`](Self::matmul) sums like
+/// [`Matrix::matmul_reference`], and [`tn`](Self::tn) like [`gemm_tn`]. A
+/// `-0.0` entry counts as zero, as the reference kernel's `== 0.0` test
+/// counts it.
 ///
 /// [`Matrix::matmul_reference`]: crate::Matrix::matmul_reference
-pub(crate) fn mostly_zero(a: &Matrix) -> bool {
-    let nonzero = a.as_slice().iter().filter(|&&v| v != 0.0).count();
-    nonzero * 4 < a.len()
+#[derive(Debug, Clone, PartialEq)]
+pub struct Nonzeros {
+    rows: usize,
+    cols: usize,
+    /// Row `r`'s entries are `entries[offsets[r]..offsets[r + 1]]`.
+    offsets: Vec<usize>,
+    /// `(column, value)`, in increasing column order within a row.
+    entries: Vec<(usize, f32)>,
+}
+
+impl Nonzeros {
+    /// The nonzeros of `a` when fewer than a quarter of its entries are
+    /// nonzero; `None` otherwise.
+    pub fn of(a: &Matrix) -> Option<Self> {
+        let nonzero = a.as_slice().iter().filter(|&&v| v != 0.0).count();
+        if nonzero * 4 >= a.len() {
+            return None;
+        }
+        let mut offsets = Vec::with_capacity(a.rows() + 1);
+        let mut entries = Vec::with_capacity(nonzero);
+        offsets.push(0);
+        for r in 0..a.rows() {
+            let row = a.row(r).iter().enumerate();
+            entries.extend(row.filter(|&(_, &v)| v != 0.0).map(|(c, &v)| (c, v)));
+            offsets.push(entries.len());
+        }
+        Some(Self { rows: a.rows(), cols: a.cols(), offsets, entries })
+    }
+
+    /// Number of nonzero entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether every entry is zero.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    fn row(&self, r: usize) -> &[(usize, f32)] {
+        &self.entries[self.offsets[r]..self.offsets[r + 1]]
+    }
+
+    /// `a · b`, summed like [`Matrix::matmul_reference`]: each output row
+    /// from +0.0 over the row's nonzeros in increasing `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.cols() != b.rows()`.
+    ///
+    /// [`Matrix::matmul_reference`]: crate::Matrix::matmul_reference
+    pub fn matmul(&self, b: &Matrix) -> Matrix {
+        assert_eq!(self.cols, b.rows(), "nonzero product shape mismatch");
+        let mut out = arena::zeros(self.rows, b.cols());
+        for i in 0..self.rows {
+            let out_row = out.row_mut(i);
+            for &(kk, a_ik) in self.row(i) {
+                for (o, &b_kj) in out_row.iter_mut().zip(b.row(kk)) {
+                    *o += a_ik * b_kj;
+                }
+            }
+        }
+        out
+    }
+
+    /// `aᵀ · b` for `b: [a.rows(), n]`, the weight gradient of `a · w`:
+    /// summed like [`gemm_tn`], each output element from +0.0 in increasing
+    /// row of `a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a.rows() != b.rows()`.
+    pub fn tn(&self, b: &Matrix) -> Matrix {
+        assert_eq!(self.rows, b.rows(), "nonzero weight-gradient shape mismatch");
+        let mut out = arena::zeros(self.cols, b.cols());
+        for kk in 0..self.rows {
+            let b_row = b.row(kk);
+            for &(i, a_ki) in self.row(kk) {
+                for (o, &b_kj) in out.row_mut(i).iter_mut().zip(b_row) {
+                    *o += a_ki * b_kj;
+                }
+            }
+        }
+        out
+    }
 }
 
 /// Matrix–vector product `a · x` (`n == 1`). Each row is an in-order dot
@@ -191,11 +278,12 @@ fn gemm_mv(a: &Matrix, x: &[f32], bias: Option<&[f32]>, act: Activation, out: &m
 /// Same float-op sequence as `a.transpose().matmul(b)`: every output element
 /// sums over `k` in increasing order from +0.0. Three paths, by shape:
 ///
-/// - `a` with fewer than a quarter nonzero (one-hot features): the
-///   `k`-outer loop of the reference kernel, skipping zero entries of `a`;
 /// - `n == 1`: an axpy of each row of `a` into the output column;
-/// - otherwise the packed path: `b` packs into `NR`-wide panels and the
-///   `MR x NR` microkernel reads `a[kk][i0..i0 + MR]`, contiguous in `a`.
+/// - products large enough to pack: `b` packs into `NR`-wide panels and the
+///   `MR x NR` microkernel reads `a[kk][i0..i0 + MR]`, contiguous in `a`;
+/// - otherwise the `k`-outer loop of the reference kernel.
+///
+/// The tape sends one-hot inputs to [`Nonzeros::tn`] instead.
 ///
 /// # Panics
 ///
@@ -213,23 +301,19 @@ pub fn gemm_tn(a: &Matrix, b: &Matrix) -> Matrix {
     if m == 0 || n == 0 {
         return out;
     }
-    let sparse = mostly_zero(a);
-    if n == 1 && !sparse {
+    if n == 1 {
         let col = out.as_mut_slice();
         for (a_row, &bk) in a.as_slice().chunks_exact(m).zip(b.as_slice()) {
             for (o, &a_ki) in col.iter_mut().zip(a_row) {
                 *o += a_ki * bk;
             }
         }
-    } else if !sparse && packs(m, k, n) {
+    } else if packs(m, k, n) {
         gemm_tn_packed(a, b, &mut out);
     } else {
         for kk in 0..k {
             let b_row = b.row(kk);
             for (i, &a_ki) in a.row(kk).iter().enumerate() {
-                if a_ki == 0.0 {
-                    continue;
-                }
                 for (o, &b_kj) in out.row_mut(i).iter_mut().zip(b_row) {
                     *o += a_ki * b_kj;
                 }

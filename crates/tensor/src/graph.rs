@@ -10,16 +10,20 @@
 //! input's adjoint only for such inputs: constant inputs (the node and edge
 //! features), quantized results and everything computed from them alone
 //! get none. Weight gradients come from [`gemm::gemm_tn`], which reads the
-//! activations in place instead of transposing them.
+//! activations in place instead of transposing them, or from the
+//! [`Nonzeros`] of a one-hot input.
 //!
 //! The op set is exactly what graph neural networks over sparse edge lists
 //! need: dense matmul and elementwise math, plus `gather`/`scatter`,
 //! segment-softmax (per-destination attention normalization), row-dot
 //! (per-edge attention scores), column-broadcast multiply, concatenation and
-//! elementwise max over a set of tensors (Jumping Knowledge).
+//! elementwise max over a set of tensors (Jumping Knowledge). TransformerConv
+//! records two fused ops instead of chains of those: its attention
+//! aggregation and its gated residual.
 
 use crate::arena;
-use crate::gemm::{self, Activation};
+use crate::fused;
+use crate::gemm::{self, Activation, Nonzeros};
 use crate::matrix::Matrix;
 use crate::params::{GradStore, ParamId, ParamStore};
 use crate::quant::{self, QuantParamSet};
@@ -32,8 +36,9 @@ pub struct NodeId(usize);
 
 #[derive(Debug)]
 enum Backward {
-    /// Constant input; gradient is discarded.
-    Leaf,
+    /// Constant input; gradient is discarded. Keeps its nonzeros when fewer
+    /// than a quarter of its entries are nonzero (the one-hot features).
+    Leaf(Option<Nonzeros>),
     /// Leaf tied to a trainable parameter; gradient is routed to the store.
     Param(ParamId),
     Matmul { a: NodeId, b: NodeId },
@@ -66,6 +71,18 @@ enum Backward {
     ConcatCols { parts: Vec<NodeId> },
     /// Elementwise max across same-shaped tensors; `argmax` saved from forward.
     MaxStack { parts: Vec<NodeId>, argmax: Vec<u32> },
+    /// Fused attention aggregation over an edge list; `alpha` is each
+    /// edge's attention weight, saved from the forward.
+    AttentionAggregate {
+        qkve: [NodeId; 4],
+        src: Vec<usize>,
+        dst: Vec<usize>,
+        scale: f32,
+        alpha: Vec<f32>,
+    },
+    /// Fused gated residual; `beta` is each row's gate, saved from the
+    /// forward.
+    GatedResidual { aggr: NodeId, root: NodeId, w: NodeId, bias: NodeId, beta: Vec<f32> },
     /// Sum over rows: `[N,D] -> [1,D]`.
     SumRows { a: NodeId },
     /// Mean over rows: `[N,D] -> [1,D]`.
@@ -82,7 +99,7 @@ impl Backward {
     /// Whether any tape input of this op satisfies `f`.
     fn any_input(&self, f: impl Fn(NodeId) -> bool) -> bool {
         match self {
-            Backward::Leaf | Backward::Param(_) | Backward::Quantized => false,
+            Backward::Leaf(_) | Backward::Param(_) | Backward::Quantized => false,
             Backward::Matmul { a, b }
             | Backward::Add { a, b }
             | Backward::Sub { a, b }
@@ -91,6 +108,10 @@ impl Backward {
             | Backward::MulColBroadcast { a, col: b }
             | Backward::AddBias { a, bias: b } => f(*a) || f(*b),
             Backward::Linear { a, w, bias, .. } => f(*a) || f(*w) || f(*bias),
+            Backward::GatedResidual { aggr, root, w, bias, .. } => {
+                f(*aggr) || f(*root) || f(*w) || f(*bias)
+            }
+            Backward::AttentionAggregate { qkve, .. } => qkve.iter().any(|&p| f(p)),
             Backward::Scale { a, .. }
             | Backward::Relu { a }
             | Backward::LeakyRelu { a, .. }
@@ -210,8 +231,29 @@ impl Graph {
     }
 
     /// Records a constant input (no gradient).
+    ///
+    /// An input with fewer than a quarter nonzero (the one-hot node and
+    /// edge features) keeps its [`Nonzeros`], found once here: its products
+    /// and their weight gradients visit only those.
     pub fn input(&mut self, value: Matrix) -> NodeId {
-        self.push(value, Backward::Leaf)
+        let nonzeros = Nonzeros::of(&value);
+        self.push(value, Backward::Leaf(nonzeros))
+    }
+
+    /// The nonzeros of `id` when it is a mostly-zero input.
+    fn nonzeros(&self, id: NodeId) -> Option<&Nonzeros> {
+        match &self.nodes[id.0].back {
+            Backward::Leaf(nonzeros) => nonzeros.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// The weight gradient `aᵀ · g` of a product `a · w`.
+    fn weight_grad(&self, a: NodeId, g: &Matrix) -> Matrix {
+        match self.nonzeros(a) {
+            Some(nz) => nz.tn(g),
+            None => gemm::gemm_tn(&self.nodes[a.0].value, g),
+        }
     }
 
     /// Leafs a parameter's current value into the graph so gradients reach it.
@@ -221,10 +263,9 @@ impl Graph {
 
     /// Matrix product.
     ///
-    /// A left operand with fewer than a quarter nonzero (the one-hot node
-    /// and edge features) takes the zero-skipping
-    /// [`Matrix::matmul_reference`], which gives the GEMM's bits for finite
-    /// inputs.
+    /// A mostly-zero input on the left (see [`input`](Self::input)) sums
+    /// over its nonzeros as the zero-skipping [`Matrix::matmul_reference`]
+    /// does, which gives the GEMM's bits for finite inputs.
     ///
     /// On a tape built with [`with_quant`](Self::with_quant), a product whose
     /// right-hand side is a calibrated parameter runs through the int8 kernel
@@ -239,11 +280,10 @@ impl Graph {
             let v = quant::linear(self.value(a), qw, None, Activation::None);
             return self.push(v, Backward::Quantized);
         }
-        let (av, bv) = (self.value(a), self.value(b));
-        let v = if gemm::mostly_zero(av) {
-            av.matmul_reference(bv)
-        } else {
-            av.matmul(bv)
+        let bv = self.value(b);
+        let v = match self.nonzeros(a) {
+            Some(nz) => nz.matmul(bv),
+            None => self.value(a).matmul(bv),
         };
         self.push(v, Backward::Matmul { a, b })
     }
@@ -449,6 +489,75 @@ impl Graph {
         self.push(v, Backward::RowDot { a, b })
     }
 
+    /// Fused attention aggregation (TransformerConv, eq. 8): for each node
+    /// `i`, `Σ_s α_s (v[src_s] + e_s)` over its in-edges `s` (`dst_s == i`),
+    /// where `α` is the softmax over those edges of
+    /// `q[i] · (k[src_s] + e_s) * scale`. A node with no in-edge gets a zero
+    /// row.
+    ///
+    /// One tape node in place of the chain gather → add → row-dot → scale
+    /// → segment softmax → gather → add → broadcast multiply → scatter-add,
+    /// bit-identical to it in values and adjoints (DESIGN.md, "Fused message
+    /// passing"). It keeps only `α`, not the chain's `[E, D]` tensors.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `q`, `k` and `v` are `[N, D]`, `e` is `[E, D]`, `src`
+    /// and `dst` hold `E` node indices each, and every index is below `N`.
+    pub fn attention_aggregate(
+        &mut self,
+        [q, k, v, e]: [NodeId; 4],
+        src: &[usize],
+        dst: &[usize],
+        scale: f32,
+    ) -> NodeId {
+        let values = [q, k, v, e].map(|id| self.value(id));
+        let (n, d) = values[0].shape();
+        assert!(
+            values[1].shape() == (n, d) && values[2].shape() == (n, d),
+            "attention_aggregate: q, k and v must share a shape"
+        );
+        assert_eq!(values[3].shape(), (src.len(), d), "attention_aggregate: e must be [E, D]");
+        assert_eq!(src.len(), dst.len(), "attention_aggregate: one source per destination");
+        assert!(
+            src.iter().chain(dst).all(|&i| i < n),
+            "attention_aggregate: edge endpoint out of {n} nodes"
+        );
+        let (out, alpha) = fused::attention_forward(values, src, dst, scale);
+        let back = Backward::AttentionAggregate {
+            qkve: [q, k, v, e],
+            src: src.to_vec(),
+            dst: dst.to_vec(),
+            scale,
+            alpha,
+        };
+        self.push(out, back)
+    }
+
+    /// Fused gated residual (TransformerConv): for each row,
+    /// `β = sigmoid([aggr | root | aggr - root] · w)` and
+    /// `root·β + aggr·(1 - β) + bias`.
+    ///
+    /// One tape node in place of the chain sub → concat → gate product →
+    /// sigmoid → `1 - β` → two broadcast multiplies → add → bias,
+    /// bit-identical to it in values and adjoints (DESIGN.md, "Fused message
+    /// passing"). It keeps only `β`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `aggr` and `root` are `[N, D]`, `w` is `[3D, 1]` and
+    /// `bias` is `[1, D]`.
+    pub fn gated_residual(&mut self, aggr: NodeId, root: NodeId, w: NodeId, bias: NodeId) -> NodeId {
+        let (av, rv) = (self.value(aggr), self.value(root));
+        let (wv, bv) = (self.value(w), self.value(bias));
+        let d = av.cols();
+        assert_eq!(av.shape(), rv.shape(), "gated_residual: aggr and root must share a shape");
+        assert_eq!(wv.shape(), (3 * d, 1), "gated_residual: w must be [3D, 1]");
+        assert_eq!(bv.shape(), (1, d), "gated_residual: bias must be [1, D]");
+        let (out, beta) = fused::gate_forward(av, rv, wv.as_slice(), bv.row(0));
+        self.push(out, Backward::GatedResidual { aggr, root, w, bias, beta })
+    }
+
     /// Concatenates nodes along columns.
     ///
     /// # Panics
@@ -579,7 +688,7 @@ impl Graph {
             let Some(g) = adj[i].take() else { continue };
             let adj = &mut adj;
             match &self.nodes[i].back {
-                Backward::Leaf | Backward::Quantized => {}
+                Backward::Leaf(_) | Backward::Quantized => {}
                 Backward::Param(pid) => grads.accumulate(*pid, &g),
                 Backward::Linear { a, w, bias, act } => {
                     // Same float ops as the unfused chain: activation mask
@@ -592,15 +701,15 @@ impl Graph {
                         }
                         Activation::None => g,
                     };
-                    let (av, wv) = (&self.nodes[a.0].value, &self.nodes[w.0].value);
+                    let wv = &self.nodes[w.0].value;
                     self.send(adj, *a, || gz.matmul(&wv.transpose()));
-                    self.send(adj, *w, || gemm::gemm_tn(av, &gz));
+                    self.send(adj, *w, || self.weight_grad(*a, &gz));
                     self.send(adj, *bias, || column_sums(&gz));
                 }
                 Backward::Matmul { a, b } => {
-                    let (av, bv) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
+                    let bv = &self.nodes[b.0].value;
                     self.send(adj, *a, || g.matmul(&bv.transpose()));
-                    self.send(adj, *b, || gemm::gemm_tn(av, &g));
+                    self.send(adj, *b, || self.weight_grad(*a, &g));
                 }
                 Backward::Add { a, b } => {
                     self.send(adj, *a, || g.clone());
@@ -733,18 +842,43 @@ impl Graph {
                     }
                 }
                 Backward::MaxStack { parts, argmax } => {
-                    for (pi, &p) in parts.iter().enumerate() {
-                        self.send(adj, p, || {
-                            let pv = &self.nodes[p.0].value;
-                            let mut gp = Matrix::zeros(pv.rows(), pv.cols());
-                            for (j, (&am, &gy)) in argmax.iter().zip(g.as_slice()).enumerate() {
-                                if am as usize == pi {
-                                    gp.as_mut_slice()[j] = gy;
-                                }
-                            }
-                            gp
-                        });
+                    // One walk over argmax routes each entry to its part.
+                    let zeros = || arena::zeros(g.rows(), g.cols());
+                    let mut gps: Vec<Option<Matrix>> =
+                        parts.iter().map(|&p| self.nodes[p.0].needs_grad.then(zeros)).collect();
+                    for (j, (&am, &gy)) in argmax.iter().zip(g.as_slice()).enumerate() {
+                        if let Some(gp) = &mut gps[am as usize] {
+                            gp.as_mut_slice()[j] = gy;
+                        }
                     }
+                    for (&p, gp) in parts.iter().zip(gps) {
+                        if let Some(gp) = gp {
+                            self.send(adj, p, || gp);
+                        }
+                    }
+                }
+                Backward::AttentionAggregate { qkve, src, dst, scale, alpha } => {
+                    let need = qkve.map(|p| self.nodes[p.0].needs_grad);
+                    let values = qkve.map(|p| &self.nodes[p.0].value);
+                    let grads =
+                        fused::attention_backward(&g, values, (src, dst), alpha, *scale, need);
+                    for (&p, gp) in qkve.iter().zip(grads) {
+                        if let Some(gp) = gp {
+                            self.send(adj, p, || gp);
+                        }
+                    }
+                }
+                Backward::GatedResidual { aggr, root, w, bias, beta } => {
+                    let need = [*aggr, *root, *w].map(|p| self.nodes[p.0].needs_grad);
+                    let (av, rv) = (&self.nodes[aggr.0].value, &self.nodes[root.0].value);
+                    let wv = self.nodes[w.0].value.as_slice();
+                    let grads = fused::gate_backward(&g, av, rv, wv, beta, need);
+                    for (&p, gp) in [aggr, root, w].into_iter().zip(grads) {
+                        if let Some(gp) = gp {
+                            self.send(adj, p, || gp);
+                        }
+                    }
+                    self.send(adj, *bias, || column_sums(&g));
                 }
                 Backward::SumRows { a } => {
                     self.send(adj, *a, || {
@@ -1051,6 +1185,59 @@ mod tests {
             2,
             31,
         );
+    }
+
+    /// A fixed `[rows, cols]` input, distinct per `seed`.
+    fn fixed(g: &mut Graph, rows: usize, cols: usize, seed: usize) -> NodeId {
+        g.input(Matrix::from_fn(rows, cols, |i, j| ((i * cols + j + 5 * seed) as f32 * 0.7).sin()))
+    }
+
+    #[test]
+    fn grad_attention_aggregate() {
+        // Node 0 has one in-edge, node 1 two (one a duplicate source), node
+        // 2 a self-loop among its two, node 3 none.
+        let (src, dst) = ([0, 1, 2, 0, 2, 1], [1, 1, 0, 2, 2, 1]);
+        for slot in 0..4 {
+            // The parameter stands in for q, k, v or e.
+            let rows = if slot == 3 { src.len() } else { 4 };
+            check_grad(
+                |g, store, w| {
+                    let inputs: [NodeId; 4] = std::array::from_fn(|s| match s {
+                        _ if s == slot => g.param(store, w),
+                        3 => fixed(g, src.len(), 3, s),
+                        _ => fixed(g, 4, 3, s),
+                    });
+                    let out = g.attention_aggregate(inputs, &src, &dst, 0.8);
+                    g.mse_loss(out, Matrix::filled(4, 3, 0.25))
+                },
+                rows,
+                3,
+                61 + slot as u64,
+            );
+        }
+    }
+
+    #[test]
+    fn grad_gated_residual() {
+        let shapes = [(4, 3), (4, 3), (9, 1), (1, 3)];
+        for (slot, &(rows, cols)) in shapes.iter().enumerate() {
+            // The parameter stands in for aggr, root, the gate weights or
+            // the bias.
+            check_grad(
+                |g, store, w| {
+                    let inputs: [NodeId; 4] = std::array::from_fn(|s| match s {
+                        _ if s == slot => g.param(store, w),
+                        _ => fixed(g, shapes[s].0, shapes[s].1, s),
+                    });
+                    let [aggr, root, wg, bias] = inputs;
+                    let out = g.gated_residual(aggr, root, wg, bias);
+                    g.mse_loss(out, Matrix::filled(4, 3, -0.5))
+                },
+                rows,
+                cols,
+                71 + slot as u64,
+            );
+        }
     }
 
     #[test]

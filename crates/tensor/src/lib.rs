@@ -37,8 +37,10 @@
 #![warn(missing_docs)]
 
 pub mod arena;
+mod fused;
 pub mod gemm;
 mod graph;
+mod in_edges;
 mod matrix;
 mod optim;
 mod params;
@@ -47,6 +49,7 @@ pub mod scalar;
 
 pub use gemm::Activation;
 pub use graph::{Graph, NodeId};
+pub use in_edges::InEdges;
 pub use matrix::Matrix;
 pub use optim::{Adam, Sgd};
 pub use params::{GradStore, Init, ParamId, ParamStore};

@@ -44,6 +44,54 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
+/// Softmax over one segment, in place: a running max by `>`, `exp(x - max)`
+/// summed left to right from +0.0, then one division per entry. This is the
+/// tape's segment softmax on the entries of one segment, in row order.
+pub fn softmax_in_place(xs: &mut [f32]) {
+    let mut max = f32::NEG_INFINITY;
+    for &x in xs.iter() {
+        if x > max {
+            max = x;
+        }
+    }
+    let mut sum = 0.0f32;
+    for x in xs.iter_mut() {
+        *x = (*x - max).exp();
+        sum += *x;
+    }
+    for x in xs.iter_mut() {
+        *x /= sum;
+    }
+}
+
+/// The TransformerConv gate logit of one row, `[a | r | a - r] · w`: a GEMM
+/// sum from +0.0 in increasing-`k` order, so `w` holds `3 * a.len()`
+/// weights.
+#[inline]
+pub fn gate_logit(a: &[f32], r: &[f32], w: &[f32]) -> f32 {
+    let d = a.len();
+    let mut logit = 0.0f32;
+    for (x, w) in a.iter().zip(&w[..d]) {
+        logit += x * w;
+    }
+    for (x, w) in r.iter().zip(&w[d..2 * d]) {
+        logit += x * w;
+    }
+    for ((x, y), w) in a.iter().zip(r).zip(&w[2 * d..]) {
+        logit += (x - y) * w;
+    }
+    logit
+}
+
+/// The gated residual of one row, `r·β + a·(1 - β) + bias`, into `out`.
+#[inline]
+pub fn gated_row(out: &mut [f32], a: &[f32], r: &[f32], beta: f32, bias: &[f32]) {
+    let inv_beta = 1.0 - beta;
+    for (((o, &x), &y), &b) in out.iter_mut().zip(a).zip(r).zip(bias) {
+        *o = y * beta + x * inv_beta + b;
+    }
+}
+
 /// Normalizes `row` in place to zero mean and unit variance (`eps` keeps a
 /// constant row finite) and returns the inverse standard deviation used.
 pub fn layer_norm_row(row: &mut [f32], eps: f32) -> f32 {
@@ -67,6 +115,25 @@ mod tests {
         assert!((stable_sigmoid(2.0) + stable_sigmoid(-2.0) - 1.0).abs() < 1e-6);
         assert_eq!(stable_sigmoid(-1000.0), 0.0);
         assert_eq!(stable_sigmoid(1000.0), 1.0);
+    }
+
+    #[test]
+    fn softmax_in_place_sums_to_one_and_survives_extremes() {
+        let mut xs = [1000.0, 999.0, -1000.0];
+        softmax_in_place(&mut xs);
+        assert!(xs.iter().all(|x| x.is_finite()));
+        assert!((xs.iter().sum::<f32>() - 1.0).abs() < 1e-6);
+        softmax_in_place(&mut []);
+    }
+
+    #[test]
+    fn gated_row_blends_root_and_aggregate() {
+        let (a, r) = ([1.0, 2.0], [3.0, -1.0]);
+        // w picks a[0] - r[0] only: logit = (1 - 3) * 0.5.
+        assert_eq!(gate_logit(&a, &r, &[0.0, 0.0, 0.0, 0.0, 0.5, 0.0]), -1.0);
+        let mut out = [0.0; 2];
+        gated_row(&mut out, &a, &r, 0.25, &[0.5, 0.0]);
+        assert_eq!(out, [3.0 * 0.25 + 0.75 + 0.5, -0.25 + 1.5]);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The continuous-learning daemon end to end: predictions keep flowing
 //! while the background driver fine-tunes and hot-swaps the model, epochs
 //! only ever move forward, a corrupt artifact rolls back without killing
-//! the daemon, each learning fact reaches the run report once, and a kill +
+//! the daemon, each learning fact reaches the run report once, a kill +
 //! restart resumes the campaign from its persisted checkpoint and replay
-//! buffer.
+//! buffer, and a replay window with no valid design fine-tunes without
+//! failing.
 
 use gdse_serve::{Client, Response};
-use gnn_dse::{dbgen, Daemon, DaemonConfig};
+use gnn_dse::{dbgen, Daemon, DaemonConfig, Database, ReplayBuffer};
 use hls_ir::kernels;
 use serde::Value;
 use std::path::Path;
@@ -212,5 +213,39 @@ fn daemon_restart_resumes_campaign_from_checkpoint_and_replay() {
         second.rounds.len() > first_rounds,
         "the restart continued the campaign rather than replaying it"
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_replay_window_without_a_valid_design_still_completes_the_round() {
+    let dir = std::env::temp_dir().join("gnn_dse_daemon_it_invalid_window");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut cfg = DaemonConfig::quick(&dir);
+    cfg.rounds.rounds = 1;
+    cfg.replay_capacity = 4;
+    // The valid designs first, then the invalid ones: the window seeded
+    // from the newest four entries holds only invalid designs.
+    let generated = dbgen::generate_database(&[kernels::gemm_ncubed()], &[], 24, 7);
+    let mut db = Database::new();
+    let (valid, invalid): (Vec<_>, Vec<_>) =
+        generated.entries().iter().partition(|e| e.result.is_valid());
+    assert!(!valid.is_empty() && invalid.len() >= cfg.replay_capacity);
+    for e in valid.into_iter().chain(invalid) {
+        db.insert(&e.kernel, e.point.clone(), e.result);
+    }
+    let window = ReplayBuffer::seed_from(&db, cfg.replay_capacity).as_database();
+    assert_eq!((window.len(), window.valid_count()), (cfg.replay_capacity, 0));
+    db.save(&cfg.db).unwrap();
+
+    let daemon = Daemon::start(cfg).expect("daemon starts");
+    let handle = daemon.handle();
+    let status = daemon.status();
+    let run = std::thread::spawn(move || daemon.run());
+    wait_until("round 1", Duration::from_secs(180), || status.state() == "complete");
+    handle.shutdown();
+    let report = run.join().unwrap().expect("the learner does not panic");
+    assert!(report.learner_error.is_none(), "learner failed: {:?}", report.learner_error);
+    assert_eq!(report.rounds.len(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use design_space::DesignSpace;
-use gdse_gnn::GraphInput;
+use gdse_gnn::{GraphInput, KernelBatch};
 use hls_ir::kernels;
 use proggraph::build_graph_bidirectional;
 
@@ -19,6 +19,15 @@ fn bench_graphbuild(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("lower_features", kernel.name()), |b| {
             b.iter(|| GraphInput::from_graph(std::hint::black_box(&graph), Some(&point)));
         });
+        // A batch of consecutive mixed-radix points, as a DSE sweep scores:
+        // the batch sizes of a served request (1, 2) up to a DSE batch (64).
+        for points in [1u128, 2, 4, 64] {
+            let batch: Vec<_> = (0..points).map(|i| space.point_at(i % space.size())).collect();
+            let id = format!("{}_b{points}", kernel.name());
+            group.bench_function(BenchmarkId::new("lower_batch", id), |b| {
+                b.iter(|| KernelBatch::new(std::hint::black_box(&graph), &batch));
+            });
+        }
     }
     group.finish();
 }

@@ -165,6 +165,15 @@ impl DaemonStatus {
         f(&mut self.inner.lock().expect("status lock"));
     }
 
+    /// Marks the learning plane `failed` with `error`, and returns it.
+    fn fail(&self, error: String) -> String {
+        self.update(|s| {
+            s.state = "failed".into();
+            s.last_error = Some(error.clone());
+        });
+        error
+    }
+
     /// The driver's current state label (`starting`, `round N`,
     /// `complete`, `stopped`, `failed`).
     pub fn state(&self) -> String {
@@ -411,13 +420,6 @@ fn learner_loop(
     live: &Arc<obs::metrics::SharedMetrics>,
     status: &DaemonStatus,
 ) -> Result<(Vec<RoundReport>, obs::MetricsSnapshot), String> {
-    let fail = |status: &DaemonStatus, e: String| -> String {
-        status.update(|s| {
-            s.state = "failed".into();
-            s.last_error = Some(e.clone());
-        });
-        e
-    };
     let engine = ExecEngine::with_jobs(jobs);
     let sim = MerlinSimulator::new();
     let mut driver = match CampaignDriver::new(
@@ -430,7 +432,7 @@ fn learner_loop(
         &engine,
     ) {
         Ok(d) => d,
-        Err(e) => return Err(fail(status, e.to_string())),
+        Err(e) => return Err(status.fail(e.to_string())),
     };
     driver.attach_replay(replay);
     status.update(|s| {
@@ -448,11 +450,8 @@ fn learner_loop(
             break;
         }
         let round = driver.next_round();
-        status.update(|s| s.state = format!("round {round}"));
-        match driver.step() {
-            Ok(Some(_)) => {}
-            Ok(None) => continue, // done; the loop head reports it
-            Err(e) => return Err(fail(status, e.to_string())),
+        if run_round(status, round, || driver.step())?.is_none() {
+            continue; // done; the loop head reports it
         }
 
         // Persist the replay window next to the checkpoint the step just
@@ -475,7 +474,7 @@ fn learner_loop(
         if let Some(model) = driver.carried_model() {
             let meta = ArtifactMeta::describe(model, &kernel_names, round);
             if let Err(e) = model.save_artifact(&artifact, &meta) {
-                return Err(fail(status, format!("cannot write artifact: {e}")));
+                return Err(status.fail(format!("cannot write artifact: {e}")));
             }
             match handle.reload() {
                 Ok(epoch) => {
@@ -556,9 +555,77 @@ fn learner_loop(
     Ok((reports, obs::metrics::snapshot()))
 }
 
+/// Runs learning round `round`: marks the status `round N`, then runs
+/// `step`. A step that fails or panics marks the learning plane `failed`
+/// and returns the error, which for a panic names the round and the panic
+/// message. The serving plane keeps serving either way.
+fn run_round<T, E: std::fmt::Display>(
+    status: &DaemonStatus,
+    round: usize,
+    step: impl FnOnce() -> Result<T, E>,
+) -> Result<T, String> {
+    status.update(|s| s.state = format!("round {round}"));
+    // The step's state is dropped unused after a panic.
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(step)) {
+        Ok(result) => result.map_err(|e| status.fail(e.to_string())),
+        Err(panic) => {
+            let message = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("a panic without a message");
+            Err(status.fail(format!("round {round} panicked: {message}")))
+        }
+    }
+}
+
 /// Completed-round count of a driver (next round is 1-based).
 fn driver_completed<B: crate::harness::EvalBackend + Sync>(
     driver: &CampaignDriver<'_, B>,
 ) -> u64 {
     driver.next_round().saturating_sub(1) as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gdse_serve::{BatchPredictor, PredictionRow, StaticProvider};
+
+    struct NoModel;
+
+    impl BatchPredictor for NoModel {
+        fn predict(&self, _: &str, _: &[u128]) -> Result<Vec<PredictionRow>, String> {
+            Err("no model".into())
+        }
+    }
+
+    fn status() -> DaemonStatus {
+        DaemonStatus::new(Arc::new(StaticProvider::new(NoModel)), 3, 8)
+    }
+
+    fn last_error(status: &DaemonStatus) -> Option<String> {
+        status.inner.lock().expect("status lock").last_error.clone()
+    }
+
+    #[test]
+    fn a_panicking_round_marks_the_learner_failed_with_the_round_and_the_message() {
+        let status = status();
+        let err = run_round::<(), String>(&status, 2, || panic!("replay entry {} is torn", 7));
+        assert_eq!(err, Err("round 2 panicked: replay entry 7 is torn".to_string()));
+        assert_eq!(status.state(), "failed");
+        assert_eq!(last_error(&status), err.err());
+        let err = run_round::<(), String>(&status, 3, || panic!("static message"));
+        assert_eq!(err, Err("round 3 panicked: static message".to_string()));
+    }
+
+    #[test]
+    fn a_round_that_returns_reports_its_result() {
+        let status = status();
+        assert_eq!(run_round(&status, 1, || Ok::<_, String>(5)), Ok(5));
+        assert_eq!(status.state(), "round 1");
+        assert_eq!(last_error(&status), None);
+        assert_eq!(run_round::<(), _>(&status, 2, || Err("disk full")), Err("disk full".into()));
+        assert_eq!(status.state(), "failed");
+        assert_eq!(last_error(&status).as_deref(), Some("disk full"));
+    }
 }

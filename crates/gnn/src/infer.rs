@@ -5,26 +5,33 @@
 //! each node's incoming edges ([`KernelBatch`]'s stable CSR) instead of
 //! materializing per-edge gather/add/product tensors.
 //!
-//! **Receptive-field reuse.** The design points of one kernel differ only in
-//! their pragma-node features, so a node's layer-`l` row is the same for
-//! every point unless a pragma node lies within `l` hops of it. Each layer's
-//! node matrix is one matrix in that layer's [`Layout`]: the `S` shared rows
-//! once, then each point's `V` varying rows. Projections, edge logits,
-//! softmax and aggregation, the gate, ELU + LayerNorm, the JKN max and the
-//! attention pool's MLPs run on those `S + B * V` rows instead of `B * N`;
-//! pooling reads each point's `N` rows through the layout. A convolution
-//! reads its input in layout `l` and writes its output in layout `l + 1`.
-//! The edge projection of each TransformerConv is the same for every point
-//! and runs once per call.
+//! **Receptive-field reuse by row groups.** The design points of one
+//! kernel differ only in their pragma-node features, so a node's layer-`l`
+//! row is the same at two points that agree on every pragma node within
+//! `l` hops of it. [`KernelBatch`] groups each node's points that way, layer
+//! by layer, and each layer's node matrix is one matrix in that layer's
+//! [`Layout`]: one row per group, numbered point by point, so the rows
+//! first needed at point `b` follow those of points `0..b`. A row is
+//! computed once, at the first point of its group, from the input rows at
+//! that point ([`blocks`]). Projections, edge logits, softmax and
+//! aggregation, the gate, ELU + LayerNorm, the JKN max and the attention
+//! pool's MLPs run on those rows instead of `B * N`; pooling reads each
+//! point's `N` rows through the layout. A convolution reads its input in
+//! layout `l` and writes its output in layout `l + 1`. The edge projection
+//! of each TransformerConv is the same for every point and runs once per
+//! call. Each call books `gnn.infer_rows`, the rows its convolutions
+//! computed, beside `gnn.infer_rows_unshared`, the `B * N` per convolution
+//! of a forward per point.
 //!
 //! **Bit-identity with the tape.** Results equal [`PredictionModel::forward`]
 //! on a [`GraphBatch`](crate::GraphBatch) of the same points bit for bit:
 //!
-//! - each output row depends only on its own input rows, summed in the same
-//!   order, so computing a shared row once instead of once per point changes
-//!   no bit; in particular each GEMM output row depends only on its input
-//!   row, and both GEMM kernels sum in increasing-`k` order, so which rows
-//!   share a GEMM call changes no bit;
+//! - each output row depends only on its own input row and its sources'
+//!   input rows, summed in the same order, and points in one group have
+//!   bit-identical input rows there, so computing the row once per group
+//!   changes no bit; in particular each GEMM output row depends only on its
+//!   input row, and both GEMM kernels sum in increasing-`k` order, so which
+//!   rows share a GEMM call changes no bit;
 //! - layer 0's one-hot rows take the zero-skipping kernel: a sum that
 //!   starts at +0.0 is unchanged by adding `0 * w` for finite `w`;
 //! - the CSR keeps every node's incoming edges in edge-list order, the order
@@ -135,7 +142,7 @@ fn project(l: usize, x: &Matrix, w: &Matrix) -> Matrix {
 /// A block of rows of a matrix in some layout: node `nodes[r]` of design
 /// point `point` is row `first + r`.
 struct Block<'a> {
-    nodes: &'a [usize],
+    nodes: &'a [u32],
     first: usize,
     point: usize,
 }
@@ -146,31 +153,29 @@ impl Block<'_> {
     }
 }
 
-/// The blocks of a matrix in `layout`: the shared rows, then each point's
-/// varying rows. The shared block reads its inputs at point 0: a row shared
-/// at layer `l + 1` reads only rows shared at layer `l`.
-fn blocks(layout: &Layout, points: usize) -> impl Iterator<Item = Block<'_>> {
-    let (shared, varying) = (layout.shared(), layout.varying());
-    let per_point = (0..points).map(move |b| Block {
-        nodes: varying,
-        first: shared.len() + b * varying.len(),
-        point: b,
-    });
-    std::iter::once(Block { nodes: shared, first: 0, point: 0 }).chain(per_point)
+/// The blocks of a matrix in `layout`: the rows first needed at each
+/// point. A row reads its inputs at the point that first needs it; every
+/// point in its group has the same inputs (see
+/// [`Layouts`](crate::input::Layouts)).
+fn blocks(layout: &Layout) -> impl Iterator<Item = Block<'_>> {
+    (0..layout.points()).map(|point| {
+        let (first, nodes) = layout.first_needed(point);
+        Block { nodes, first, point }
+    })
 }
 
-/// `m`, a matrix in layout `from`, copied into the later layout `to`, whose
-/// varying nodes include `from`'s: a node shared in `from` but varying in
-/// `to` gets its shared row once per point.
-fn relayout(batch: &KernelBatch, m: Matrix, from: &Layout, to: &Layout) -> Matrix {
+/// `m`, a matrix in layout `from`, copied into the later layout `to`, which
+/// refines it: a row of `from` is copied into each of its groups in `to`.
+fn relayout(m: Matrix, from: &Layout, to: &Layout) -> Matrix {
     // Past the last layout, both layers read the same one.
     if std::ptr::eq(from, to) {
         return m;
     }
-    let mut out = arena::zeros(to.rows(batch.num_graphs), m.cols());
-    for block in blocks(to, batch.num_graphs) {
+    let mut out = arena::zeros(to.num_rows(), m.cols());
+    for block in blocks(to) {
         for (r, &i) in block.nodes.iter().enumerate() {
-            out.row_mut(block.first + r).copy_from_slice(m.row(from.row(i, block.point)));
+            let row = from.row(i as usize, block.point);
+            out.row_mut(block.first + r).copy_from_slice(m.row(row));
         }
     }
     arena::recycle(m);
@@ -201,7 +206,12 @@ impl Mlp {
 impl GnnEncoder {
     /// Graph embeddings `[B, D]`.
     fn infer(&self, store: &ParamStore, batch: &KernelBatch) -> Matrix {
-        let jkn = self.use_jkn && self.convs.len() > 1;
+        let convs = self.convs.len();
+        let rows: usize = (1..=convs).map(|l| batch.layout(l).num_rows()).sum();
+        gdse_obs::metrics::counter_add("gnn.infer_rows", rows as u64);
+        let unshared = convs * batch.num_graphs * batch.num_nodes;
+        gdse_obs::metrics::counter_add("gnn.infer_rows_unshared", unshared as u64);
+        let jkn = self.use_jkn && convs > 1;
         let mut h: Option<Matrix> = None;
         let mut jk: Option<Matrix> = None;
         for (l, conv) in self.convs.iter().enumerate() {
@@ -217,7 +227,7 @@ impl GnnEncoder {
                 jk = Some(match jk.take() {
                     None => next.clone(),
                     Some(best) => {
-                        let mut m = relayout(batch, best, batch.layout(l), batch.layout(l + 1));
+                        let mut m = relayout(best, batch.layout(l), batch.layout(l + 1));
                         for (best, &c) in m.as_mut_slice().iter_mut().zip(next.as_slice()) {
                             if c > *best {
                                 *best = c;
@@ -239,7 +249,7 @@ impl GnnEncoder {
             }
             None => h,
         };
-        let layout = batch.layout(self.convs.len());
+        let layout = batch.layout(convs);
         match &self.readout {
             Readout::Sum => sum_pool(batch, layout, node_embs),
             Readout::Attention(pool) => pool.infer(store, batch, layout, node_embs),
@@ -298,19 +308,19 @@ impl TransformerConv {
         let (input, output) = (batch.layout(l), batch.layout(l + 1));
         let in_edges = &batch.in_edges;
         let (edge, src) = (in_edges.edges(), in_edges.all_sources());
-        let mut aggr = arena::zeros(output.rows(batch.num_graphs), d);
+        let mut aggr = arena::zeros(output.num_rows(), d);
         let mut out = arena::zeros(aggr.rows(), d);
         let mut scores = vec![0.0f32; edge.len()];
         let mut key = vec![0.0f32; d];
-        // The input row of every node at the current block's point.
-        let mut at = Vec::new();
-        for block in blocks(output, batch.num_graphs) {
-            input.rows_at(block.point, &mut at);
+        for block in blocks(output) {
+            // The input row of every node at the block's point.
+            let at = input.rows_at(block.point);
             // Attention logits of the block's edges: `q[dst] · (k[src] + e)`.
             for &i in block.nodes {
-                let qi = q.row(at[i]);
+                let i = i as usize;
+                let qi = q.row(at[i] as usize);
                 for s in in_edges.entries(i) {
-                    let ks = k.row(at[src[s]]);
+                    let ks = k.row(at[src[s]] as usize);
                     for ((o, kv), ev) in key.iter_mut().zip(ks).zip(e.row(edge[s])) {
                         *o = kv + ev;
                     }
@@ -320,12 +330,12 @@ impl TransformerConv {
             // Softmax over each node's edges, then the weighted sum of
             // `v[src] + e`.
             for (r, &i) in block.nodes.iter().enumerate() {
-                let slots = in_edges.entries(i);
+                let slots = in_edges.entries(i as usize);
                 let alpha = &mut scores[slots.clone()];
                 softmax_in_place(alpha);
                 let row = aggr.row_mut(block.first + r);
                 for (s, &a) in slots.zip(alpha.iter()) {
-                    let vs = v.row(at[src[s]]);
+                    let vs = v.row(at[src[s]] as usize);
                     for ((o, vv), ev) in row.iter_mut().zip(vs).zip(e.row(edge[s])) {
                         *o += (vv + ev) * a;
                     }
@@ -335,7 +345,7 @@ impl TransformerConv {
             // `[aggr | root | aggr - root] · W_gate`: a GEMM sum from +0.0 in
             // increasing-k order.
             for (r, &i) in block.nodes.iter().enumerate() {
-                let (a, rt) = (aggr.row(block.first + r), root.row(at[i]));
+                let (a, rt) = (aggr.row(block.first + r), root.row(at[i as usize] as usize));
                 let beta = stable_sigmoid(gate_logit(a, rt, w_gate));
                 gated_row(out.row_mut(block.first + r), a, rt, beta, bias);
             }
@@ -359,23 +369,23 @@ impl GatConv {
         let bias = store.value(self.b).row(0);
 
         let (input, output) = (batch.layout(l), batch.layout(l + 1));
-        let mut out = arena::zeros(output.rows(batch.num_graphs), h.cols());
+        let mut out = arena::zeros(output.num_rows(), h.cols());
         let mut alpha = Vec::new();
-        // The input row of every node at the current block's point.
-        let mut at = Vec::new();
-        for block in blocks(output, batch.num_graphs) {
-            input.rows_at(block.point, &mut at);
+        for block in blocks(output) {
+            // The input row of every node at the block's point.
+            let at = input.rows_at(block.point);
             for (r, &i) in block.nodes.iter().enumerate() {
+                let i = i as usize;
                 let srcs = batch.in_edges.sources(i);
-                let sd = score_dst.get(at[i], 0);
+                let sd = score_dst.get(at[i] as usize, 0);
                 alpha.clear();
                 for &s in srcs.iter().chain(std::iter::once(&i)) {
-                    alpha.push(leaky_relu(sd + score_src.get(at[s], 0), LEAKY_SLOPE));
+                    alpha.push(leaky_relu(sd + score_src.get(at[s] as usize, 0), LEAKY_SLOPE));
                 }
                 softmax_in_place(&mut alpha);
                 let row = out.row_mut(block.first + r);
                 for (&s, &a) in srcs.iter().chain(std::iter::once(&i)).zip(&alpha) {
-                    for (o, hv) in row.iter_mut().zip(h.row(at[s])) {
+                    for (o, hv) in row.iter_mut().zip(h.row(at[s] as usize)) {
                         *o += hv * a;
                     }
                 }
@@ -402,17 +412,17 @@ impl GcnConv {
         let deg: Vec<f32> = (0..batch.num_nodes)
             .map(|i| (batch.in_edges.sources(i).len() + 1) as f32)
             .collect();
-        let mut agg = arena::zeros(output.rows(batch.num_graphs), x.cols());
-        // The input row of every node at the current block's point.
-        let mut at = Vec::new();
-        for block in blocks(output, batch.num_graphs) {
-            input.rows_at(block.point, &mut at);
+        let mut agg = arena::zeros(output.num_rows(), x.cols());
+        for block in blocks(output) {
+            // The input row of every node at the block's point.
+            let at = input.rows_at(block.point);
             for (r, &i) in block.nodes.iter().enumerate() {
+                let i = i as usize;
                 let srcs = batch.in_edges.sources(i);
                 let row = agg.row_mut(block.first + r);
                 for &s in srcs.iter().chain(std::iter::once(&i)) {
                     let coeff = 1.0 / (deg[s] * deg[i]).sqrt();
-                    for (o, xv) in row.iter_mut().zip(x.row(at[s])) {
+                    for (o, xv) in row.iter_mut().zip(x.row(at[s] as usize)) {
                         *o += xv * coeff;
                     }
                 }

@@ -1,6 +1,13 @@
 //! Model inputs: program graphs lowered to feature matrices + edge lists,
 //! single or batched as a disjoint union, and [`KernelBatch`], the lowering
 //! of many design points of one kernel that the tape-free forward reads.
+//!
+//! A [`KernelBatch`] computes each node's row once per group of points
+//! that agree, bit for bit, on the features of every pragma node within
+//! reach ([`Layouts`]). The groups of layer `l + 1` are interned per node
+//! from pairs (its group so far, a source's layer-`l` group) in a dense
+//! table reset only where it was touched, so lowering stays linear in the
+//! batch; a batch of one point, or of equal points, has one row per node.
 
 use design_space::DesignPoint;
 use gdse_tensor::{InEdges, Matrix};
@@ -116,64 +123,187 @@ impl GraphBatch {
 
 /// Where each node's row sits in one layer's batched node matrix.
 ///
-/// A node's row is *shared* when it is the same for every design point of
-/// the batch and *varying* otherwise. The matrix holds the `S` shared rows
-/// once, then each point's `V` varying rows: `S + B * V` rows, not
-/// `B * N`. Both blocks keep node order.
+/// For each node, the batch's points fall into *groups* whose row for that
+/// node is the same (see [`Layouts`]), and the matrix holds one row per
+/// group. Rows are numbered point by point: the rows first needed at point
+/// `b`, those of the nodes whose group no earlier point is in, come after
+/// the rows of points `0..b`, in node order. So point 0 needs rows `0..N`,
+/// and a node with one group has that row at every point.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Layout {
-    /// The shared nodes, then the varying nodes, each increasing.
-    order: Vec<usize>,
-    /// `S`, the number of shared nodes.
-    num_shared: usize,
-    /// Per node: its row at point 0, and how far its row moves from one
-    /// point to the next (0 if shared, `V` if varying).
-    place: Vec<(usize, usize)>,
+    /// `N`, the number of nodes.
+    num_nodes: usize,
+    /// `row[b * N + i]`: the row holding node `i` of point `b`.
+    row: Vec<u32>,
+    /// The node of every row.
+    node: Vec<u32>,
+    /// The rows first needed at point `b` are `first[b]..first[b + 1]`.
+    first: Vec<u32>,
 }
 
 impl Layout {
-    fn new(varies: &[bool]) -> Self {
-        let mut order = Vec::with_capacity(varies.len());
-        order.extend((0..varies.len()).filter(|&i| !varies[i]));
-        let num_shared = order.len();
-        order.extend((0..varies.len()).filter(|&i| varies[i]));
-        let step = order.len() - num_shared;
-        let mut place = vec![(0, 0); varies.len()];
-        for (r, &i) in order.iter().enumerate() {
-            place[i] = (r, if r < num_shared { 0 } else { step });
-        }
-        Self { order, num_shared, place }
+    /// Rows of a matrix in this layout.
+    pub(crate) fn num_rows(&self) -> usize {
+        self.node.len()
     }
 
-    /// Nodes whose row every point shares, increasing.
-    pub(crate) fn shared(&self) -> &[usize] {
-        &self.order[..self.num_shared]
-    }
-
-    /// Nodes with a row of their own in every point, increasing.
-    pub(crate) fn varying(&self) -> &[usize] {
-        &self.order[self.num_shared..]
-    }
-
-    fn varies(&self, i: usize) -> bool {
-        self.place[i].0 >= self.num_shared
-    }
-
-    /// Rows of a matrix in this layout over `points` design points.
-    pub(crate) fn rows(&self, points: usize) -> usize {
-        self.num_shared + points * (self.order.len() - self.num_shared)
+    /// Number of design points.
+    pub(crate) fn points(&self) -> usize {
+        self.first.len() - 1
     }
 
     /// The row holding node `i` of point `b`.
     pub(crate) fn row(&self, i: usize, b: usize) -> usize {
-        let (first, step) = self.place[i];
-        first + b * step
+        self.row[b * self.num_nodes + i] as usize
     }
 
-    /// Fills `rows` with the row of every node of point `b`.
-    pub(crate) fn rows_at(&self, b: usize, rows: &mut Vec<usize>) {
-        rows.clear();
-        rows.extend(self.place.iter().map(|&(first, step)| first + b * step));
+    /// The row of every node of point `b`, in node order.
+    pub(crate) fn rows_at(&self, b: usize) -> &[u32] {
+        &self.row[b * self.num_nodes..(b + 1) * self.num_nodes]
+    }
+
+    /// The rows first needed at point `b`: node `nodes[r]` is row
+    /// `first + r`.
+    pub(crate) fn first_needed(&self, b: usize) -> (usize, &[u32]) {
+        let (first, end) = (self.first[b] as usize, self.first[b + 1] as usize);
+        (first, &self.node[first..end])
+    }
+}
+
+/// Each node's partition of a batch's `B` points into groups: a group id
+/// per point, numbered in order of first appearance (point 0 is in group 0,
+/// and each point not in an earlier point's group opens the next one), so
+/// each partition has exactly one id vector.
+struct Grouping {
+    /// `ids[i * B + b]`: node `i`'s group at point `b`.
+    ids: Vec<u32>,
+    /// Number of groups of each node.
+    counts: Vec<u32>,
+}
+
+impl Grouping {
+    /// `num_nodes` nodes with one group each over `points` points.
+    fn uniform(num_nodes: usize, points: usize) -> Self {
+        Self { ids: vec![0; num_nodes * points], counts: vec![1; num_nodes] }
+    }
+
+    /// Groups node `i`'s points: `b` and `c` share a group when
+    /// `same(b, c)`, which must be an equivalence.
+    fn set(&mut self, i: usize, same: impl Fn(usize, usize) -> bool) {
+        let b_count = self.points();
+        let ids = &mut self.ids[i * b_count..(i + 1) * b_count];
+        // The first point of each group after group 0, which point 0 opens.
+        let mut reps: Vec<usize> = Vec::new();
+        for (b, id) in ids.iter_mut().enumerate().skip(1) {
+            let found = std::iter::once(0).chain(reps.iter().copied()).position(|c| same(c, b));
+            *id = match found {
+                Some(g) => g as u32,
+                None => {
+                    reps.push(b);
+                    reps.len() as u32
+                }
+            };
+        }
+        self.counts[i] = reps.len() as u32 + 1;
+    }
+
+    fn points(&self) -> usize {
+        self.ids.len() / self.counts.len()
+    }
+
+    fn of(&self, i: usize) -> &[u32] {
+        let b_count = self.points();
+        &self.ids[i * b_count..(i + 1) * b_count]
+    }
+
+    /// Numbers the rows of this grouping point by point. `scratch` is
+    /// working space.
+    fn layout(&self, scratch: &mut Vec<u32>) -> Layout {
+        let (n, b_count) = (self.counts.len(), self.points());
+        // `scratch[i]` is where node `i`'s later groups start in the rest
+        // of `scratch`, which holds the row of each (`u32::MAX` until its
+        // first point).
+        scratch.clear();
+        let mut later = 0;
+        scratch.extend(self.counts.iter().map(|&c| {
+            later += c - 1;
+            later - (c - 1)
+        }));
+        scratch.resize(n + later as usize, u32::MAX);
+        let (start, group_row) = scratch.split_at_mut(n);
+        // Point 0 opens group 0 of every node: rows `0..N`.
+        let mut row: Vec<u32> = Vec::with_capacity(b_count * n);
+        row.extend(0..n as u32);
+        let mut node = Vec::with_capacity(n + later as usize);
+        node.extend(0..n as u32);
+        let mut first = Vec::with_capacity(b_count + 1);
+        first.push(0);
+        for b in 1..b_count {
+            first.push(node.len() as u32);
+            for i in 0..n {
+                let g = self.ids[i * b_count + b];
+                if g == 0 {
+                    row.push(i as u32);
+                    continue;
+                }
+                let r = &mut group_row[(start[i] + g - 1) as usize];
+                if *r == u32::MAX {
+                    *r = node.len() as u32;
+                    node.push(i as u32);
+                }
+                row.push(*r);
+            }
+        }
+        first.push(node.len() as u32);
+        Layout { num_nodes: n, row, node, first }
+    }
+}
+
+/// Interns (group, source group) pairs into new group ids, in order of
+/// first appearance.
+#[derive(Default)]
+struct PairTable {
+    /// `id[g * src_count + s]`: the id of the pair `(g, s)`, `u32::MAX` if
+    /// unseen. Only the entries a call touched are reset after it.
+    id: Vec<u32>,
+    touched: Vec<usize>,
+}
+
+impl PairTable {
+    /// Largest dense table: `count * src_count <= B²`, so this bounds the
+    /// memory at any batch size; larger products intern through a map.
+    const MAX_DENSE: usize = 1 << 16;
+
+    /// Replaces each point's group in `groups` (of `count` groups) by the
+    /// id of its pair with the point's group in `src` (of `src_count`),
+    /// and returns the number of pairs.
+    fn refine(&mut self, groups: &mut [u32], count: u32, src: &[u32], src_count: u32) -> u32 {
+        let width = src_count as usize;
+        let size = count as usize * width;
+        if size > Self::MAX_DENSE {
+            let mut seen = std::collections::HashMap::new();
+            for (g, &s) in groups.iter_mut().zip(src) {
+                let next = seen.len() as u32;
+                *g = *seen.entry((*g, s)).or_insert(next);
+            }
+            return seen.len() as u32;
+        }
+        if self.id.len() < size {
+            self.id.resize(size, u32::MAX);
+        }
+        for (g, &s) in groups.iter_mut().zip(src) {
+            let k = *g as usize * width + s as usize;
+            if self.id[k] == u32::MAX {
+                self.id[k] = self.touched.len() as u32;
+                self.touched.push(k);
+            }
+            *g = self.id[k];
+        }
+        let pairs = self.touched.len() as u32;
+        for k in self.touched.drain(..) {
+            self.id[k] = u32::MAX;
+        }
+        pairs
     }
 }
 
@@ -181,34 +311,75 @@ impl Layout {
 /// convolution `l` (layout 0: the node features), so convolution `l` writes
 /// its output in layout `l + 1`.
 ///
-/// Pragma nodes vary in the features (when the batch has more than one
-/// point). A node's row varies at layer `l + 1` when its own row or a
-/// source's row varies at layer `l`, so layout `l` varies on exactly the
-/// nodes within `l` hops of a pragma node. The sequence stops at the
-/// fixpoint; [`get`](Self::get) past it returns the last layout.
+/// Layout 0 groups each node's points by its feature row. Layout `l + 1`
+/// groups node `i`'s points by the tuple of its own layout-`l` group, then
+/// the layout-`l` group of each in-edge source in CSR order: a node's row
+/// after a convolution is a function of exactly those input rows. So a node
+/// no pragma node reaches within `l` hops has one row in layout `l`, as
+/// does a node whose reachable pragma nodes all take one value in the
+/// batch, and a batch of one point has one row per node everywhere. Each
+/// layout refines the one before; the sequence stops when no node's
+/// grouping gets finer, and [`get`](Self::get) past it returns the last.
 #[derive(Debug, Clone)]
 pub(crate) struct Layouts(Vec<Layout>);
 
 impl Layouts {
-    pub(crate) fn new(in_edges: &InEdges, pragma_nodes: &[usize]) -> Self {
-        let mut varies = vec![false; in_edges.num_nodes()];
-        for &i in pragma_nodes {
-            varies[i] = true;
-        }
-        let mut layouts = vec![Layout::new(&varies)];
+    fn new(in_edges: &InEdges, mut grouping: Grouping) -> Self {
+        let (n, b_count) = (grouping.counts.len(), grouping.points());
+        let mut scratch = Vec::new();
+        let mut layouts = vec![grouping.layout(&mut scratch)];
+        let mut pairs = PairTable::default();
+        // The nodes whose grouping got finer at the last layout; at layout
+        // 0, finer than one group.
+        let mut grew: Vec<bool> = grouping.counts.iter().map(|&c| c > 1).collect();
+        // The nodes that get finer at the next layout with their group
+        // counts, and their `B` new ids each.
+        let mut finer: Vec<(usize, u32)> = Vec::new();
+        let mut ids: Vec<u32> = Vec::new();
         loop {
-            let last = &layouts[layouts.len() - 1];
-            let mut grew = false;
-            for (i, v) in varies.iter_mut().enumerate() {
-                if !*v && in_edges.sources(i).iter().any(|&s| last.varies(s)) {
-                    *v = true;
-                    grew = true;
+            for i in 0..n {
+                // A node's grouping refines its sources' at the layout
+                // before, so only sources that got finer can refine it; the
+                // result does not depend on the order they are taken in.
+                let mut count = grouping.counts[i];
+                let own = ids.len();
+                for &s in in_edges.sources(i) {
+                    if count as usize == b_count {
+                        // Every point has a group of its own already.
+                        break;
+                    }
+                    if !grew[s] {
+                        continue;
+                    }
+                    if ids.len() == own {
+                        ids.extend_from_slice(grouping.of(i));
+                    }
+                    let new = &mut ids[own..];
+                    count = if count == 1 {
+                        new.copy_from_slice(grouping.of(s));
+                        grouping.counts[s]
+                    } else {
+                        pairs.refine(new, count, grouping.of(s), grouping.counts[s])
+                    };
+                }
+                if count > grouping.counts[i] {
+                    finer.push((i, count));
+                } else {
+                    ids.truncate(own);
                 }
             }
-            if !grew {
+            if finer.is_empty() {
                 return Self(layouts);
             }
-            layouts.push(Layout::new(&varies));
+            grew.fill(false);
+            for (&(i, count), new) in finer.iter().zip(ids.chunks_exact(b_count)) {
+                grouping.ids[i * b_count..(i + 1) * b_count].copy_from_slice(new);
+                grouping.counts[i] = count;
+                grew[i] = true;
+            }
+            finer.clear();
+            ids.clear();
+            layouts.push(grouping.layout(&mut scratch));
         }
     }
 
@@ -222,10 +393,11 @@ impl Layouts {
 /// [`PredictionModel::infer`](crate::PredictionModel::infer).
 ///
 /// The kernel is lowered once: its edge features, its incoming-edge lists,
-/// the layout of every layer and the feature rows of its non-pragma nodes,
-/// which every point shares. Each point adds only its pragma-node rows and
-/// its M1 pragma encoding. With one point, no row varies: there is one
-/// layout, with every row shared.
+/// the layout of every layer (see [`Layouts`]) and the feature rows of its
+/// non-pragma nodes. Each point adds its pragma-node rows, one per distinct
+/// row, and its M1 pragma encoding. Points that agree on every pragma value
+/// a node can see share that node's row, so with one point, or with equal
+/// points, every layout has one row per node.
 #[derive(Debug, Clone)]
 pub struct KernelBatch {
     pub(crate) num_nodes: usize,
@@ -234,8 +406,8 @@ pub struct KernelBatch {
     pub(crate) edge_attr: Matrix,
     pub(crate) in_edges: InEdges,
     layouts: Layouts,
-    /// Node features in layout 0: the non-pragma rows, then each point's
-    /// pragma rows (`[N, NODE_FEATS]` in node order for a batch of one).
+    /// Node features in layout 0 (`[N, NODE_FEATS]` in node order for a
+    /// batch of one).
     pub(crate) x: Matrix,
     /// Per-point pragma encodings `[B, MAX_SLOTS * SLOT_FEATS]` (M1 input).
     pub(crate) pragma_enc: Matrix,
@@ -251,21 +423,29 @@ impl KernelBatch {
         assert!(!points.is_empty(), "empty batch");
         let num_nodes = graph.num_nodes();
         let in_edges = InEdges::new(num_nodes, &graph.edge_sources(), &graph.edge_destinations());
-        let pragma_nodes: Vec<usize> = graph.pragma_nodes().iter().map(|&(i, _)| i).collect();
-        // A row varies only if it can differ between the batch's points, so
-        // a batch of one point shares every row.
-        let varying = if points.len() > 1 { pragma_nodes.as_slice() } else { &[] };
-        let layouts = Layouts::new(&in_edges, varying);
+        let features: Vec<Matrix> = points.iter().map(|p| pragma_node_features(graph, p)).collect();
+        // Only the pragma nodes' features differ between points.
+        let mut layer_0 = Grouping::uniform(num_nodes, points.len());
+        let mut pragma_row = vec![None; num_nodes];
+        for (r, &(i, slot)) in graph.pragma_nodes().iter().enumerate() {
+            // A pragma node's row is a function of its slot's value: equal
+            // values give equal bits, and other rows are compared.
+            layer_0.set(i, |b, c| {
+                points[b].value(slot) == points[c].value(slot)
+                    || same_bits(features[b].row(r), features[c].row(r))
+            });
+            pragma_row[i] = Some(r);
+        }
+        let layouts = Layouts::new(&in_edges, layer_0);
         let layout = layouts.get(0);
         let placeholder = node_features(graph, None);
-        let mut x = Matrix::zeros(layout.rows(points.len()), placeholder.cols());
-        for (r, &i) in layout.shared().iter().enumerate() {
-            x.row_mut(r).copy_from_slice(placeholder.row(i));
-        }
-        for (b, point) in points.iter().enumerate() {
-            let rows = pragma_node_features(graph, point);
-            for (r, &i) in pragma_nodes.iter().enumerate() {
-                x.row_mut(layout.row(i, b)).copy_from_slice(rows.row(r));
+        let mut x = Matrix::zeros(layout.num_rows(), placeholder.cols());
+        for (b, f) in features.iter().enumerate() {
+            let (first, nodes) = layout.first_needed(b);
+            for (r, &i) in nodes.iter().enumerate() {
+                let i = i as usize;
+                let row = pragma_row[i].map_or(placeholder.row(i), |k| f.row(k));
+                x.row_mut(first + r).copy_from_slice(row);
             }
         }
         let encodings: Vec<Matrix> = points.iter().map(crate::model::encode_pragmas).collect();
@@ -284,6 +464,12 @@ impl KernelBatch {
     pub(crate) fn layout(&self, l: usize) -> &Layout {
         self.layouts.get(l)
     }
+}
+
+/// Whether two rows hold the same bits. Rows of different pragma values
+/// mostly differ in their last, raw-option column, so compare from the end.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.iter().rev().zip(b.iter().rev()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]
@@ -325,36 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_batch_features_are_a_graph_batchs_rows_in_layout_0() {
-        let k = kernels::aes();
-        let space = DesignSpace::from_kernel(&k);
-        let g = build_graph_bidirectional(&k, &space);
-        let points = [space.default_point(), space.point_at(space.size() - 1)];
-        let inputs: Vec<GraphInput> =
-            points.iter().map(|p| GraphInput::from_graph(&g, Some(p))).collect();
-        let pragma: Vec<usize> = g.pragma_nodes().iter().map(|&(i, _)| i).collect();
-        let n = g.num_nodes();
-        for len in [1, 2] {
-            let kb = KernelBatch::new(&g, &points[..len]);
-            let items: Vec<_> = inputs.iter().zip(&points).take(len).collect();
-            let batch = GraphBatch::new(&items);
-            let layout = kb.layout(0);
-            // One point shares every row; two vary on the pragma nodes.
-            let varying: &[usize] = if len == 1 { &[] } else { &pragma };
-            assert_eq!(layout.varying(), varying, "B = {len}");
-            assert_eq!(kb.x.rows(), layout.rows(len));
-            for b in 0..len {
-                for i in 0..n {
-                    let row = kb.x.row(layout.row(i, b));
-                    assert_eq!(row, batch.x.row(b * n + i), "node {i}, point {b}, B = {len}");
-                }
-            }
-            assert_eq!(kb.pragma_enc, batch.pragma_x);
-            assert_eq!(kb.edge_attr, inputs[0].edge_attr);
-        }
-    }
-
-    #[test]
     fn in_edges_group_by_destination_in_edge_order() {
         let e = InEdges::new(3, &[0, 2, 1, 0], &[1, 1, 2, 1]);
         assert_eq!(e.num_nodes(), 3);
@@ -371,20 +527,158 @@ mod tests {
         InEdges::new(n, &src, &dst)
     }
 
+    /// The layouts of a graph whose node `i` takes `values[b]` at point `b`
+    /// for each `(i, values)` of `pragma`, and one value elsewhere.
+    fn synthetic(in_edges: &InEdges, points: usize, pragma: &[(usize, Vec<u32>)]) -> Layouts {
+        let mut layer_0 = Grouping::uniform(in_edges.num_nodes(), points);
+        for (i, values) in pragma {
+            layer_0.set(*i, |b, c| values[b] == values[c]);
+        }
+        Layouts::new(in_edges, layer_0)
+    }
+
+    /// Asserts the grouping rule on every layout, one past the last
+    /// included: node `i` shares a row between points `b` and `c` in
+    /// layout 0 iff `same_input(i, b, c)`, and in layout `l + 1` iff it and
+    /// each of its sources share one in layout `l`.
+    fn assert_rule(
+        in_edges: &InEdges,
+        layouts: &Layouts,
+        points: usize,
+        same_input: impl Fn(usize, usize, usize) -> bool,
+    ) {
+        let n = in_edges.num_nodes();
+        let pairs: Vec<(usize, usize)> =
+            (0..points).flat_map(|b| (b + 1..points).map(move |c| (b, c))).collect();
+        let shared = |l: usize, i: usize, (b, c): (usize, usize)| {
+            layouts.get(l).row(i, b) == layouts.get(l).row(i, c)
+        };
+        for i in 0..n {
+            for &(b, c) in &pairs {
+                assert_eq!(shared(0, i, (b, c)), same_input(i, b, c), "layout 0, node {i}");
+            }
+        }
+        for l in 0..layouts.0.len() {
+            for i in 0..n {
+                for &pair in &pairs {
+                    let inputs = std::iter::once(&i).chain(in_edges.sources(i));
+                    let expected = inputs.clone().all(|&s| shared(l, s, pair));
+                    assert_eq!(shared(l + 1, i, pair), expected, "layout {}, node {i}", l + 1);
+                }
+            }
+        }
+    }
+
+    /// Sweep-shaped batches of `space`: consecutive mixed-radix indices (the
+    /// last slots vary), the same with every point twice, and a random draw.
+    fn batches(space: &DesignSpace, points: usize, seed: u128) -> Vec<Vec<DesignPoint>> {
+        let at = |k: u128| space.point_at(k % space.size());
+        let base = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) % space.size();
+        let sweep: Vec<_> = (0..points as u128).map(|k| at(base + k)).collect();
+        let twice: Vec<_> = (0..points as u128).map(|k| at(base + k / 2)).collect();
+        let random: Vec<_> = (0..points as u128)
+            .map(|k| at(base.wrapping_add(k.wrapping_mul(0x5851_f42d_4c95_7f2d))))
+            .collect();
+        vec![sweep, twice, random]
+    }
+
     #[test]
-    fn layout_l_varies_on_the_nodes_within_l_hops_of_a_pragma_node() {
-        let layouts = Layouts::new(&path(5), &[4]);
-        // Layout 4 varies on every node: the fixpoint, so the last layout.
+    fn one_point_has_one_row_per_node_in_every_layout() {
+        for k in kernels::all_kernels() {
+            let space = DesignSpace::from_kernel(&k);
+            let g = build_graph_bidirectional(&k, &space);
+            let n = g.num_nodes();
+            let point = space.point_at(space.size() - 1);
+            let kb = KernelBatch::new(&g, std::slice::from_ref(&point));
+            assert_eq!(kb.layouts.0.len(), 1, "{}", k.name());
+            for l in 0..8 {
+                let layout = kb.layout(l);
+                assert_eq!(layout.num_rows(), n, "{}, layout {l}", k.name());
+                assert_eq!(layout.rows_at(0), (0..n as u32).collect::<Vec<_>>());
+            }
+            assert_eq!(kb.x, node_features(&g, Some(&point)), "{}", k.name());
+        }
+    }
+
+    #[test]
+    fn identical_points_share_one_row_per_node() {
+        let k = kernels::aes();
+        let space = DesignSpace::from_kernel(&k);
+        let g = build_graph_bidirectional(&k, &space);
+        let n = g.num_nodes();
+        let points = vec![space.point_at(space.size() / 3); 5];
+        let kb = KernelBatch::new(&g, &points);
+        assert_eq!(kb.layouts.0.len(), 1);
+        let layout = kb.layout(0);
+        assert_eq!(layout.num_rows(), n);
+        for b in 0..points.len() {
+            assert_eq!(layout.rows_at(b), (0..n as u32).collect::<Vec<_>>(), "point {b}");
+            assert_eq!(layout.first_needed(b).1.len(), if b == 0 { n } else { 0 }, "point {b}");
+        }
+        assert_eq!(kb.x, KernelBatch::new(&g, &points[..1]).x);
+    }
+
+    #[test]
+    fn a_pragma_with_two_values_over_four_points_splits_its_reach() {
+        // Node 4 of the path takes value 7 at points 0 and 2, 9 at 1 and 3.
+        let layouts = synthetic(&path(5), 4, &[(4, vec![7, 9, 7, 9])]);
+        // Layout 4 splits every node: the fixpoint, so the last layout.
         assert_eq!(layouts.0.len(), 5);
         for (l, layout) in layouts.0.iter().enumerate() {
-            assert_eq!(layout.shared(), (0..4 - l).collect::<Vec<_>>(), "layout {l}");
-            assert_eq!(layout.varying(), (4 - l..5).collect::<Vec<_>>(), "layout {l}");
+            // Point 0 needs one row per node; point 1 a second row for each
+            // node within `l` hops of node 4; points 2 and 3 nothing new.
+            let reach: Vec<u32> = (4 - l as u32..5).collect();
+            assert_eq!(layout.num_rows(), 5 + reach.len(), "layout {l}");
+            assert_eq!(layout.first_needed(0), (0, &[0, 1, 2, 3, 4][..]), "layout {l}");
+            assert_eq!(layout.first_needed(1), (5, &reach[..]), "layout {l}");
+            for b in [2, 3] {
+                assert_eq!(layout.first_needed(b).1, &[] as &[u32], "layout {l}, point {b}");
+                assert_eq!(layout.rows_at(b), layout.rows_at(b - 2), "layout {l}, point {b}");
+            }
+            for i in 0..5 {
+                let second = reach.iter().position(|&r| r == i as u32).map_or(i, |r| 5 + r);
+                assert_eq!(layout.row(i, 1), second, "layout {l}, node {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn rows_are_numbered_point_by_point_in_node_order() {
+        for k in kernels::all_kernels() {
+            let space = DesignSpace::from_kernel(&k);
+            let g = build_graph_bidirectional(&k, &space);
+            let n = g.num_nodes();
+            for points in batches(&space, 17, 7) {
+                let kb = KernelBatch::new(&g, &points);
+                for layout in &kb.layouts.0 {
+                    let mut next = 0;
+                    for b in 0..points.len() {
+                        // Point `b`'s new rows follow the earlier points'
+                        // rows, in node order, and every row it reads is
+                        // one of those or its own.
+                        let (first, nodes) = layout.first_needed(b);
+                        assert_eq!(first, next, "{}, point {b}", k.name());
+                        assert!(nodes.windows(2).all(|w| w[0] < w[1]));
+                        for (r, &i) in nodes.iter().enumerate() {
+                            assert_eq!(layout.row(i as usize, b), first + r);
+                        }
+                        next = first + nodes.len();
+                        let rows = layout.rows_at(b);
+                        assert_eq!(rows.len(), n);
+                        for (i, &row) in rows.iter().enumerate() {
+                            assert!((row as usize) < next, "{}, node {i}", k.name());
+                            assert_eq!(layout.row(i, b), row as usize);
+                        }
+                    }
+                    assert_eq!(next, layout.num_rows());
+                }
+            }
         }
     }
 
     #[test]
     fn layouts_past_the_last_equal_the_last() {
-        let layouts = Layouts::new(&path(5), &[4]);
+        let layouts = synthetic(&path(5), 4, &[(4, vec![7, 9, 7, 9])]);
         for l in 4..12 {
             assert_eq!(layouts.get(l), &layouts.0[4], "layer {l}");
         }
@@ -394,36 +688,111 @@ mod tests {
     fn nodes_out_of_reach_of_every_pragma_node_stay_shared() {
         // The path 0 - 1 - 2, beside the edge 3 - 4.
         let e = InEdges::new(5, &[0, 1, 1, 2, 3, 4], &[1, 0, 2, 1, 4, 3]);
-        let layouts = Layouts::new(&e, &[0]);
+        let layouts = synthetic(&e, 3, &[(0, vec![0, 1, 2])]);
         assert_eq!(layouts.0.len(), 3);
         for l in 0..6 {
-            assert!(layouts.get(l).shared().ends_with(&[3, 4]), "layer {l}");
+            let layout = layouts.get(l);
+            for b in 0..3 {
+                assert_eq!(&layout.rows_at(b)[3..], [3, 4], "layer {l}, point {b}");
+            }
         }
-        assert_eq!(layouts.get(2).varying(), [0, 1, 2]);
-        let none = Layouts::new(&e, &[]);
+        assert_eq!(layouts.get(2).num_rows(), 5 + 2 * 3);
+        let none = synthetic(&e, 3, &[]);
         assert_eq!(none.0.len(), 1);
-        assert_eq!(none.get(0).shared(), [0, 1, 2, 3, 4]);
-        assert!(none.get(0).varying().is_empty());
+        assert_eq!(none.get(0).num_rows(), 5);
     }
 
     #[test]
-    fn rows_hold_the_shared_block_then_each_points_varying_block() {
-        // A pragma in the middle of the path: layout 1 shares nodes 0 and 4.
-        let layouts = Layouts::new(&path(5), &[2]);
-        let layout = layouts.get(1);
-        assert_eq!((layout.shared(), layout.varying()), (&[0, 4][..], &[1, 2, 3][..]));
-        let (s, v) = (2, 3);
-        assert_eq!(layout.rows(4), s + 4 * v);
-        for b in 0..4 {
-            for (r, &i) in layout.shared().iter().enumerate() {
-                assert_eq!(layout.row(i, b), r, "shared node {i}, point {b}");
+    fn kernel_batch_features_are_a_graph_batchs_rows_in_layout_0() {
+        let k = kernels::aes();
+        let space = DesignSpace::from_kernel(&k);
+        let g = build_graph_bidirectional(&k, &space);
+        let n = g.num_nodes();
+        for len in [1, 2, 17] {
+            for points in batches(&space, len, len as u128) {
+                let inputs: Vec<GraphInput> =
+                    points.iter().map(|p| GraphInput::from_graph(&g, Some(p))).collect();
+                let items: Vec<_> = inputs.iter().zip(&points).collect();
+                let batch = GraphBatch::new(&items);
+                let kb = KernelBatch::new(&g, &points);
+                let layout = kb.layout(0);
+                assert_eq!(kb.x.rows(), layout.num_rows());
+                for b in 0..len {
+                    for i in 0..n {
+                        let row = kb.x.row(layout.row(i, b));
+                        assert_eq!(row, batch.x.row(b * n + i), "node {i}, point {b}, B = {len}");
+                    }
+                }
+                assert_eq!(kb.pragma_enc, batch.pragma_x);
+                assert_eq!(kb.edge_attr, inputs[0].edge_attr);
             }
-            for (r, &i) in layout.varying().iter().enumerate() {
-                assert_eq!(layout.row(i, b), s + b * v + r, "varying node {i}, point {b}");
+        }
+    }
+
+    #[test]
+    fn layout_l_plus_1_refines_layout_l_by_the_sources_groups() {
+        for k in kernels::all_kernels() {
+            let space = DesignSpace::from_kernel(&k);
+            let g = build_graph_bidirectional(&k, &space);
+            for points in batches(&space, 9, 3) {
+                let kb = KernelBatch::new(&g, &points);
+                let features: Vec<Matrix> =
+                    points.iter().map(|p| node_features(&g, Some(p))).collect();
+                assert_rule(&kb.in_edges, &kb.layouts, points.len(), |i, b, c| {
+                    same_bits(features[b].row(i), features[c].row(i))
+                });
             }
-            let mut rows = Vec::new();
-            layout.rows_at(b, &mut rows);
-            assert_eq!(rows, (0..5).map(|i| layout.row(i, b)).collect::<Vec<_>>(), "point {b}");
+        }
+    }
+
+    #[test]
+    fn batches_too_large_for_the_dense_pair_table_follow_the_rule() {
+        // Node 1 of the path pairs node 0's 300 groups with node 2's 300:
+        // 90,000 pairs, past the dense table.
+        let b_count = 600;
+        let values = |f: fn(u32) -> u32| (0..b_count as u32).map(f).collect::<Vec<_>>();
+        let pragma = [(0, values(|b| b % 300)), (2, values(|b| (b / 2) % 300))];
+        const { assert!(300 * 300 > PairTable::MAX_DENSE) };
+        let e = path(3);
+        let layouts = synthetic(&e, b_count, &pragma);
+        assert_rule(&e, &layouts, b_count, |i, b, c| {
+            pragma.iter().all(|(p, v)| *p != i || v[b] == v[c])
+        });
+    }
+
+    #[test]
+    fn row_counts_never_exceed_the_shared_rows_plus_each_points_varying_rows() {
+        for k in kernels::all_kernels() {
+            let space = DesignSpace::from_kernel(&k);
+            let g = build_graph_bidirectional(&k, &space);
+            let n = g.num_nodes();
+            for len in [2, 17, 64] {
+                for points in batches(&space, len, 5) {
+                    let kb = KernelBatch::new(&g, &points);
+                    // The nodes within `l` hops of a pragma node: a row of
+                    // their own at every point before row groups.
+                    let mut reach = vec![false; n];
+                    for (i, _) in g.pragma_nodes() {
+                        reach[i] = true;
+                    }
+                    for l in 0..kb.layouts.0.len() + 2 {
+                        let varying = reach.iter().filter(|&&r| r).count();
+                        let layout = kb.layout(l);
+                        assert!(layout.num_rows() <= n - varying + len * varying);
+                        for i in (0..n).filter(|&i| !reach[i]) {
+                            for b in 0..len {
+                                assert_eq!(layout.row(i, b), layout.row(i, 0), "node {i}");
+                            }
+                        }
+                        let grown: Vec<usize> = (0..n)
+                            .filter(|&i| kb.in_edges.sources(i).iter().any(|&s| reach[s]))
+                            .collect();
+                        for i in grown {
+                            reach[i] = true;
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -433,3 +802,4 @@ mod tests {
         let _ = GraphBatch::new(&[]);
     }
 }
+

@@ -8,7 +8,7 @@ use gdse_obs::metrics;
 use gdse_tensor::Matrix;
 use gnn_dse::dataset::MAIN_TARGETS;
 use gnn_dse::trainer::{train_regression, TrainConfig};
-use gnn_dse::{dbgen, Dataset, Normalizer, Predictor};
+use gnn_dse::{dbgen, Dataset, Normalizer, Prediction, Predictor};
 use hls_ir::kernels;
 use proggraph::{build_graph_bidirectional, ProgramGraph};
 use proptest::prelude::*;
@@ -117,8 +117,98 @@ fn assert_parity(models: &[PredictionModel], seed: u64) {
     }
 }
 
+/// A batch of `b` points shaped like a DSE sweep's: a base point with 1–3
+/// slots varied over their options, the last varied slot fastest (`shape`
+/// 0); the same with every point twice (`shape` 1); or `b` copies of the
+/// base point (`shape` 2).
+fn sweep_points(space: &DesignSpace, b: usize, seed: u64, shape: usize) -> Vec<DesignPoint> {
+    let base = random_points(space, 1, seed).remove(0);
+    let slots = space.slots();
+    let varied: Vec<usize> = (0..1 + seed as usize % 3)
+        .map(|j| (seed as usize / 3 + j * 7) % slots.len())
+        .collect();
+    let at = |mut k: usize| {
+        let mut point = base.clone();
+        for &slot in varied.iter().rev() {
+            let options = &slots[slot].options;
+            point.set_value(slot, options[k % options.len()]);
+            k /= options.len();
+        }
+        point
+    };
+    (0..b)
+        .map(|k| match shape {
+            0 => at(k),
+            1 => at(k / 2),
+            _ => base.clone(),
+        })
+        .collect()
+}
+
+/// On sweep-shaped batches of one kernel, `infer` equals the tape, and each
+/// point's `predict_batch` row equals its own `predict`, bit for bit, on
+/// every model kind.
+fn assert_sweep_parity(kernel: usize, seed: u64) {
+    let (name, space, graph) = &targets()[kernel];
+    let models = untrained();
+    let predictors: Vec<Predictor> = models
+        .iter()
+        .map(|m| Predictor::untrained(m.kind(), m.config().clone(), Normalizer::with_factor(1e6)))
+        .collect();
+    for (shape, b) in (0..3).flat_map(|shape| [2, 3, 17, 64].map(|b| (shape, b))) {
+        let points = sweep_points(space, b, seed, shape);
+        let inputs: Vec<GraphInput> =
+            points.iter().map(|p| GraphInput::from_graph(graph, Some(p))).collect();
+        let refs: Vec<(&GraphInput, &DesignPoint)> = inputs.iter().zip(&points).collect();
+        let tape_batch = GraphBatch::new(&refs);
+        let kernel_batch = KernelBatch::new(graph, &points);
+        for (model, predictor) in models.iter().zip(&predictors) {
+            let tape = model.forward(&tape_batch);
+            let free = model.infer(&kernel_batch);
+            for (head, (got, &want)) in free.iter().zip(&tape.outputs).enumerate() {
+                assert_eq!(
+                    bits(got),
+                    bits(tape.graph.value(want)),
+                    "{:?} on {name}, B = {b}, shape {shape}, head {head}",
+                    model.kind()
+                );
+            }
+            let batch = predictor.predict_batch(graph, &points);
+            for (k, (row, point)) in batch.iter().zip(&points).enumerate() {
+                let one = predictor.predict(graph, point);
+                assert_eq!(
+                    prediction_bits(row),
+                    prediction_bits(&one),
+                    "{:?} on {name}, B = {b}, shape {shape}, point {k}",
+                    model.kind()
+                );
+            }
+        }
+    }
+}
+
+fn prediction_bits(p: &Prediction) -> [u64; 6] {
+    let u = &p.util;
+    [
+        p.valid_prob.to_bits(),
+        p.cycles,
+        u.dsp.to_bits(),
+        u.lut.to_bits(),
+        u.ff.to_bits(),
+        u.bram.to_bits(),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn infer_matches_the_tape_on_sweep_shaped_batches(
+        kernel in 0..targets().len(),
+        seed in any::<u64>(),
+    ) {
+        assert_sweep_parity(kernel, seed);
+    }
 
     #[test]
     fn infer_matches_the_tape_on_untrained_models(seed in any::<u64>()) {

@@ -24,8 +24,9 @@
 //!   `share_of_infer` = kernel time / infer-stage span time.
 //!
 //! `GNNDSE_CLIENTS` (default 4) and `GNNDSE_REQUESTS` (default 120,
-//! per client) size the load. `serve_regress` compares the per-stage
-//! p99s of two such reports and fails on >25% regressions.
+//! per client) size the load. Serving speed is judged by the benchmark's
+//! serve-open workload (`gdse-bench compare` on its `serve.*` stages), not
+//! by this report's timings.
 
 use gdse_gnn::{ModelConfig, ModelKind};
 use gdse_serve::{Client, ClientConfig, Response, ServeConfig, Server};

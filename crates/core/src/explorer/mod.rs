@@ -10,26 +10,21 @@
 //! * [`RandomExplorer`] — uniform random configurations that the other two
 //!   skip.
 //!
-//! [`AnnealingExplorer`] adds the classic simulated-annealing baseline from
-//! the related work (not part of the paper's database generator, used for
-//! baseline comparisons), and [`GFlowExplorer`] a learned trajectory
-//! sampler that draws diverse high-reward configurations in proportion to
-//! their reward.
-
-//! All five implement the [`Explorer`] trait — one engine-taking,
+//! [`GFlowExplorer`] adds a learned trajectory sampler that draws diverse
+//! high-reward configurations in proportion to their reward.
+//!
+//! All four implement the [`Explorer`] trait — one engine-taking,
 //! [`Objective`]-parameterized entry point,
 //! [`Explorer::explore_scored_with`] — so campaigns can drive any mix of
 //! explorers through one shared [`ExecEngine`] under any objective (scalar
 //! latency, weighted sum, or Pareto, with optional resource budgets).
 //! `ExecEngine::serial()` runs the same code on one worker.
 
-mod annealing;
 mod bottleneck;
 mod gflow;
 mod hybrid;
 mod random;
 
-pub use annealing::AnnealingExplorer;
 pub use bottleneck::{BottleneckExplorer, ExplorationLog};
 pub use gflow::GFlowExplorer;
 pub use hybrid::HybridExplorer;
@@ -109,39 +104,6 @@ pub(crate) fn dedupe_canonical(
         .map(|p| design_space::rules::canonicalize(kernel, space, p))
         .filter(|c| seen.insert(c.clone()))
         .collect()
-}
-
-/// Evaluates `point` (deduplicated against `db`), recording the result.
-///
-/// Returns the result (`None` when the backend lost the point to tool
-/// failure — nothing is recorded, so a later run can pick it up again) and
-/// whether a fresh evaluation was spent. Lost points still spend budget:
-/// the attempts consumed real tool time. The miss is evaluated by
-/// [`ExecEngine::evaluate_ordered`] (single-point batch), so it benefits
-/// from the engine's oracle cache and its merged per-worker accounting.
-pub(crate) fn evaluate_into_db_with<B: EvalBackend + Sync>(
-    engine: &ExecEngine,
-    eval: &B,
-    kernel: &Kernel,
-    space: &DesignSpace,
-    point: &DesignPoint,
-    db: &mut Database,
-) -> (Option<HlsResult>, bool) {
-    let canonical = design_space::rules::canonicalize(kernel, space, point);
-    if let Some(e) = db.get(kernel.name(), &canonical) {
-        return (Some(e.result), false);
-    }
-    let result = engine
-        .evaluate_ordered(eval, kernel, space, std::slice::from_ref(&canonical))
-        .pop()
-        .expect("one result per submitted point");
-    match result {
-        Ok(r) => {
-            db.insert(kernel.name(), canonical, r);
-            (Some(r), true)
-        }
-        Err(_) => (None, true),
-    }
 }
 
 /// One candidate's outcome from [`evaluate_frontier`].
@@ -250,12 +212,12 @@ mod tests {
         let sim = MerlinSimulator::new();
         let engine = ExecEngine::serial();
         let mut db = Database::new();
-        let p = space.default_point();
-        let (r1, fresh1) = evaluate_into_db_with(&engine, &sim, &k, &space, &p, &mut db);
-        let (r2, fresh2) = evaluate_into_db_with(&engine, &sim, &k, &space, &p, &mut db);
-        assert!(r1.is_some() && r2.is_some());
-        assert!(fresh1);
-        assert!(!fresh2);
+        let p = [space.default_point()];
+        let first = evaluate_frontier(&engine, &sim, &k, &space, &p, &mut db, 0, 1).remove(0);
+        let second = evaluate_frontier(&engine, &sim, &k, &space, &p, &mut db, 0, 1).remove(0);
+        assert!(first.result.is_some() && second.result.is_some());
+        assert!(first.fresh);
+        assert!(!second.fresh);
         assert_eq!(db.len(), 1);
     }
 
@@ -268,7 +230,7 @@ mod tests {
         let mut db = Database::new();
         let p0 = space.default_point();
         // Pre-seed the db with p0 so it becomes a free hit.
-        evaluate_into_db_with(&engine, &sim, &k, &space, &p0, &mut db);
+        evaluate_frontier(&engine, &sim, &k, &space, std::slice::from_ref(&p0), &mut db, 0, 1);
 
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -319,10 +281,10 @@ mod tests {
         );
         let mut db = Database::new();
         let engine = ExecEngine::serial();
-        let (r, fresh) =
-            evaluate_into_db_with(&engine, &h, &k, &space, &space.default_point(), &mut db);
-        assert!(r.is_none());
-        assert!(fresh, "failed attempts still consume tool budget");
+        let p = [space.default_point()];
+        let item = evaluate_frontier(&engine, &h, &k, &space, &p, &mut db, 0, 1).remove(0);
+        assert!(item.result.is_none());
+        assert!(item.fresh, "failed attempts still consume tool budget");
         assert_eq!(db.len(), 0, "a lost point must not pollute the database");
     }
 }

@@ -186,14 +186,19 @@ impl Predictor {
     }
 
     /// Predicts a batch of design points of one kernel: the kernel is
-    /// lowered once, and all three models run the tape-free
-    /// [`PredictionModel::infer`].
+    /// lowered once, for the deepest of the three models, and all three run
+    /// the tape-free [`PredictionModel::infer`].
     pub fn predict_batch(&self, graph: &ProgramGraph, points: &[DesignPoint]) -> Vec<Prediction> {
         if points.is_empty() {
             return Vec::new();
         }
         let started = Instant::now();
-        let batch = KernelBatch::new(graph, points);
+        let depth = self
+            .classifier
+            .convolutions()
+            .max(self.regressor.convolutions())
+            .max(self.bram_model.convolutions());
+        let batch = KernelBatch::new(graph, points, depth);
         let cls = self.classifier.infer(&batch);
         let reg = self.regressor.infer(&batch);
         let bram = self.bram_model.infer(&batch);

@@ -6,8 +6,8 @@
 //! The crate ties the substrates together (Fig. 1a):
 //!
 //! * [`dbgen`] / [`explorer`] — build a [`db::Database`] of evaluated
-//!   designs with the five explorers (bottleneck, hybrid, random, annealing,
-//!   and the GFlowNet-style trajectory sampler), all parameterized by an
+//!   designs with the four explorers (bottleneck, hybrid, random and the
+//!   GFlowNet-style trajectory sampler), all parameterized by an
 //!   [`objective::Objective`];
 //! * [`objective`] / [`pareto`] — what "better" means: scalar latency,
 //!   weighted-sum, or true multi-objective Pareto search with per-device

@@ -302,9 +302,9 @@ impl Score {
         }
     }
 
-    /// A scalar view for code that needs one number (annealing energy,
-    /// sampler rewards): cycles for [`Score::Cycles`] and [`Score::Front`],
-    /// the sum for [`Score::Weighted`], `None` when infeasible.
+    /// A scalar view for code that needs one number (sampler rewards):
+    /// cycles for [`Score::Cycles`] and [`Score::Front`], the sum for
+    /// [`Score::Weighted`], `None` when infeasible.
     pub fn scalar(&self) -> Option<f64> {
         match self {
             Score::Infeasible => None,

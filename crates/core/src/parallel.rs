@@ -7,7 +7,8 @@
 //!   submission order, so any worker count reproduces the serial output);
 //! * an **oracle cache** keyed by `(kernel, pragma-config)` holding
 //!   successful [`HlsResult`]s — losses are *not* cached, so a config that
-//!   failed through the fault-injecting harness stays eligible for retry;
+//!   failed through the fault-injecting harness is evaluated again when it
+//!   is resubmitted;
 //! * a **prediction cache** with the same key shape for surrogate
 //!   [`Prediction`]s, cleared whenever the model retrains
 //!   ([`ExecEngine::clear_predictions`]).
@@ -21,11 +22,9 @@ use crate::harness::{EvalBackend, EvalError};
 use crate::inference::{Prediction, Predictor};
 use design_space::{DesignPoint, DesignSpace};
 use gdse_exec::{evaluate_cached, ShardedCache, WorkerPool};
-use gdse_obs as obs;
 use hls_ir::Kernel;
 use merlin_sim::HlsResult;
 use proggraph::ProgramGraph;
-use std::collections::HashMap;
 
 /// Cache key: kernel name + full pragma configuration.
 type ConfigKey = (String, DesignPoint);
@@ -34,7 +33,8 @@ type ConfigKey = (String, DesignPoint);
 #[derive(Debug)]
 pub struct ExecEngine {
     pool: WorkerPool,
-    oracle_cache: ShardedCache<ConfigKey, HlsResult>,
+    /// Only `Ok` results are inserted (see [`ExecEngine::evaluate_ordered`]).
+    oracle_cache: ShardedCache<ConfigKey, Result<HlsResult, EvalError>>,
     prediction_cache: ShardedCache<ConfigKey, Prediction>,
 }
 
@@ -88,40 +88,15 @@ impl ExecEngine {
         space: &DesignSpace,
         points: &[DesignPoint],
     ) -> Vec<Result<HlsResult, EvalError>> {
-        let mut out: Vec<Option<Result<HlsResult, EvalError>>> = vec![None; points.len()];
-        let mut miss_points: Vec<DesignPoint> = Vec::new();
-        let mut miss_slot: Vec<(usize, usize)> = Vec::new();
-        let mut first_seen: HashMap<ConfigKey, usize> = HashMap::new();
-        let mut hits = 0u64;
-
-        for (i, point) in points.iter().enumerate() {
-            let key = (kernel.name().to_string(), point.clone());
-            if let Some(r) = self.oracle_cache.get(&key) {
-                out[i] = Some(Ok(r));
-                hits += 1;
-                continue;
-            }
-            let batch_idx = *first_seen.entry(key).or_insert_with(|| {
-                miss_points.push(point.clone());
-                miss_points.len() - 1
-            });
-            miss_slot.push((i, batch_idx));
-        }
-        obs::metrics::counter_add("exec.cache_hits", hits);
-        obs::metrics::counter_add("exec.cache_misses", miss_points.len() as u64);
-
-        if !miss_points.is_empty() {
-            let fresh = self.pool.map(&miss_points, |_, p| eval.try_evaluate(kernel, space, p));
-            for (point, result) in miss_points.iter().zip(&fresh) {
-                if let Ok(v) = result {
-                    self.oracle_cache.insert((kernel.name().to_string(), point.clone()), *v);
-                }
-            }
-            for (slot, batch_idx) in miss_slot {
-                out[slot] = Some(fresh[batch_idx].clone());
-            }
-        }
-        out.into_iter().map(|v| v.expect("every slot is a hit or a miss")).collect()
+        evaluate_cached(
+            |items: &[DesignPoint]| {
+                self.pool.map(items, |_, p| eval.try_evaluate(kernel, space, p))
+            },
+            &self.oracle_cache,
+            |p| (kernel.name().to_string(), p.clone()),
+            Result::is_ok,
+            points,
+        )
     }
 
     /// Runs the surrogate over `points`, in parallel, returning predictions
@@ -151,9 +126,10 @@ impl ExecEngine {
                 .collect()
         };
         evaluate_cached(
-            &chunked,
+            chunked,
             &self.prediction_cache,
             |p| (kernel_name.to_string(), p.clone()),
+            |_| true,
             points,
         )
     }
@@ -162,8 +138,10 @@ impl ExecEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{Harness, RetryPolicy};
+    use gdse_obs as obs;
     use hls_ir::kernels;
-    use merlin_sim::MerlinSimulator;
+    use merlin_sim::{FaultConfig, FaultyOracle, MerlinSimulator};
 
     fn setup() -> (Kernel, DesignSpace) {
         let k = kernels::gemm_ncubed();
@@ -225,6 +203,31 @@ mod tests {
         assert_eq!(out[0], out[1]);
         assert_eq!(out[1], out[2]);
         assert_eq!(engine.oracle_cache.len(), 1);
+    }
+
+    #[test]
+    fn a_lost_point_is_evaluated_again_when_resubmitted() {
+        let (k, space) = setup();
+        let fatal = FaultConfig { fatal_rate: 1.0, ..FaultConfig::none() };
+        let harness = Harness::new(
+            FaultyOracle::new(MerlinSimulator::new(), fatal),
+            RetryPolicy::with_max_retries(2),
+        );
+        let points = sample(&space, 6, 13);
+        let engine = ExecEngine::with_jobs(2);
+        let count = obs::metrics::counter_value;
+        obs::metrics::reset();
+
+        let first = engine.evaluate_ordered(&harness, &k, &space, &points);
+        assert!(first.iter().all(Result::is_err), "every point is lost");
+        let attempts = count("oracle.attempts");
+        assert!(attempts > 0);
+        let second = engine.evaluate_ordered(&harness, &k, &space, &points);
+        assert_eq!(second, first);
+        assert_eq!(count("oracle.attempts"), 2 * attempts, "each lost point is tried again");
+        assert_eq!(count("exec.cache_hits"), 0, "a loss is never served from the cache");
+        assert!(engine.oracle_cache.is_empty());
+        obs::metrics::reset();
     }
 
     #[test]

@@ -3,24 +3,16 @@
 //! A plain `Mutex<HashMap>` serializes every lookup; sharding by key hash
 //! lets concurrent workers hit disjoint locks almost always. The shard
 //! count is fixed at construction (rounded up to a power of two so shard
-//! selection is a mask, not a division).
+//! selection is a mask, not a division). Lookups are counted where they
+//! are made, by [`evaluate_cached`](crate::evaluate_cached)
+//! (`exec.cache_hits` / `exec.cache_misses`), not by the cache.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Hit/miss totals of one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found a value.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-}
-
-/// A concurrent map sharded by key hash, with hit/miss accounting.
+/// A concurrent map sharded by key hash.
 ///
 /// Values are returned by clone, so lock hold times stay short; use cheap
 /// value types (the pipeline caches `Copy` results and small predictions).
@@ -28,20 +20,13 @@ pub struct CacheStats {
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<HashMap<K, V>>>,
     mask: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
     /// A cache with at least `shards` shards (rounded up to a power of two).
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
-        ShardedCache {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            mask: n - 1,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        ShardedCache { shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(), mask: n - 1 }
     }
 
     fn shard(&self, key: &K) -> &Mutex<HashMap<K, V>> {
@@ -52,14 +37,9 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         &self.shards[(h.finish() as usize) & self.mask]
     }
 
-    /// Looks up `key`, counting the hit or miss.
+    /// Looks up `key`.
     pub fn get(&self, key: &K) -> Option<V> {
-        let v = self.shard(key).lock().expect("cache shard lock").get(key).cloned();
-        match v {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        v
+        self.shard(key).lock().expect("cache shard lock").get(key).cloned()
     }
 
     /// Inserts `key -> value`; returns `false` when the key was already
@@ -87,19 +67,11 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         self.len() == 0
     }
 
-    /// Drops every entry (hit/miss totals are kept). Used when cached
-    /// values become stale — e.g. predictions after the surrogate retrains.
+    /// Drops every entry. Used when cached values become stale — e.g.
+    /// predictions after the surrogate retrains.
     pub fn clear(&self) {
         for s in &self.shards {
             s.lock().expect("cache shard lock").clear();
-        }
-    }
-
-    /// Hit/miss totals since construction.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
         }
     }
 
@@ -119,6 +91,14 @@ impl<K: Hash + Eq, V: Clone> Default for ShardedCache<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate_cached;
+    use gdse_obs as obs;
+
+    /// The `exec.cache_hits` / `exec.cache_misses` counters of this thread.
+    fn lookups() -> (u64, u64) {
+        let count = obs::metrics::counter_value;
+        (count("exec.cache_hits"), count("exec.cache_misses"))
+    }
 
     #[test]
     fn get_insert_round_trip_and_stats() {
@@ -126,8 +106,20 @@ mod tests {
         assert_eq!(c.get(&("gemm".into(), 1)), None);
         assert!(c.insert(("gemm".into(), 1), 42));
         assert_eq!(c.get(&("gemm".into(), 1)), Some(42));
-        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(c.len(), 1);
+        // The lookups `evaluate_cached` makes through the cache are counted.
+        obs::metrics::reset();
+        let items = [("gemm".to_string(), 1), ("gemm".to_string(), 2)];
+        let out = evaluate_cached(
+            |xs: &[(String, u32)]| xs.iter().map(|(_, v)| u64::from(*v)).collect(),
+            &c,
+            |x| x.clone(),
+            |_| true,
+            &items,
+        );
+        assert_eq!(out, vec![42, 2]);
+        assert_eq!(lookups(), (1, 1));
+        obs::metrics::reset();
     }
 
     #[test]
@@ -147,14 +139,18 @@ mod tests {
 
     #[test]
     fn clear_empties_but_keeps_stats() {
+        obs::metrics::reset();
         let c: ShardedCache<u32, u32> = ShardedCache::new(2);
-        c.insert(1, 1);
-        c.insert(2, 2);
-        let _ = c.get(&1);
+        let double = |xs: &[u32]| xs.iter().map(|x| x * 2).collect::<Vec<_>>();
+        let _ = evaluate_cached(double, &c, |&x| x, |_| true, &[1, 2, 1]);
+        assert_eq!(lookups(), (0, 2));
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.stats().hits, 1, "stats survive a clear");
         assert_eq!(c.get(&1), None);
+        // The counts survive a clear, and a cleared key misses again.
+        let _ = evaluate_cached(double, &c, |&x| x, |_| true, &[1]);
+        assert_eq!(lookups(), (0, 3), "stats survive a clear");
+        obs::metrics::reset();
     }
 
     #[test]

@@ -14,14 +14,13 @@
 //!   [`gdse_obs`] metric registry; the pool merges every worker's registry
 //!   back into the caller's when the batch completes, so counters recorded
 //!   inside tasks (oracle attempts, surrogate inferences, …) are never lost.
-//! * [`BatchEvaluator`] — the trait batched scorers implement (the GNN
-//!   surrogate amortizes graph encoding and inference over a whole batch of
-//!   design points instead of one-at-a-time calls), plus
-//!   [`evaluate_cached`], the combinator that splices cached results and
-//!   fresh batch results back together in submission order.
+//! * [`evaluate_cached`] — runs a batched scorer (the GNN surrogate
+//!   amortizes graph encoding and inference over a whole batch of design
+//!   points instead of one-at-a-time calls) on the cache misses only, and
+//!   splices cached and fresh results back together in submission order.
 //! * [`ShardedCache`] — a sharded concurrent map (per-shard [`std::sync::Mutex`],
-//!   shard chosen by key hash) with hit/miss accounting, used as the
-//!   prediction/oracle cache keyed by `(kernel, pragma-config)`.
+//!   shard chosen by key hash), used as the prediction/oracle cache keyed by
+//!   `(kernel, pragma-config)`.
 //!
 //! ## Metric catalog (`exec.*`)
 //!
@@ -41,6 +40,6 @@ mod batch;
 mod cache;
 mod pool;
 
-pub use batch::{evaluate_cached, BatchEvaluator};
-pub use cache::{CacheStats, ShardedCache};
-pub use pool::{virtual_makespan, WorkerPool};
+pub use batch::evaluate_cached;
+pub use cache::ShardedCache;
+pub use pool::WorkerPool;

@@ -152,27 +152,6 @@ fn next_task(
     None
 }
 
-/// The makespan of greedy list scheduling: costs are assigned in order, each
-/// to the currently least-loaded of `workers` workers. This is the modelled
-/// wall-clock a `--jobs N` campaign pays when evaluations cost
-/// `costs[i]` tool-minutes each — the virtual-time analog of the harness's
-/// virtual backoff, used by the `speedup` bench so throughput claims do not
-/// depend on the CI runner's core count.
-pub fn virtual_makespan(costs: &[f64], workers: usize) -> f64 {
-    let workers = workers.max(1);
-    let mut load = vec![0.0f64; workers];
-    for &c in costs {
-        let min = load
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        load[min] += c;
-    }
-    load.into_iter().fold(0.0, f64::max)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,20 +215,5 @@ mod tests {
             "idle workers should have stolen from the blocked one"
         );
         obs::metrics::reset();
-    }
-
-    #[test]
-    fn makespan_of_equal_costs_divides_evenly() {
-        let costs = vec![1.0; 8];
-        assert_eq!(virtual_makespan(&costs, 1), 8.0);
-        assert_eq!(virtual_makespan(&costs, 4), 2.0);
-        assert_eq!(virtual_makespan(&costs, 16), 1.0, "bounded by the longest task");
-    }
-
-    #[test]
-    fn makespan_is_bounded_by_the_dominant_task() {
-        let costs = [10.0, 1.0, 1.0, 1.0];
-        assert_eq!(virtual_makespan(&costs, 4), 10.0);
-        assert_eq!(virtual_makespan(&costs, 0), 13.0, "workers clamp to 1");
     }
 }

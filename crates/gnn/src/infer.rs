@@ -207,6 +207,11 @@ impl GnnEncoder {
     /// Graph embeddings `[B, D]`.
     fn infer(&self, store: &ParamStore, batch: &KernelBatch) -> Matrix {
         let convs = self.convs.len();
+        assert!(
+            convs <= batch.depth,
+            "a model of {convs} convolutions reads a batch lowered for {}",
+            batch.depth
+        );
         let rows: usize = (1..=convs).map(|l| batch.layout(l).num_rows()).sum();
         gdse_obs::metrics::counter_add("gnn.infer_rows", rows as u64);
         let unshared = convs * batch.num_graphs * batch.num_nodes;

@@ -318,13 +318,16 @@ impl PairTable {
 /// no pragma node reaches within `l` hops has one row in layout `l`, as
 /// does a node whose reachable pragma nodes all take one value in the
 /// batch, and a batch of one point has one row per node everywhere. Each
-/// layout refines the one before; the sequence stops when no node's
-/// grouping gets finer, and [`get`](Self::get) past it returns the last.
+/// layout refines the one before; the sequence stops at the layout of the
+/// deepest convolution output that will be read, or earlier when no node's
+/// grouping gets finer, and [`get`](Self::get) past that fixpoint returns
+/// the last.
 #[derive(Debug, Clone)]
 pub(crate) struct Layouts(Vec<Layout>);
 
 impl Layouts {
-    fn new(in_edges: &InEdges, mut grouping: Grouping) -> Self {
+    /// Layouts `0..=depth`, or up to the fixpoint if it comes first.
+    fn new(in_edges: &InEdges, mut grouping: Grouping, depth: usize) -> Self {
         let (n, b_count) = (grouping.counts.len(), grouping.points());
         let mut scratch = Vec::new();
         let mut layouts = vec![grouping.layout(&mut scratch)];
@@ -336,7 +339,7 @@ impl Layouts {
         // counts, and their `B` new ids each.
         let mut finer: Vec<(usize, u32)> = Vec::new();
         let mut ids: Vec<u32> = Vec::new();
-        loop {
+        while layouts.len() <= depth {
             for i in 0..n {
                 // A node's grouping refines its sources' at the layout
                 // before, so only sources that got finer can refine it; the
@@ -369,7 +372,7 @@ impl Layouts {
                 }
             }
             if finer.is_empty() {
-                return Self(layouts);
+                break;
             }
             grew.fill(false);
             for (&(i, count), new) in finer.iter().zip(ids.chunks_exact(b_count)) {
@@ -381,9 +384,12 @@ impl Layouts {
             ids.clear();
             layouts.push(grouping.layout(&mut scratch));
         }
+        Self(layouts)
     }
 
-    /// Layer `l`'s layout.
+    /// Layer `l`'s layout. Past the last it returns the last, which is
+    /// layer `l`'s only if the sequence stopped at its fixpoint, so callers
+    /// read no deeper than the depth it was built for.
     pub(crate) fn get(&self, l: usize) -> &Layout {
         &self.0[l.min(self.0.len() - 1)]
     }
@@ -393,11 +399,12 @@ impl Layouts {
 /// [`PredictionModel::infer`](crate::PredictionModel::infer).
 ///
 /// The kernel is lowered once: its edge features, its incoming-edge lists,
-/// the layout of every layer (see [`Layouts`]) and the feature rows of its
-/// non-pragma nodes. Each point adds its pragma-node rows, one per distinct
-/// row, and its M1 pragma encoding. Points that agree on every pragma value
-/// a node can see share that node's row, so with one point, or with equal
-/// points, every layout has one row per node.
+/// the layout of every layer a model of up to `depth` convolutions reads
+/// (see [`Layouts`]) and the feature rows of its non-pragma nodes. Each
+/// point adds its pragma-node rows, one per distinct row, and its M1
+/// pragma encoding. Points that agree on every pragma value a node can see
+/// share that node's row, so with one point, or with equal points, every
+/// layout has one row per node.
 #[derive(Debug, Clone)]
 pub struct KernelBatch {
     pub(crate) num_nodes: usize,
@@ -405,6 +412,8 @@ pub struct KernelBatch {
     /// Edge features `[E, EDGE_FEATS]` of the kernel.
     pub(crate) edge_attr: Matrix,
     pub(crate) in_edges: InEdges,
+    /// The most convolutions a model reading this batch may have.
+    pub(crate) depth: usize,
     layouts: Layouts,
     /// Node features in layout 0 (`[N, NODE_FEATS]` in node order for a
     /// batch of one).
@@ -414,12 +423,16 @@ pub struct KernelBatch {
 }
 
 impl KernelBatch {
-    /// Lowers `graph` once and fills in each point's pragma rows.
+    /// Lowers `graph` once, with the layouts of models of up to `depth`
+    /// convolutions (the deepest
+    /// [`PredictionModel::convolutions`](crate::PredictionModel::convolutions)
+    /// of the models that will read it), and fills in each point's pragma
+    /// rows.
     ///
     /// # Panics
     ///
     /// Panics if `points` is empty.
-    pub fn new(graph: &ProgramGraph, points: &[DesignPoint]) -> Self {
+    pub fn new(graph: &ProgramGraph, points: &[DesignPoint], depth: usize) -> Self {
         assert!(!points.is_empty(), "empty batch");
         let num_nodes = graph.num_nodes();
         let in_edges = InEdges::new(num_nodes, &graph.edge_sources(), &graph.edge_destinations());
@@ -436,7 +449,7 @@ impl KernelBatch {
             });
             pragma_row[i] = Some(r);
         }
-        let layouts = Layouts::new(&in_edges, layer_0);
+        let layouts = Layouts::new(&in_edges, layer_0, depth);
         let layout = layouts.get(0);
         let placeholder = node_features(graph, None);
         let mut x = Matrix::zeros(layout.num_rows(), placeholder.cols());
@@ -454,13 +467,14 @@ impl KernelBatch {
             num_graphs: points.len(),
             edge_attr: edge_features(graph),
             in_edges,
+            depth,
             layouts,
             x,
             pragma_enc: Matrix::vcat(&encodings.iter().collect::<Vec<_>>()),
         }
     }
 
-    /// Layer `l`'s layout (see [`Layouts`]).
+    /// Layer `l`'s layout (see [`Layouts`]), for `l <= depth`.
     pub(crate) fn layout(&self, l: usize) -> &Layout {
         self.layouts.get(l)
     }
@@ -475,9 +489,13 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ModelConfig, ModelKind, PredictionModel};
     use design_space::DesignSpace;
     use hls_ir::kernels;
     use proggraph::build_graph_bidirectional;
+
+    /// A depth past every fixpoint: every layout up to it.
+    const ALL: usize = usize::MAX;
 
     #[test]
     fn lowering_shapes_are_consistent() {
@@ -534,7 +552,7 @@ mod tests {
         for (i, values) in pragma {
             layer_0.set(*i, |b, c| values[b] == values[c]);
         }
-        Layouts::new(in_edges, layer_0)
+        Layouts::new(in_edges, layer_0, ALL)
     }
 
     /// Asserts the grouping rule on every layout, one past the last
@@ -589,7 +607,7 @@ mod tests {
             let g = build_graph_bidirectional(&k, &space);
             let n = g.num_nodes();
             let point = space.point_at(space.size() - 1);
-            let kb = KernelBatch::new(&g, std::slice::from_ref(&point));
+            let kb = KernelBatch::new(&g, std::slice::from_ref(&point), ALL);
             assert_eq!(kb.layouts.0.len(), 1, "{}", k.name());
             for l in 0..8 {
                 let layout = kb.layout(l);
@@ -607,7 +625,7 @@ mod tests {
         let g = build_graph_bidirectional(&k, &space);
         let n = g.num_nodes();
         let points = vec![space.point_at(space.size() / 3); 5];
-        let kb = KernelBatch::new(&g, &points);
+        let kb = KernelBatch::new(&g, &points, ALL);
         assert_eq!(kb.layouts.0.len(), 1);
         let layout = kb.layout(0);
         assert_eq!(layout.num_rows(), n);
@@ -615,7 +633,7 @@ mod tests {
             assert_eq!(layout.rows_at(b), (0..n as u32).collect::<Vec<_>>(), "point {b}");
             assert_eq!(layout.first_needed(b).1.len(), if b == 0 { n } else { 0 }, "point {b}");
         }
-        assert_eq!(kb.x, KernelBatch::new(&g, &points[..1]).x);
+        assert_eq!(kb.x, KernelBatch::new(&g, &points[..1], ALL).x);
     }
 
     #[test]
@@ -649,7 +667,7 @@ mod tests {
             let g = build_graph_bidirectional(&k, &space);
             let n = g.num_nodes();
             for points in batches(&space, 17, 7) {
-                let kb = KernelBatch::new(&g, &points);
+                let kb = KernelBatch::new(&g, &points, ALL);
                 for layout in &kb.layouts.0 {
                     let mut next = 0;
                     for b in 0..points.len() {
@@ -714,7 +732,7 @@ mod tests {
                     points.iter().map(|p| GraphInput::from_graph(&g, Some(p))).collect();
                 let items: Vec<_> = inputs.iter().zip(&points).collect();
                 let batch = GraphBatch::new(&items);
-                let kb = KernelBatch::new(&g, &points);
+                let kb = KernelBatch::new(&g, &points, ALL);
                 let layout = kb.layout(0);
                 assert_eq!(kb.x.rows(), layout.num_rows());
                 for b in 0..len {
@@ -735,7 +753,7 @@ mod tests {
             let space = DesignSpace::from_kernel(&k);
             let g = build_graph_bidirectional(&k, &space);
             for points in batches(&space, 9, 3) {
-                let kb = KernelBatch::new(&g, &points);
+                let kb = KernelBatch::new(&g, &points, ALL);
                 let features: Vec<Matrix> =
                     points.iter().map(|p| node_features(&g, Some(p))).collect();
                 assert_rule(&kb.in_edges, &kb.layouts, points.len(), |i, b, c| {
@@ -768,7 +786,7 @@ mod tests {
             let n = g.num_nodes();
             for len in [2, 17, 64] {
                 for points in batches(&space, len, 5) {
-                    let kb = KernelBatch::new(&g, &points);
+                    let kb = KernelBatch::new(&g, &points, ALL);
                     // The nodes within `l` hops of a pragma node: a row of
                     // their own at every point before row groups.
                     let mut reach = vec![false; n];
@@ -794,6 +812,35 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lowering_stops_at_the_deepest_layout_a_model_reads() {
+        // 64 consecutive points of 2mm, as a DSE sweep batches them: the
+        // groupings keep getting finer up to layout 9.
+        let k = kernels::mm2();
+        let space = DesignSpace::from_kernel(&k);
+        let g = build_graph_bidirectional(&k, &space);
+        let points: Vec<_> = (0..64u128).map(|i| space.point_at(i)).collect();
+        let all = KernelBatch::new(&g, &points, ALL);
+        assert_eq!(all.layouts.0.len(), 10);
+        // M7's 4 convolutions read layouts 0-4 only.
+        let m7 = KernelBatch::new(&g, &points, 4);
+        assert_eq!(m7.layouts.0.len(), 5);
+        assert_eq!(m7.layouts.0[..], all.layouts.0[..5]);
+        assert_eq!(m7.x, all.x);
+    }
+
+    #[test]
+    #[should_panic(expected = "a model of 3 convolutions reads a batch lowered for 2")]
+    fn a_model_deeper_than_its_batch_panics() {
+        let k = kernels::gemm_ncubed();
+        let space = DesignSpace::from_kernel(&k);
+        let g = build_graph_bidirectional(&k, &space);
+        let model = PredictionModel::new(ModelKind::Full, ModelConfig::small(), &["y"]);
+        assert_eq!(model.convolutions(), 3);
+        let points: Vec<_> = (0..4u128).map(|i| space.point_at(i)).collect();
+        let _ = model.infer(&KernelBatch::new(&g, &points, 2));
     }
 
     #[test]

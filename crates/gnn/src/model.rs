@@ -315,6 +315,16 @@ impl PredictionModel {
         self.kind
     }
 
+    /// The number of graph convolutions: [`infer`](Self::infer) reads the
+    /// [`KernelBatch`](crate::KernelBatch) layouts up to this one (0 for
+    /// the MLP bodies).
+    pub fn convolutions(&self) -> usize {
+        match &self.body {
+            Body::Gnn(enc) => enc.convs.len(),
+            Body::PragmaMlp(_) | Body::ContextMlp { .. } => 0,
+        }
+    }
+
     /// The hyperparameters.
     pub fn config(&self) -> &ModelConfig {
         &self.config

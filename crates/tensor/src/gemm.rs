@@ -2,7 +2,7 @@
 //!
 //! This is the single dense kernel behind [`Matrix::matmul`] and the fused
 //! [`crate::Graph::linear`] op. It replaces the branchy i-k-j triple loop
-//! (kept as [`Matrix::matmul_reference`] for parity tests and benchmarks)
+//! (kept as [`Matrix::matmul_reference`], the parity tests' reference)
 //! with the classic pack-and-tile scheme:
 //!
 //! - `B` is packed into `NR`-column-wide, k-major panels so the microkernel

@@ -207,9 +207,9 @@ impl Matrix {
     }
 
     /// The pre-blocking scalar i-k-j kernel (with its per-element zero skip),
-    /// kept as the parity baseline for tests and the `infer` microbench.
-    /// The skip also makes it the faster kernel for one-hot rows, such as
-    /// the node features the tape-free inference path projects in layer 0.
+    /// kept as the parity baseline for tests. The skip also makes it the
+    /// faster kernel for one-hot rows, such as the node features the
+    /// tape-free inference path projects in layer 0.
     ///
     /// # Panics
     ///

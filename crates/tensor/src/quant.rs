@@ -503,47 +503,3 @@ mod tests {
         );
     }
 }
-
-#[cfg(test)]
-mod scratch_bench {
-    use super::*;
-    use std::time::Instant;
-
-    fn min_time(mut f: impl FnMut()) -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..15 {
-            let t = Instant::now();
-            for _ in 0..10 {
-                f();
-            }
-            best = best.min(t.elapsed().as_secs_f64() / 10.0);
-        }
-        best
-    }
-
-    #[test]
-    #[ignore = "manual perf probe, run with --ignored --nocapture"]
-    fn timing() {
-        let m = 1024;
-        let k = 124;
-        let n = 64;
-        let x = Matrix::from_fn(m, k, |i, j| ((i * 7 + j * 3) as f32 * 0.013).sin());
-        let wf = Matrix::from_fn(k, n, |i, j| ((i * 5 + j * 11) as f32 * 0.017).cos());
-        let qw = QuantMatrix::quantize(&wf);
-        let mut sink = 0.0f64;
-
-        let dt = min_time(|| {
-            sink += linear(&x, &qw, None, Activation::None).get(0, 0) as f64;
-        });
-        println!("quant linear: {:.1}us", dt * 1e6);
-        let naive = min_time(|| {
-            sink += x.matmul_reference(&wf).get(0, 0) as f64;
-        });
-        println!("naive f32: {:.1}us", naive * 1e6);
-        let fastf = min_time(|| {
-            sink += x.matmul(&wf).get(0, 0) as f64;
-        });
-        println!("fast f32: {:.1}us", fastf * 1e6);
-        println!("sink {sink}");
-    }
-}

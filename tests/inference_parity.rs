@@ -83,6 +83,11 @@ fn random_points(space: &DesignSpace, n: usize, seed: u64) -> Vec<DesignPoint> {
         .collect()
 }
 
+/// The deepest of `models`: the layouts a batch they all read must hold.
+fn depth(models: &[PredictionModel]) -> usize {
+    models.iter().map(PredictionModel::convolutions).max().unwrap_or(0)
+}
+
 fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
@@ -99,7 +104,7 @@ fn assert_parity(models: &[PredictionModel], seed: u64) {
                 .collect();
             let refs: Vec<(&GraphInput, &DesignPoint)> = inputs.iter().zip(&points).collect();
             let tape_batch = GraphBatch::new(&refs);
-            let kernel_batch = KernelBatch::new(graph, &points);
+            let kernel_batch = KernelBatch::new(graph, &points, depth(models));
             for model in models {
                 let tape = model.forward(&tape_batch);
                 let free = model.infer(&kernel_batch);
@@ -161,7 +166,7 @@ fn assert_sweep_parity(kernel: usize, seed: u64) {
             points.iter().map(|p| GraphInput::from_graph(graph, Some(p))).collect();
         let refs: Vec<(&GraphInput, &DesignPoint)> = inputs.iter().zip(&points).collect();
         let tape_batch = GraphBatch::new(&refs);
-        let kernel_batch = KernelBatch::new(graph, &points);
+        let kernel_batch = KernelBatch::new(graph, &points, depth(&models));
         for (model, predictor) in models.iter().zip(&predictors) {
             let tape = model.forward(&tape_batch);
             let free = model.infer(&kernel_batch);

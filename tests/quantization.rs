@@ -111,5 +111,14 @@ fn quantized_predictions_stay_bounded_on_every_kernel() {
             .sum::<f64>()
             / n;
         assert!(cycles_drift < 1.0, "{}: cycles log2 drift {cycles_drift:.4}", k.name());
+        let util_drift = f
+            .iter()
+            .zip(&q)
+            .flat_map(|(a, b)| {
+                let (a, b) = (&a.util, &b.util);
+                [a.dsp - b.dsp, a.lut - b.lut, a.ff - b.ff, a.bram - b.bram].map(f64::abs)
+            })
+            .fold(0.0, f64::max);
+        assert!(util_drift < 0.5, "{}: utilization drift {util_drift:.4}", k.name());
     }
 }

@@ -102,6 +102,8 @@ fn main() {
     let stop = Arc::new(AtomicBool::new(false));
     let failed = Arc::new(AtomicU64::new(0));
     let requests = Arc::new(AtomicU64::new(0));
+    // The highest epoch any client has been answered at.
+    let highest = Arc::new(AtomicU64::new(0));
     let latencies = Mutex::new(Vec::<u64>::new());
     let epochs = Mutex::new(BTreeSet::<u64>::new());
     let epoch1_rows = Mutex::new(BTreeMap::<u128, PredictionRow>::new());
@@ -113,6 +115,7 @@ fn main() {
             let stop = Arc::clone(&stop);
             let failed = Arc::clone(&failed);
             let requests = Arc::clone(&requests);
+            let highest = Arc::clone(&highest);
             let (latencies, epochs, epoch1_rows) = (&latencies, &epochs, &epoch1_rows);
             s.spawn(move || {
                 let config = ClientConfig {
@@ -134,6 +137,7 @@ fn main() {
                             );
                             last_epoch = epoch;
                             seen.insert(epoch);
+                            highest.fetch_max(epoch, Ordering::SeqCst);
                             if epoch == 1 {
                                 epoch1_rows.lock().unwrap().insert(idx, row);
                             }
@@ -151,10 +155,11 @@ fn main() {
             });
         }
 
-        // Load runs until two background fine-tune rounds have hot-swapped.
+        // Load runs until two background fine-tune rounds have hot-swapped
+        // and a client has been answered by the model of the second swap.
         let deadline = Instant::now() + Duration::from_secs(600);
-        while status.swaps() < 2 {
-            assert!(Instant::now() < deadline, "no two hot swaps within 600s");
+        while status.swaps() < 2 || highest.load(Ordering::SeqCst) < 3 {
+            assert!(Instant::now() < deadline, "no answer at epoch 3 within 600s");
             std::thread::sleep(Duration::from_millis(5));
         }
         stop.store(true, Ordering::SeqCst);

@@ -62,11 +62,17 @@ pub struct DseConfig {
     pub util_threshold: f64,
     /// How many top designs to return for HLS validation (§5.3: top 10).
     pub top_m: usize,
-    /// Surrogate batch size.
+    /// The unit of the inference cap: a sweep or exhaustive run stops once
+    /// whole batches of this many candidates reach
+    /// [`DseConfig::max_inferences`]. It is also the wave size of the
+    /// [`CandidateSampler::Gflow`] sampler, whose waves are scored one at a
+    /// time because each steers the next. Sweeps and exhaustive runs score
+    /// their candidates in larger windows (see [`run_dse_with_engine`]).
     pub batch_size: usize,
     /// Spaces up to this size are enumerated exhaustively.
     pub exhaustive_limit: u128,
-    /// Cap on surrogate inferences for huge spaces.
+    /// Cap on surrogate inferences for huge spaces; a run passes it by less
+    /// than one [`DseConfig::batch_size`] batch.
     pub max_inferences: usize,
     /// Wall-clock limit (the paper uses 1 hour for `mvt` and `2mm`).
     pub time_limit: Duration,
@@ -136,15 +142,28 @@ pub struct DseOutcome {
 }
 
 /// Runs the surrogate-driven DSE for one kernel over its program graph
-/// (`proggraph::build_graph_bidirectional`), scoring every surrogate batch
-/// through the engine: misses are chunked across the worker pool and
-/// previously predicted configs come from the engine's prediction cache.
+/// (`proggraph::build_graph_bidirectional`), scoring candidates through the
+/// engine: misses are chunked across the worker pool and previously
+/// predicted configs come from the engine's prediction cache.
 /// `ExecEngine::serial()` runs the same code on one worker.
+///
+/// The sweep and exhaustive candidate streams do not depend on any
+/// prediction, so their canonical candidates are collected into windows of
+/// whole `cfg.batch_size` batches, up to 512 points and 2^15 node rows
+/// (points × graph nodes), and each window is scored by one
+/// `predict_ordered` call: the more points a batch holds, the more of them
+/// share a node's row. The cap still counts whole batches, and the
+/// outcome is the one a batch-by-batch run gives, since the candidate
+/// lists are stable-sorted and the Pareto archive takes points in stream
+/// order. The GFlow sampler scores one `cfg.batch_size` wave at a time,
+/// because each wave's rewards steer the next.
 ///
 /// Prediction is item-independent, so the outcome is identical at any
 /// worker count — provided the run is not truncated by `cfg.time_limit`
-/// (the one wall-clock-dependent cut; campaigns that need bit-identical
-/// reruns should size `max_inferences` instead).
+/// (the one wall-clock-dependent cut, checked per candidate; a run that
+/// hits it still scores the window it was filling, so it can overrun the
+/// limit by one window. Campaigns that need bit-identical reruns should
+/// size `max_inferences` instead).
 pub fn run_dse_with_engine(
     predictor: &Predictor,
     kernel: &Kernel,
@@ -167,7 +186,6 @@ pub fn run_dse_with_engine(
         ParetoArchive::new(cfg.top_m.max(64));
     let mut inferences = 0usize;
     let mut seen: HashSet<DesignPoint> = HashSet::new();
-    let mut pending: Vec<DesignPoint> = Vec::with_capacity(cfg.batch_size);
 
     // Rank `top` by the objective (exact cycle sort for latency/Pareto —
     // bit-identical to the pre-objective code — weighted sum otherwise) and
@@ -269,10 +287,14 @@ pub fn run_dse_with_engine(
             absorb(&mut pairs, &mut top, &mut fallback, &mut archive);
         }
     } else {
+        let batch = cfg.batch_size.max(1);
+        let window = window_len(batch, graph.num_nodes());
+        let mut pending: Vec<DesignPoint> = Vec::with_capacity(window);
         let candidates = candidate_order(kernel, space, exhaustive, cfg);
         for point in candidates {
-            if start.elapsed() > cfg.time_limit || inferences >= cfg.max_inferences && !exhaustive
-            {
+            // The cap counts the candidates taken so far in whole batches.
+            let taken = (inferences + pending.len()) / batch * batch;
+            if start.elapsed() > cfg.time_limit || taken >= cfg.max_inferences && !exhaustive {
                 break;
             }
             let canonical = rules::canonicalize(kernel, space, &point);
@@ -280,7 +302,7 @@ pub fn run_dse_with_engine(
                 continue;
             }
             pending.push(canonical);
-            if pending.len() >= cfg.batch_size {
+            if pending.len() >= window {
                 flush(&mut pending, &mut top, &mut fallback, &mut archive, &mut inferences);
             }
         }
@@ -313,6 +335,19 @@ pub fn run_dse_with_engine(
         wall_us = start.elapsed(),
     );
     DseOutcome { top, front, inferences, wall: start.elapsed(), exhaustive, used_fallback }
+}
+
+/// The most points one scoring window of a sweep or exhaustive run holds.
+const WINDOW_POINTS: usize = 512;
+/// The most node rows, points × graph nodes, one window holds, so kernels
+/// of more than 64 nodes get fewer points.
+const WINDOW_ROWS: usize = 1 << 15;
+
+/// Points per scoring window on a graph of `nodes` nodes: whole `batch`
+/// batches within [`WINDOW_POINTS`] and [`WINDOW_ROWS`], and at least one.
+fn window_len(batch: usize, nodes: usize) -> usize {
+    let fits = WINDOW_POINTS.min(WINDOW_ROWS / nodes.max(1));
+    (fits / batch * batch).max(batch)
 }
 
 /// FNV-1a of a kernel name: a stable per-kernel RNG seed for the learned
@@ -452,6 +487,151 @@ mod tests {
         let out = serial_dse(&p, &k, &space, &cfg);
         assert!(!out.exhaustive);
         assert!(out.inferences <= 300 + cfg.batch_size);
+    }
+
+    /// The sweep and exhaustive path as it ran before windows: score and
+    /// absorb every `cfg.batch_size` candidates, on one worker.
+    fn batch_by_batch(
+        p: &Predictor,
+        k: &Kernel,
+        space: &DesignSpace,
+        graph: &ProgramGraph,
+        cfg: &DseConfig,
+    ) -> DseOutcome {
+        let (start, engine, objective) = (Instant::now(), ExecEngine::serial(), cfg.objective());
+        let exhaustive = space.size() <= cfg.exhaustive_limit;
+        let (mut top, mut fallback) = (Vec::new(), Vec::new());
+        let mut archive = ParetoArchive::new(cfg.top_m.max(64));
+        let (mut inferences, mut seen, mut pending) = (0, HashSet::new(), Vec::new());
+        let mut flush = |pending: &mut Vec<DesignPoint>, inferences: &mut usize| {
+            if pending.is_empty() {
+                return;
+            }
+            let preds = engine.predict_ordered(p, graph, k.name(), pending);
+            *inferences += pending.len();
+            for (point, pred) in pending.drain(..).zip(preds) {
+                if objective.feasible_prediction(&pred) {
+                    if objective.kind == ObjectiveKind::Pareto {
+                        archive.insert(prediction_axes(&pred), (point.clone(), pred));
+                    }
+                    top.push((point, pred));
+                } else {
+                    fallback.push((point, pred));
+                }
+            }
+            match objective.kind {
+                ObjectiveKind::Weighted(w) => top.sort_by(|a, b| {
+                    w.combine(a.1.cycles, &a.1.util)
+                        .total_cmp(&w.combine(b.1.cycles, &b.1.util))
+                        .then(a.1.cycles.cmp(&b.1.cycles))
+                }),
+                _ => top.sort_by_key(|(_, pr)| pr.cycles),
+            }
+            top.truncate(cfg.top_m.max(64));
+            fallback.sort_by_key(|(_, pr)| pr.cycles);
+            fallback.truncate(cfg.top_m);
+        };
+        for point in candidate_order(k, space, exhaustive, cfg) {
+            if start.elapsed() > cfg.time_limit || inferences >= cfg.max_inferences && !exhaustive {
+                break;
+            }
+            let canonical = rules::canonicalize(k, space, &point);
+            if seen.insert(canonical.clone()) {
+                pending.push(canonical);
+                if pending.len() >= cfg.batch_size {
+                    flush(&mut pending, &mut inferences);
+                }
+            }
+        }
+        flush(&mut pending, &mut inferences);
+        let used_fallback = top.is_empty();
+        if used_fallback {
+            top = fallback;
+        }
+        top.truncate(cfg.top_m);
+        let front = archive.front().into_iter().map(|m| m.item.clone()).collect();
+        DseOutcome { top, front, inferences, wall: start.elapsed(), exhaustive, used_fallback }
+    }
+
+    /// Points and every predicted bit of a candidate list.
+    fn outcome_bits(list: &[(DesignPoint, Prediction)]) -> Vec<(DesignPoint, [u64; 6])> {
+        list.iter()
+            .map(|(point, p)| {
+                let u = &p.util;
+                let bits = [p.valid_prob, u.dsp, u.lut, u.ff, u.bram].map(f64::to_bits);
+                (point.clone(), [bits[0], p.cycles, bits[1], bits[2], bits[3], bits[4]])
+            })
+            .collect()
+    }
+
+    /// Windows change which points share a `predict_batch` call, and when
+    /// the candidate lists are sorted and cut; neither may change a
+    /// returned design, a predicted bit or the inference count.
+    #[test]
+    fn windowed_scoring_matches_the_batch_by_batch_loop() {
+        let ks = vec![kernels::mm2(), kernels::mvt(), kernels::stencil()];
+        let db = generate_database(&ks, &[], 30, 23);
+        let config = TrainConfig::quick().with_epochs(5);
+        let (p, _) =
+            Predictor::train(&db, &ks, ModelKind::Transformer, ModelConfig::small(), &config);
+        let objectives = [
+            ObjectiveKind::Latency,
+            ObjectiveKind::Weighted(crate::objective::ObjectiveWeights::default()),
+            ObjectiveKind::Pareto,
+        ];
+        // Heuristic sweeps under caps that are no multiple of the batch,
+        // and stencil's exhaustive stream: 4,015 canonical points.
+        let runs = [
+            (kernels::mm2 as fn() -> Kernel, 300),
+            (kernels::mm2, 1_500),
+            (kernels::mvt, 300),
+            (kernels::mvt, 1_500),
+            (kernels::stencil, 0),
+        ];
+        let mut fallbacks = 0;
+        for (kernel_fn, cap) in runs {
+            let k = kernel_fn();
+            let space = DesignSpace::from_kernel(&k);
+            let graph = build_graph_bidirectional(&k, &space);
+            for kind in objectives {
+                let cfg = DseConfig { max_inferences: cap, kind, ..DseConfig::default() };
+                let want = batch_by_batch(&p, &k, &space, &graph, &cfg);
+                assert_eq!(want.exhaustive, cap == 0, "{}", k.name());
+                for jobs in [1, 3] {
+                    let case = format!("{}, cap {cap}, {kind:?}, {jobs} workers", k.name());
+                    let engine = ExecEngine::with_jobs(jobs);
+                    let got = run_dse_with_engine(&p, &k, &space, &graph, &cfg, &engine);
+                    assert_eq!(got.inferences, want.inferences, "{case}");
+                    assert_eq!(got.used_fallback, want.used_fallback, "{case}");
+                    assert_eq!(outcome_bits(&got.top), outcome_bits(&want.top), "{case}");
+                    assert_eq!(outcome_bits(&got.front), outcome_bits(&want.front), "{case}");
+                }
+                fallbacks += usize::from(want.used_fallback);
+                if cap > 0 {
+                    assert_eq!(want.inferences, cap.div_ceil(64) * 64, "{}", k.name());
+                } else {
+                    assert_eq!(want.inferences, 4_015);
+                }
+                if kind == ObjectiveKind::Pareto && !want.used_fallback {
+                    assert!(!want.front.is_empty(), "{}: the front is compared", k.name());
+                }
+            }
+        }
+        // Both ways of filling `top` are compared.
+        assert!(fallbacks > 0 && fallbacks < runs.len() * objectives.len(), "{fallbacks}");
+    }
+
+    #[test]
+    fn windows_hold_whole_batches_within_both_bounds() {
+        // 2mm's 59 nodes: 512 points. 100 nodes: 327 fit, 5 batches of 64.
+        assert_eq!(window_len(64, 59), 512);
+        assert_eq!(window_len(64, 64), 512);
+        assert_eq!(window_len(64, 100), 320);
+        assert_eq!(window_len(100, 59), 500);
+        // Always at least one batch, however large the graph or the batch.
+        assert_eq!(window_len(64, 1_000), 64);
+        assert_eq!(window_len(1_000, 59), 1_000);
+        assert_eq!(window_len(1, 59), 512);
     }
 
     #[test]

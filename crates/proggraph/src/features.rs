@@ -108,17 +108,13 @@ pub fn node_features(graph: &ProgramGraph, point: Option<&DesignPoint>) -> Matri
     m
 }
 
-/// Encodes only the pragma-node rows of [`node_features`] for `point`:
-/// `[P, NODE_FEATS]`, one row per entry of [`ProgramGraph::pragma_nodes`],
-/// in that order. These are the only rows that differ between design
-/// points, so a batch of points of one kernel can lower the rest once.
-pub fn pragma_node_features(graph: &ProgramGraph, point: &DesignPoint) -> Matrix {
-    let pragma = graph.pragma_nodes();
-    let mut m = Matrix::zeros(pragma.len(), NODE_FEATS);
-    for (r, &(i, _)) in pragma.iter().enumerate() {
-        encode_node(&graph.nodes()[i], Some(point), m.row_mut(r));
-    }
-    m
+/// Encodes row `i` of [`node_features`] into `row`, which must be zeroed
+/// and [`NODE_FEATS`] wide. Only the rows of the pragma nodes depend on
+/// `point`, each on its slot's value alone, so a batch of points of one
+/// kernel can lower the other rows once and each pragma row once per
+/// value.
+pub fn node_row(graph: &ProgramGraph, i: usize, point: Option<&DesignPoint>, row: &mut [f32]) {
+    encode_node(&graph.nodes()[i], point, row);
 }
 
 /// Encodes edge features: `[num_edges, EDGE_FEATS]`.
@@ -172,16 +168,18 @@ mod tests {
     }
 
     #[test]
-    fn pragma_node_features_match_the_full_lowering() {
+    fn node_rows_match_the_full_lowering() {
         let k = kernels::aes();
         let space = DesignSpace::from_kernel(&k);
         let g = build_graph(&k, &space);
         let p = space.point_at(space.size() - 1);
-        let full = node_features(&g, Some(&p));
-        let rows = pragma_node_features(&g, &p);
-        assert_eq!(rows.rows(), g.pragma_nodes().len());
-        for (r, &(i, _)) in g.pragma_nodes().iter().enumerate() {
-            assert_eq!(rows.row(r), full.row(i), "pragma node {i}");
+        for point in [None, Some(&p)] {
+            let full = node_features(&g, point);
+            for i in 0..g.num_nodes() {
+                let mut row = vec![0.0; NODE_FEATS];
+                node_row(&g, i, point, &mut row);
+                assert_eq!(row, full.row(i), "node {i}");
+            }
         }
     }
 

@@ -37,9 +37,7 @@ mod graph;
 mod node;
 
 pub use build::build_graph;
-pub use features::{
-    edge_features, node_features, pragma_node_features, EDGE_FEATS, NODE_FEATS,
-};
+pub use features::{edge_features, node_features, node_row, EDGE_FEATS, NODE_FEATS};
 pub use graph::ProgramGraph;
 pub use node::{Edge, Flow, Node, NodeKind};
 

@@ -2,7 +2,7 @@
 //! for bit, on every model kind and every kernel, at batch sizes that take
 //! both GEMM kernels, before and after training.
 
-use design_space::{DesignPoint, DesignSpace};
+use design_space::{order::ordered_slots, rules, DesignPoint, DesignSpace};
 use gdse_gnn::{GraphBatch, GraphInput, KernelBatch, ModelConfig, ModelKind, PredictionModel};
 use gdse_obs::metrics;
 use gdse_tensor::Matrix;
@@ -12,6 +12,7 @@ use gnn_dse::{dbgen, Dataset, Normalizer, Prediction, Predictor};
 use hls_ir::kernels;
 use proggraph::{build_graph_bidirectional, ProgramGraph};
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::OnceLock;
 
 const BATCH_SIZES: [usize; 3] = [1, 2, 64];
@@ -185,6 +186,85 @@ fn assert_sweep_parity(kernel: usize, seed: u64) {
                     prediction_bits(row),
                     prediction_bits(&one),
                     "{:?} on {name}, B = {b}, shape {shape}, point {k}",
+                    model.kind()
+                );
+            }
+        }
+    }
+}
+
+/// The first `n` canonical candidates that DSE scores on kernel `name`:
+/// its priority sweep (the highest-priority slot fastest) when the space is
+/// too large to enumerate, its enumeration order otherwise.
+fn dse_stream(name: &str, space: &DesignSpace, n: usize) -> Vec<DesignPoint> {
+    let kernel = kernels::kernel_by_name(name).expect("built-in kernel");
+    let exhaustive = space.size() <= gnn_dse::DseConfig::default().exhaustive_limit;
+    let order = ordered_slots(&kernel, space);
+    let at = |i: u128| {
+        if exhaustive {
+            return space.point_at(i);
+        }
+        let (mut point, mut rem) = (space.default_point(), i);
+        for &slot in &order {
+            let options = &space.slots()[slot].options;
+            point.set_value(slot, options[(rem % options.len() as u128) as usize]);
+            rem /= options.len() as u128;
+            if rem == 0 {
+                break;
+            }
+        }
+        point
+    };
+    let mut seen = HashSet::new();
+    (0..space.size())
+        .map(|i| rules::canonicalize(&kernel, space, &at(i)))
+        .filter(|p| seen.insert(p.clone()))
+        .take(n)
+        .collect()
+}
+
+/// A DSE scoring window of 512 points from the sweeps of 2mm and mvt and
+/// from gemm-ncubed's enumeration: `infer` equals the tape on every model
+/// kind, and each point's `predict_batch` row equals its own `predict` on
+/// M7, the model DSE runs, bit for bit. (Single-point predicts of every
+/// kind would take several times as long.)
+#[test]
+fn infer_matches_the_tape_on_dse_windows() {
+    let models = untrained();
+    for name in ["2mm", "mvt", "gemm-ncubed"] {
+        let (_, space, graph) = targets().iter().find(|(n, ..)| n == name).expect("kernel");
+        let points = dse_stream(name, space, 512);
+        assert_eq!(points.len(), 512, "{name}");
+        let inputs: Vec<GraphInput> =
+            points.iter().map(|p| GraphInput::from_graph(graph, Some(p))).collect();
+        let refs: Vec<(&GraphInput, &DesignPoint)> = inputs.iter().zip(&points).collect();
+        let tape_batch = GraphBatch::new(&refs);
+        let kernel_batch = KernelBatch::new(graph, &points, depth(&models));
+        for model in &models {
+            let tape = model.forward(&tape_batch);
+            let free = model.infer(&kernel_batch);
+            for (head, (got, &want)) in free.iter().zip(&tape.outputs).enumerate() {
+                assert_eq!(
+                    bits(got),
+                    bits(tape.graph.value(want)),
+                    "{:?} on {name}, head {head}",
+                    model.kind()
+                );
+            }
+            if model.kind() != ModelKind::Full {
+                continue;
+            }
+            let predictor = Predictor::untrained(
+                model.kind(),
+                model.config().clone(),
+                Normalizer::with_factor(1e6),
+            );
+            let batch = predictor.predict_batch(graph, &points);
+            for (k, (row, point)) in batch.iter().zip(&points).enumerate() {
+                assert_eq!(
+                    prediction_bits(row),
+                    prediction_bits(&predictor.predict(graph, point)),
+                    "{:?} on {name}, point {k}",
                     model.kind()
                 );
             }

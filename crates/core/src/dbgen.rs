@@ -38,7 +38,7 @@ pub fn small_budgets() -> Vec<(&'static str, usize)> {
 /// Runs the three explorers on one kernel: 40% of the budget to the
 /// bottleneck optimizer, 30% to the hybrid explorer, the rest to random
 /// sampling, every candidate frontier scored through the engine's worker
-/// pool (batched, cached evaluation).
+/// pool (one batch per frontier, database hits skipped).
 fn explore_kernel_with<B: EvalBackend + Sync>(
     engine: &ExecEngine,
     eval: &B,

@@ -22,6 +22,7 @@ use crate::objective::{Objective, ObjectiveKind, ResourceBudget};
 use crate::parallel::ExecEngine;
 use crate::pareto::{prediction_axes, strictly_dominates, ParetoArchive};
 use design_space::{order::ordered_slots, rules, DesignPoint, DesignSpace};
+use gdse_exec::{evaluate_cached, ShardedCache};
 use gdse_obs as obs;
 use hls_ir::Kernel;
 use proggraph::ProgramGraph;
@@ -62,17 +63,11 @@ pub struct DseConfig {
     pub util_threshold: f64,
     /// How many top designs to return for HLS validation (§5.3: top 10).
     pub top_m: usize,
-    /// The unit of the inference cap: a sweep or exhaustive run stops once
-    /// whole batches of this many candidates reach
-    /// [`DseConfig::max_inferences`]. It is also the wave size of the
-    /// [`CandidateSampler::Gflow`] sampler, whose waves are scored one at a
-    /// time because each steers the next. Sweeps and exhaustive runs score
-    /// their candidates in larger windows (see [`run_dse_with_engine`]).
-    pub batch_size: usize,
     /// Spaces up to this size are enumerated exhaustively.
     pub exhaustive_limit: u128,
-    /// Cap on surrogate inferences for huge spaces; a run passes it by less
-    /// than one [`DseConfig::batch_size`] batch.
+    /// Cap on surrogate inferences for huge spaces. A sweep stops once whole
+    /// 64-point batches reach it, and the GFlow sampler once its 64-point
+    /// waves do, so a run passes it by less than one batch.
     pub max_inferences: usize,
     /// Wall-clock limit (the paper uses 1 hour for `mvt` and `2mm`).
     pub time_limit: Duration,
@@ -89,7 +84,6 @@ impl Default for DseConfig {
         Self {
             util_threshold: 0.8,
             top_m: 10,
-            batch_size: 64,
             exhaustive_limit: 100_000,
             max_inferences: 60_000,
             time_limit: Duration::from_secs(3600),
@@ -143,20 +137,21 @@ pub struct DseOutcome {
 
 /// Runs the surrogate-driven DSE for one kernel over its program graph
 /// (`proggraph::build_graph_bidirectional`), scoring candidates through the
-/// engine: misses are chunked across the worker pool and previously
-/// predicted configs come from the engine's prediction cache.
+/// engine, which chunks each scoring call across its worker pool.
 /// `ExecEngine::serial()` runs the same code on one worker.
 ///
 /// The sweep and exhaustive candidate streams do not depend on any
-/// prediction, so their canonical candidates are collected into windows of
-/// whole `cfg.batch_size` batches, up to 512 points and 2^15 node rows
-/// (points × graph nodes), and each window is scored by one
-/// `predict_ordered` call: the more points a batch holds, the more of them
-/// share a node's row. The cap still counts whole batches, and the
-/// outcome is the one a batch-by-batch run gives, since the candidate
-/// lists are stable-sorted and the Pareto archive takes points in stream
-/// order. The GFlow sampler scores one `cfg.batch_size` wave at a time,
-/// because each wave's rewards steer the next.
+/// prediction and skip every canonical point they have seen, so their
+/// candidates are collected into windows of whole 64-point batches, up to
+/// 512 points and 2^15 node rows (points × graph nodes), and each window is
+/// scored by one `predict_ordered` call: the more points a batch holds, the
+/// more of them share a node's row. The cap still counts whole batches,
+/// and the outcome is the one a batch-by-batch run gives, since the
+/// candidate lists are stable-sorted and the Pareto archive takes points in
+/// stream order. The GFlow sampler scores one 64-point wave at a time,
+/// because each wave's rewards steer the next; its waves repeat points, so
+/// it scores them through a memo that lasts the run (`exec.cache_hits` /
+/// `exec.cache_misses`).
 ///
 /// Prediction is item-independent, so the outcome is identical at any
 /// worker count — provided the run is not truncated by `cfg.time_limit`
@@ -228,7 +223,7 @@ pub fn run_dse_with_engine(
         if pending.is_empty() {
             return;
         }
-        let preds = engine.predict_ordered(predictor, graph, kernel.name(), pending);
+        let preds = engine.predict_ordered(predictor, graph, pending);
         *inferences += pending.len();
         let mut pairs: Vec<(DesignPoint, Prediction)> =
             pending.drain(..).zip(preds).collect();
@@ -239,14 +234,22 @@ pub fn run_dse_with_engine(
         // Learned candidate generation: sample trajectory waves from a
         // tabular policy and train it on surrogate rewards. The policy
         // starts uniform and sharpens toward configurations the surrogate
-        // rewards; duplicates still update the policy (the engine's
-        // prediction cache makes them cheap) but only unseen canonical
-        // configs count as inferences or enter the candidate lists.
+        // rewards; duplicates still update the policy (the run's memo makes
+        // them cheap) but only unseen canonical configs count as inferences
+        // or enter the candidate lists.
+        let memo = ShardedCache::default();
+        let predict = |points: &[DesignPoint]| {
+            evaluate_cached(
+                |misses: &[DesignPoint]| engine.predict_ordered(predictor, graph, misses),
+                &memo,
+                DesignPoint::clone,
+                points,
+            )
+        };
         let mut policy = GFlowSampler::new(space, 0.05);
         let mut rng = StdRng::seed_from_u64(fnv1a(kernel.name()));
         let default = rules::canonicalize(kernel, space, &space.default_point());
-        let baseline_pred = engine
-            .predict_ordered(predictor, graph, kernel.name(), std::slice::from_ref(&default))
+        let baseline_pred = predict(std::slice::from_ref(&default))
             .pop()
             .expect("one prediction per submitted point");
         inferences += 1;
@@ -261,7 +264,7 @@ pub fn run_dse_with_engine(
             && attempts < max_attempts
             && start.elapsed() <= cfg.time_limit
         {
-            let n = cfg.batch_size.max(1).min(max_attempts - attempts);
+            let n = BATCH.min(max_attempts - attempts);
             let trajectories: Vec<(DesignPoint, Vec<usize>)> =
                 (0..n).map(|_| policy.sample(space, &mut rng)).collect();
             attempts += n;
@@ -269,7 +272,7 @@ pub fn run_dse_with_engine(
                 .iter()
                 .map(|(p, _)| rules::canonicalize(kernel, space, p))
                 .collect();
-            let preds = engine.predict_ordered(predictor, graph, kernel.name(), &wave);
+            let preds = predict(&wave);
             let mut pairs: Vec<(DesignPoint, Prediction)> = Vec::new();
             for ((canonical, pred), (_, choices)) in
                 wave.into_iter().zip(preds).zip(&trajectories)
@@ -287,13 +290,12 @@ pub fn run_dse_with_engine(
             absorb(&mut pairs, &mut top, &mut fallback, &mut archive);
         }
     } else {
-        let batch = cfg.batch_size.max(1);
-        let window = window_len(batch, graph.num_nodes());
+        let window = window_len(graph.num_nodes());
         let mut pending: Vec<DesignPoint> = Vec::with_capacity(window);
         let candidates = candidate_order(kernel, space, exhaustive, cfg);
         for point in candidates {
             // The cap counts the candidates taken so far in whole batches.
-            let taken = (inferences + pending.len()) / batch * batch;
+            let taken = (inferences + pending.len()) / BATCH * BATCH;
             if start.elapsed() > cfg.time_limit || taken >= cfg.max_inferences && !exhaustive {
                 break;
             }
@@ -337,17 +339,20 @@ pub fn run_dse_with_engine(
     DseOutcome { top, front, inferences, wall: start.elapsed(), exhaustive, used_fallback }
 }
 
+/// Candidates per batch: the unit of the inference cap, and the wave size
+/// of the GFlow sampler.
+const BATCH: usize = 64;
 /// The most points one scoring window of a sweep or exhaustive run holds.
 const WINDOW_POINTS: usize = 512;
 /// The most node rows, points × graph nodes, one window holds, so kernels
 /// of more than 64 nodes get fewer points.
 const WINDOW_ROWS: usize = 1 << 15;
 
-/// Points per scoring window on a graph of `nodes` nodes: whole `batch`
-/// batches within [`WINDOW_POINTS`] and [`WINDOW_ROWS`], and at least one.
-fn window_len(batch: usize, nodes: usize) -> usize {
+/// Points per scoring window on a graph of `nodes` nodes: whole batches
+/// within [`WINDOW_POINTS`] and [`WINDOW_ROWS`], and at least one.
+fn window_len(nodes: usize) -> usize {
     let fits = WINDOW_POINTS.min(WINDOW_ROWS / nodes.max(1));
-    (fits / batch * batch).max(batch)
+    (fits / BATCH * BATCH).max(BATCH)
 }
 
 /// FNV-1a of a kernel name: a stable per-kernel RNG seed for the learned
@@ -486,11 +491,11 @@ mod tests {
         cfg.max_inferences = 300;
         let out = serial_dse(&p, &k, &space, &cfg);
         assert!(!out.exhaustive);
-        assert!(out.inferences <= 300 + cfg.batch_size);
+        assert!(out.inferences <= 300 + BATCH);
     }
 
     /// The sweep and exhaustive path as it ran before windows: score and
-    /// absorb every `cfg.batch_size` candidates, on one worker.
+    /// absorb every 64 candidates, on one worker.
     fn batch_by_batch(
         p: &Predictor,
         k: &Kernel,
@@ -507,7 +512,7 @@ mod tests {
             if pending.is_empty() {
                 return;
             }
-            let preds = engine.predict_ordered(p, graph, k.name(), pending);
+            let preds = engine.predict_ordered(p, graph, pending);
             *inferences += pending.len();
             for (point, pred) in pending.drain(..).zip(preds) {
                 if objective.feasible_prediction(&pred) {
@@ -538,7 +543,7 @@ mod tests {
             let canonical = rules::canonicalize(k, space, &point);
             if seen.insert(canonical.clone()) {
                 pending.push(canonical);
-                if pending.len() >= cfg.batch_size {
+                if pending.len() >= BATCH {
                     flush(&mut pending, &mut inferences);
                 }
             }
@@ -624,14 +629,11 @@ mod tests {
     #[test]
     fn windows_hold_whole_batches_within_both_bounds() {
         // 2mm's 59 nodes: 512 points. 100 nodes: 327 fit, 5 batches of 64.
-        assert_eq!(window_len(64, 59), 512);
-        assert_eq!(window_len(64, 64), 512);
-        assert_eq!(window_len(64, 100), 320);
-        assert_eq!(window_len(100, 59), 500);
-        // Always at least one batch, however large the graph or the batch.
-        assert_eq!(window_len(64, 1_000), 64);
-        assert_eq!(window_len(1_000, 59), 1_000);
-        assert_eq!(window_len(1, 59), 512);
+        assert_eq!(window_len(59), 512);
+        assert_eq!(window_len(64), 512);
+        assert_eq!(window_len(100), 320);
+        // Always at least one batch, however large the graph.
+        assert_eq!(window_len(1_000), 64);
     }
 
     #[test]
@@ -668,14 +670,21 @@ mod tests {
         cfg.sampler = CandidateSampler::Gflow;
         let serial = run_dse_with_engine(&p, &k, &space, &graph, &cfg, &ExecEngine::serial());
         assert!(!serial.exhaustive);
-        assert!(serial.inferences <= cfg.max_inferences + cfg.batch_size);
+        assert!(serial.inferences <= cfg.max_inferences + BATCH);
         assert!(!serial.top.is_empty());
-        for jobs in [2, 4] {
+        for jobs in [1, 2, 3, 4] {
+            obs::metrics::reset();
             let engine = ExecEngine::with_jobs(jobs);
             let par = run_dse_with_engine(&p, &k, &space, &graph, &cfg, &engine);
             assert_eq!(par.inferences, serial.inferences, "jobs={jobs}");
             assert_eq!(par.top, serial.top, "jobs={jobs}");
+            // The run's memo predicts each distinct point once, and the
+            // waves repeat points.
+            let count = obs::metrics::counter_value;
+            assert_eq!(count("surrogate.inferences"), par.inferences as u64, "jobs={jobs}");
+            assert!(count("exec.cache_hits") > 0, "jobs={jobs}");
         }
+        obs::metrics::reset();
     }
 
     #[test]

@@ -164,8 +164,8 @@ impl Explorer for BottleneckExplorer {
     /// Runs greedy sweeps (with random restarts on convergence) until the
     /// budget is spent, recording every evaluation into `db`. Each greedy
     /// slot's candidate frontier is scored through the engine's worker pool
-    /// (batched, cached evaluation); with an infallible backend any worker
-    /// count visits exactly the same points in the same order.
+    /// (one batch, database hits skipped); with an infallible backend any
+    /// worker count visits exactly the same points in the same order.
     fn explore_scored_with<B: EvalBackend + Sync>(
         &self,
         engine: &ExecEngine,

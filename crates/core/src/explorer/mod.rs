@@ -58,9 +58,9 @@ impl Budget {
 /// The unified exploration interface.
 ///
 /// Every explorer has exactly one implementation of its search, written
-/// against an [`ExecEngine`] and an [`Objective`]: candidate frontiers are
-/// scored through the engine's worker pool and oracle cache, comparisons go
-/// through the objective's ordered, dominance-aware
+/// against an [`ExecEngine`] and an [`Objective`]: the points of a candidate
+/// frontier that the database lacks are scored on the engine's worker pool,
+/// comparisons go through the objective's ordered, dominance-aware
 /// [`Score`](crate::objective::Score) (never raw `f64` cycles), and the
 /// serial behavior is just the same code on a single-worker engine.
 /// The utilization threshold, like every other constraint, comes from the

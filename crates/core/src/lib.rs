@@ -88,7 +88,7 @@ pub use learn::{ReplayBuffer, ReplayStats};
 pub use objective::{Objective, ObjectiveKind, ObjectiveWeights, ResourceBudget, Score};
 pub use pareto::{hypervolume, ParetoArchive};
 pub use parallel::ExecEngine;
-pub use report::{build_run_report, write_run_report};
+pub use report::write_run_report;
 pub use rounds::{run_rounds_with_engine, CampaignDriver, RoundReport, RoundsConfig};
 pub use serving::{ArtifactProvider, PredictService};
 pub use trainer::{ClassificationMetrics, RegressionMetrics, TrainConfig};

@@ -13,12 +13,6 @@ use std::io;
 use std::path::Path;
 use std::time::Duration;
 
-/// Builds a [`RunReport`] for `command` from the current (thread-local)
-/// metric registry.
-pub fn build_run_report(command: &str, total_wall: Duration) -> RunReport {
-    RunReport::from_current_metrics(command, total_wall)
-}
-
 /// Builds a report from the current registry and atomically writes it to
 /// `path` as pretty-printed JSON.
 ///
@@ -26,7 +20,7 @@ pub fn build_run_report(command: &str, total_wall: Duration) -> RunReport {
 ///
 /// Any I/O error from the atomic write; the registry is left untouched.
 pub fn write_run_report(path: &Path, command: &str, total_wall: Duration) -> io::Result<RunReport> {
-    let report = build_run_report(command, total_wall);
+    let report = RunReport::from_current_metrics(command, total_wall);
     atomic_write(path, &report.to_json())?;
     Ok(report)
 }

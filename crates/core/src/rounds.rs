@@ -468,10 +468,6 @@ impl<'a, B: EvalBackend + Sync> CampaignDriver<'a, B> {
                 }
             }
         };
-        // The model just changed; predictions from the previous round's
-        // model are stale.
-        self.engine.clear_predictions();
-
         let objective = cfg.dse.objective();
         let mut per_kernel = Vec::with_capacity(self.kernels.len());
         for (ki, kernel) in self.kernels.iter().enumerate() {
@@ -599,12 +595,12 @@ impl<'a, B: EvalBackend + Sync> CampaignDriver<'a, B> {
 ///   database) instead of starting over. A missing checkpoint file starts
 ///   fresh.
 ///
-/// The engine's prediction cache is cleared at every retrain (stale
-/// predictions from the previous round's model would otherwise leak in);
-/// per-worker counters are folded back into the caller's registry, so the
-/// run report is identical at any worker count. Resumed campaigns start
-/// with empty caches — recomputing a prediction yields the same value a
-/// cache hit would have, so resume stays byte-identical.
+/// The engine caches nothing, so a round's DSE never sees the previous
+/// round's model, and a resumed campaign carries no state the checkpoint
+/// lacks: resume stays byte-identical. Validation submits only the top-M
+/// points the database does not hold yet. Per-worker counters are folded
+/// back into the caller's registry, so the run report is identical at any
+/// worker count.
 ///
 /// # Errors
 ///

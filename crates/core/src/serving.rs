@@ -1,13 +1,16 @@
-//! The [`gdse_serve`] backend: routes service requests through the
-//! [`ExecEngine`] prediction cache and [`Predictor::predict_batch`].
+//! The [`gdse_serve`] backend: answers service requests through a
+//! per-kernel prediction memo and [`Predictor::predict_batch`].
 //!
 //! [`PredictService`] is the glue between the model-agnostic TCP server and
 //! the GNN surrogate: it resolves kernel names to design spaces and program
 //! graphs (built once per kernel, on first use), bounds-checks design-point
-//! indices, and answers each micro-batch with one engine-routed
-//! `predict_ordered` call — so repeated queries hit the prediction cache and
-//! fresh ones amortize graph encoding across the batch, exactly like the
-//! offline DSE path.
+//! indices, and answers each micro-batch through the kernel's memo, whose
+//! misses go to one engine-routed `predict_ordered` call — so repeated
+//! queries are answered from the memo and fresh ones amortize graph encoding
+//! across the batch, exactly like the offline DSE path. A service holds one
+//! model for its whole life, and [`ArtifactProvider`] builds a new service
+//! for each replica and model epoch, so a memo never outlives the model that
+//! filled it.
 //!
 //! [`ArtifactProvider`] is the hot-swap source on top: it versions
 //! `.gdse` artifacts by epoch, and a reload only cuts over after the new
@@ -16,9 +19,10 @@
 //! previous model keeps serving.
 
 use crate::artifact::ArtifactMeta;
-use crate::inference::Predictor;
+use crate::inference::{Prediction, Predictor};
 use crate::parallel::ExecEngine;
 use design_space::{DesignPoint, DesignSpace};
+use gdse_exec::{evaluate_cached, ShardedCache};
 use gdse_serve::{BatchPredictor, ModelProvider, PredictionRow};
 use hls_ir::kernels;
 use proggraph::ProgramGraph;
@@ -32,6 +36,8 @@ use std::time::UNIX_EPOCH;
 struct KernelEntry {
     space: DesignSpace,
     graph: ProgramGraph,
+    /// Every prediction the service's model has made for this kernel.
+    memo: ShardedCache<DesignPoint, Prediction>,
 }
 
 /// A loaded predictor exposed as a [`BatchPredictor`] for [`gdse_serve`].
@@ -67,7 +73,7 @@ impl PredictService {
         };
         let space = DesignSpace::from_kernel(&k);
         let graph = proggraph::build_graph_bidirectional(&k, &space);
-        let entry = Arc::new(KernelEntry { space, graph });
+        let entry = Arc::new(KernelEntry { space, graph, memo: ShardedCache::default() });
         cache.insert(kernel.to_string(), Arc::clone(&entry));
         Ok(entry)
     }
@@ -92,7 +98,14 @@ impl BatchPredictor for PredictService {
                 }
             })
             .collect::<Result<_, _>>()?;
-        let preds = self.engine.predict_ordered(&self.predictor, &entry.graph, kernel, &points);
+        let preds = evaluate_cached(
+            |misses: &[DesignPoint]| {
+                self.engine.predict_ordered(&self.predictor, &entry.graph, misses)
+            },
+            &entry.memo,
+            DesignPoint::clone,
+            &points,
+        );
         Ok(preds
             .into_iter()
             .map(|p| PredictionRow {
@@ -290,14 +303,14 @@ mod tests {
         assert!(err.contains("out of range"), "{err}");
     }
 
-    fn train_tiny() -> (Predictor, ArtifactMeta) {
+    fn train_tiny(seed: u64) -> (Predictor, ArtifactMeta) {
         let ks = vec![kernels::gemm_ncubed()];
         let db = generate_database(&ks, &[], 20, 7);
         let (p, _) = Predictor::train(
             &db,
             &ks,
             ModelKind::Transformer,
-            ModelConfig::small(),
+            ModelConfig::small().with_seed(seed),
             &TrainConfig::quick().with_epochs(2),
         );
         let meta = ArtifactMeta::describe(&p, &["gemm-ncubed".to_string()], 2);
@@ -311,7 +324,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("model.gdse");
 
-        let (p, meta) = train_tiny();
+        let (p, meta) = train_tiny(ModelConfig::small().seed);
         p.save_artifact(&path, &meta).unwrap();
         let provider = ArtifactProvider::open(&path, 1).expect("open");
         assert_eq!(provider.epoch(), 1);
@@ -370,6 +383,27 @@ mod tests {
         let (backend, epoch) = provider.build().expect("build at epoch 2");
         assert_eq!(epoch, 2);
         assert_eq!(backend.predict("gemm-ncubed", &[0, 1]).unwrap(), baseline);
+
+        // A model trained with another seed: the backend rebuilt at epoch 3
+        // answers the indices served before with the new model's bits.
+        let (other, other_meta) = train_tiny(ModelConfig::small().seed + 1);
+        other.save_artifact(&path, &other_meta).unwrap();
+        assert_eq!(provider.reload(), Ok(3));
+        let (backend, epoch) = provider.build().expect("build at epoch 3");
+        assert_eq!(epoch, 3);
+        let rows = backend.predict("gemm-ncubed", &[0, 1]).unwrap();
+        assert_ne!(rows, baseline, "the other seed predicts other values");
+        let k = kernels::gemm_ncubed();
+        let space = DesignSpace::from_kernel(&k);
+        let graph = proggraph::build_graph_bidirectional(&k, &space);
+        let want = other.predict_batch(&graph, &[space.point_at(0), space.point_at(1)]);
+        assert_eq!(rows.len(), want.len());
+        for (r, w) in rows.iter().zip(&want) {
+            assert_eq!(r.valid_prob.to_bits(), w.valid_prob.to_bits());
+            assert_eq!(r.cycles, w.cycles);
+            let util = [r.dsp, r.bram, r.lut, r.ff].map(f64::to_bits);
+            assert_eq!(util, [w.util.dsp, w.util.bram, w.util.lut, w.util.ff].map(f64::to_bits));
+        }
 
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,9 +1,10 @@
 //! The sharded concurrent cache.
 //!
 //! A plain `Mutex<HashMap>` serializes every lookup; sharding by key hash
-//! lets concurrent workers hit disjoint locks almost always. The shard
+//! lets concurrent callers hit disjoint locks almost always. The shard
 //! count is fixed at construction (rounded up to a power of two so shard
-//! selection is a mask, not a division). Lookups are counted where they
+//! selection is a mask, not a division). A cache only grows: it is dropped
+//! with the model whose outputs it memoizes. Lookups are counted where they
 //! are made, by [`evaluate_cached`](crate::evaluate_cached)
 //! (`exec.cache_hits` / `exec.cache_misses`), not by the cache.
 
@@ -15,7 +16,7 @@ use std::sync::Mutex;
 /// A concurrent map sharded by key hash.
 ///
 /// Values are returned by clone, so lock hold times stay short; use cheap
-/// value types (the pipeline caches `Copy` results and small predictions).
+/// value types (the pipeline memoizes small `Copy` predictions).
 #[derive(Debug)]
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<HashMap<K, V>>>,
@@ -67,14 +68,6 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
         self.len() == 0
     }
 
-    /// Drops every entry. Used when cached values become stale — e.g.
-    /// predictions after the surrogate retrains.
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().expect("cache shard lock").clear();
-        }
-    }
-
     /// The shard count (always a power of two).
     pub fn num_shards(&self) -> usize {
         self.shards.len()
@@ -114,7 +107,6 @@ mod tests {
             |xs: &[(String, u32)]| xs.iter().map(|(_, v)| u64::from(*v)).collect(),
             &c,
             |x| x.clone(),
-            |_| true,
             &items,
         );
         assert_eq!(out, vec![42, 2]);
@@ -135,22 +127,6 @@ mod tests {
         assert_eq!(ShardedCache::<u32, u32>::new(0).num_shards(), 1);
         assert_eq!(ShardedCache::<u32, u32>::new(5).num_shards(), 8);
         assert_eq!(ShardedCache::<u32, u32>::new(16).num_shards(), 16);
-    }
-
-    #[test]
-    fn clear_empties_but_keeps_stats() {
-        obs::metrics::reset();
-        let c: ShardedCache<u32, u32> = ShardedCache::new(2);
-        let double = |xs: &[u32]| xs.iter().map(|x| x * 2).collect::<Vec<_>>();
-        let _ = evaluate_cached(double, &c, |&x| x, |_| true, &[1, 2, 1]);
-        assert_eq!(lookups(), (0, 2));
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.get(&1), None);
-        // The counts survive a clear, and a cleared key misses again.
-        let _ = evaluate_cached(double, &c, |&x| x, |_| true, &[1]);
-        assert_eq!(lookups(), (0, 3), "stats survive a clear");
-        obs::metrics::reset();
     }
 
     #[test]

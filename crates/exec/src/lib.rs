@@ -16,11 +16,12 @@
 //!   inside tasks (oracle attempts, surrogate inferences, …) are never lost.
 //! * [`evaluate_cached`] — runs a batched scorer (the GNN surrogate
 //!   amortizes graph encoding and inference over a whole batch of design
-//!   points instead of one-at-a-time calls) on the cache misses only, and
-//!   splices cached and fresh results back together in submission order.
+//!   points instead of one-at-a-time calls) on the memo misses only, and
+//!   splices memoized and fresh results back together in submission order.
 //! * [`ShardedCache`] — a sharded concurrent map (per-shard [`std::sync::Mutex`],
-//!   shard chosen by key hash), used as the prediction/oracle cache keyed by
-//!   `(kernel, pragma-config)`.
+//!   shard chosen by key hash), the memo of the two prediction callers whose
+//!   points repeat: a prediction service's per-kernel memo, built anew with
+//!   each model epoch, and the GFlow sampler's memo, which lasts one DSE run.
 //!
 //! ## Metric catalog (`exec.*`)
 //!
@@ -31,7 +32,7 @@
 //! | `exec.batch_size` | histogram | submitted batch sizes |
 //! | `exec.queue_depth` | gauge | queue depth at the last submission |
 //! | `exec.worker_busy_us{worker=N}` | counter | per-worker busy time |
-//! | `exec.cache_hits` / `exec.cache_misses` | counter | [`evaluate_cached`] outcomes |
+//! | `exec.cache_hits` / `exec.cache_misses` | counter | [`evaluate_cached`] outcomes (the two prediction memos only) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

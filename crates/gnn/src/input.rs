@@ -6,13 +6,12 @@
 //! that agree, bit for bit, on the features of every pragma node within
 //! reach ([`Layouts`]). Layer 0 builds each pragma node's row once per
 //! distinct value of its slot. The groups of layer `l + 1` are interned per
-//! node from pairs (its group so far, a source's layer-`l` group) in a dense
-//! table reset only where it was touched, so lowering stays linear in the
-//! batch: on the points a DSE run scores, 2mm takes 4.6 µs per point at
-//! B = 1, 1.1 µs at B = 64 and 1.5 µs at B = 512 (mvt 3.0, 0.8 and 1.1;
-//! gemm-ncubed 2.3, 0.6 and 1.2, where some pairs outgrow the dense table;
-//! 2-core x86-64 host). A batch of one point, or of equal points, has one
-//! row per node.
+//! node from pairs (its group so far, a source's layer-`l` group) in an
+//! open-addressing table of at least `2B` slots, reset only where it was
+//! touched, so lowering stays linear in the batch: on the points a DSE run
+//! scores, 2mm, mvt and gemm-ncubed take less time per point at B = 64 and
+//! at B = 512 than at B = 1. A batch of one point, or of equal points, has
+//! one row per node.
 
 use design_space::DesignPoint;
 use gdse_tensor::{InEdges, Matrix};
@@ -285,48 +284,51 @@ impl Grouping {
 }
 
 /// Interns (group, source group) pairs into new group ids, in order of
-/// first appearance.
+/// first appearance: an open-addressing table of at least `2B` slots for
+/// `B` points, so a call, which sees at most `B` pairs, fills at most half
+/// of it. Only the slots a call touched are reset after it.
 #[derive(Default)]
 struct PairTable {
-    /// `id[g * src_count + s]`: the id of the pair `(g, s)`, `u32::MAX` if
-    /// unseen. Only the entries a call touched are reset after it.
-    id: Vec<u32>,
+    /// `(pair, id)` per slot, the pair packed as `g << 32 | s`; [`Self::FREE`]
+    /// if the slot holds none.
+    slots: Vec<(u64, u32)>,
     touched: Vec<usize>,
 }
 
 impl PairTable {
-    /// Largest dense table: `count * src_count <= B²`, so this bounds the
-    /// memory at any batch size; larger products intern through a map.
-    const MAX_DENSE: usize = 1 << 16;
+    /// The key of a free slot: no pair, since group ids stay below `B`.
+    const FREE: u64 = u64::MAX;
 
-    /// Replaces each point's group in `groups` (of `count` groups) by the
-    /// id of its pair with the point's group in `src` (of `src_count`),
-    /// and returns the number of pairs.
-    fn refine(&mut self, groups: &mut [u32], count: u32, src: &[u32], src_count: u32) -> u32 {
-        let width = src_count as usize;
-        let size = count as usize * width;
-        if size > Self::MAX_DENSE {
-            let mut seen = std::collections::HashMap::new();
-            for (g, &s) in groups.iter_mut().zip(src) {
-                let next = seen.len() as u32;
-                *g = *seen.entry((*g, s)).or_insert(next);
-            }
-            return seen.len() as u32;
+    /// Replaces each point's group in `groups` by the id of its pair with
+    /// the point's group in `src`, and returns the number of pairs.
+    fn refine(&mut self, groups: &mut [u32], src: &[u32]) -> u32 {
+        let want = (2 * groups.len()).next_power_of_two().max(2);
+        if self.slots.len() < want {
+            self.slots.resize(want, (Self::FREE, 0));
         }
-        if self.id.len() < size {
-            self.id.resize(size, u32::MAX);
-        }
+        // Fibonacci hashing: the top `log2(slots)` bits of the product.
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mask = self.slots.len() - 1;
         for (g, &s) in groups.iter_mut().zip(src) {
-            let k = *g as usize * width + s as usize;
-            if self.id[k] == u32::MAX {
-                self.id[k] = self.touched.len() as u32;
-                self.touched.push(k);
-            }
-            *g = self.id[k];
+            let pair = u64::from(*g) << 32 | u64::from(s);
+            let mut k = (pair.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+            *g = loop {
+                let (key, id) = self.slots[k];
+                if key == pair {
+                    break id;
+                }
+                if key == Self::FREE {
+                    let id = self.touched.len() as u32;
+                    self.slots[k] = (pair, id);
+                    self.touched.push(k);
+                    break id;
+                }
+                k = (k + 1) & mask;
+            };
         }
         let pairs = self.touched.len() as u32;
         for k in self.touched.drain(..) {
-            self.id[k] = u32::MAX;
+            self.slots[k].0 = Self::FREE;
         }
         pairs
     }
@@ -387,7 +389,7 @@ impl Layouts {
                         new.copy_from_slice(grouping.of(s));
                         grouping.counts[s]
                     } else {
-                        pairs.refine(new, count, grouping.of(s), grouping.counts[s])
+                        pairs.refine(new, grouping.of(s))
                     };
                 }
                 if count > grouping.counts[i] {
@@ -889,13 +891,12 @@ mod tests {
     }
 
     #[test]
-    fn batches_too_large_for_the_dense_pair_table_follow_the_rule() {
+    fn batches_of_many_more_possible_pairs_than_points_follow_the_rule() {
         // Node 1 of the path pairs node 0's 300 groups with node 2's 300:
-        // 90,000 pairs, past the dense table.
+        // 90,000 possible pairs over 600 points.
         let b_count = 600;
         let values = |f: fn(u32) -> u32| (0..b_count as u32).map(f).collect::<Vec<_>>();
         let pragma = [(0, values(|b| b % 300)), (2, values(|b| (b / 2) % 300))];
-        const { assert!(300 * 300 > PairTable::MAX_DENSE) };
         let e = path(3);
         let layouts = synthetic(&e, b_count, &pragma);
         assert_rule(&e, &layouts, b_count, |i, b, c| {

@@ -104,12 +104,6 @@ impl Loop {
         self
     }
 
-    /// Sets the loop body.
-    pub fn with_body(mut self, body: Vec<BodyItem>) -> Self {
-        self.body = body;
-        self
-    }
-
     /// Appends a nested loop.
     pub fn with_loop(mut self, l: Loop) -> Self {
         self.body.push(BodyItem::Loop(l));

@@ -97,7 +97,7 @@ impl std::error::Error for ValidateKernelError {}
 /// assert_eq!(kernel.loops().len(), 1);
 /// assert_eq!(kernel.num_candidate_pragmas(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Kernel {
     name: String,
     arrays: Vec<ArrayDecl>,
@@ -166,26 +166,6 @@ impl Kernel {
         self.label_to_id.get(label).copied()
     }
 
-    /// The [`Loop`] IR node for a loop id.
-    pub fn loop_node(&self, id: LoopId) -> &Loop {
-        let info = self.loop_info(id);
-        let f = self.function(&info.function).expect("function exists");
-        fn find<'a>(items: &'a [BodyItem], label: &str) -> Option<&'a Loop> {
-            for item in items {
-                if let BodyItem::Loop(l) = item {
-                    if l.label() == label {
-                        return Some(l);
-                    }
-                    if let Some(found) = find(l.body(), label) {
-                        return Some(found);
-                    }
-                }
-            }
-            None
-        }
-        find(f.body(), &info.label).expect("loop exists in function")
-    }
-
     /// Total number of candidate pragma placeholders (the paper's
     /// "# pragmas" column of Tables 1 and 3).
     pub fn num_candidate_pragmas(&self) -> usize {
@@ -239,13 +219,6 @@ impl Kernel {
             cur = info.parent;
         }
         prod
-    }
-
-    /// Rebuilds the loop index (used after deserialization).
-    pub fn reindex(&mut self) {
-        let (loop_index, label_to_id) = build_loop_index(&self.functions, &self.top);
-        self.loop_index = loop_index;
-        self.label_to_id = label_to_id;
     }
 }
 

@@ -72,11 +72,6 @@ impl MemoryPlan {
     }
 }
 
-/// Whether an access is on-chip under this plan.
-pub fn is_on_chip(plan: &ArrayPlan) -> bool {
-    !matches!(plan.placement, Placement::Ddr)
-}
-
 fn burst_cycles(elems: u64, elem_bits: u64) -> u64 {
     let per_beat = (mem::BUS_BITS / elem_bits.max(1)).max(1);
     elems.div_ceil(per_beat) + mem::BURST_SETUP

@@ -27,13 +27,6 @@ pub struct Frame {
     pub pipeline: PipelineOpt,
 }
 
-impl Frame {
-    /// Iterations executed sequentially at this level (trip / factor).
-    pub fn seq_trips(&self) -> u64 {
-        (self.trip + self.factor - 1) / self.factor.max(1)
-    }
-}
-
 /// Calls `f` for every statement in execution order with the stack of
 /// enclosing [`Frame`]s (outermost first). Function calls are inlined;
 /// `fg`-pipelined loops mark their entire subtree `under_fg`, which sets

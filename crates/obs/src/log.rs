@@ -9,10 +9,9 @@
 //!
 //! Two sinks consume records:
 //!
-//! * the **human sink** prints to stdout, either [`HumanStyle::Plain`]
-//!   (message verbatim — what the CLI and the bench tables use, so existing
-//!   output stays byte-compatible) or [`HumanStyle::Tagged`]
-//!   (`[level] event: msg key=value`);
+//! * the **human sink** prints each message verbatim to stdout
+//!   ([`HumanStyle::Plain`], what the CLI and the bench tables use) or
+//!   nothing ([`HumanStyle::Off`]);
 //! * the **JSONL sink** appends one JSON object per record to a file (or any
 //!   writer), so `--log-json` captures everything machine-readably no matter
 //!   what the human sink shows.
@@ -103,18 +102,6 @@ pub enum FieldValue {
     Str(String),
 }
 
-impl fmt::Display for FieldValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FieldValue::U64(v) => write!(f, "{v}"),
-            FieldValue::I64(v) => write!(f, "{v}"),
-            FieldValue::F64(v) => write!(f, "{v}"),
-            FieldValue::Bool(v) => write!(f, "{v}"),
-            FieldValue::Str(v) => write!(f, "{v}"),
-        }
-    }
-}
-
 macro_rules! impl_field_from {
     ($($t:ty => $variant:ident as $conv:ty),* $(,)?) => {$(
         impl From<$t> for FieldValue {
@@ -162,8 +149,6 @@ pub enum HumanStyle {
     Off,
     /// The message verbatim — CLI/bench table output stays byte-compatible.
     Plain,
-    /// `[level] event: msg key=value` — diagnostics-friendly.
-    Tagged,
 }
 
 /// Facade configuration applied by [`init`].
@@ -229,7 +214,6 @@ pub fn set_human_style(style: HumanStyle) {
     let v = match style {
         HumanStyle::Off => 0,
         HumanStyle::Plain => 1,
-        HumanStyle::Tagged => 2,
     };
     HUMAN.store(v, Ordering::Relaxed);
 }
@@ -237,8 +221,7 @@ pub fn set_human_style(style: HumanStyle) {
 fn human_style() -> HumanStyle {
     match HUMAN.load(Ordering::Relaxed) {
         0 => HumanStyle::Off,
-        1 => HumanStyle::Plain,
-        _ => HumanStyle::Tagged,
+        _ => HumanStyle::Plain,
     }
 }
 
@@ -301,20 +284,6 @@ pub fn emit(level: Level, event: &str, msg: &str, fields: &[(&str, FieldValue)])
             if !msg.is_empty() || fields.is_empty() {
                 println!("{msg}");
             }
-        }
-        HumanStyle::Tagged => {
-            let mut line = format!("[{level}] {event}");
-            if !msg.is_empty() {
-                line.push_str(": ");
-                line.push_str(msg);
-            }
-            for (k, v) in fields {
-                line.push(' ');
-                line.push_str(k);
-                line.push('=');
-                line.push_str(&v.to_string());
-            }
-            println!("{line}");
         }
     }
 

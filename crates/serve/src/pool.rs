@@ -57,6 +57,9 @@ pub const BATCH_EDGES: [u64; 8] = [1, 2, 4, 8, 16, 32, 64, 128];
 /// How long blocked waits sleep before re-checking control flags.
 pub(crate) const POLL: Duration = Duration::from_millis(25);
 
+/// The `retry_after_ms` hint of every 429 a full queue sheds.
+pub(crate) const RETRY_AFTER_MS: u64 = 50;
+
 /// Most times one request is (re-)dispatched to a replica before it is
 /// answered 500 — the poison-pill bound.
 pub const MAX_ATTEMPTS: u32 = 3;
@@ -885,8 +888,7 @@ fn redispatch(shared: &Shared, from: usize, orphans: Vec<Job>) {
             Ok(()) => obs::metrics::counter_inc("serve.rerouted"),
             Err((job, SubmitError::Shed)) => {
                 let id = job.id;
-                let retry_after_ms = shared.config.retry_after.as_millis() as u64;
-                answer(shared, job, Response::Rejected { id, retry_after_ms });
+                answer(shared, job, Response::Rejected { id, retry_after_ms: RETRY_AFTER_MS });
             }
             Err((job, SubmitError::NoReplica | SubmitError::Closed)) => {
                 let id = job.id;

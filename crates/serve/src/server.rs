@@ -91,8 +91,6 @@ pub struct ServeConfig {
     /// Longest accepted request line; longer lines are answered 413
     /// without buffering them.
     pub max_line_bytes: usize,
-    /// `retry_after_ms` hint attached to 429 responses.
-    pub retry_after: Duration,
     /// Initial supervised-restart backoff (doubles per consecutive
     /// failure, capped internally at 2 s).
     pub restart_backoff: Duration,
@@ -121,7 +119,6 @@ impl Default for ServeConfig {
             request_timeout: Duration::from_secs(60),
             idle_timeout: None,
             max_line_bytes: 64 * 1024,
-            retry_after: Duration::from_millis(50),
             restart_backoff: Duration::from_millis(50),
             wedge_timeout: None,
             reload_watch: None,
@@ -602,7 +599,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                         }
                     },
                     Err((job, SubmitError::Shed)) => {
-                        let retry_after_ms = config.retry_after.as_millis() as u64;
+                        let retry_after_ms = pool::RETRY_AFTER_MS;
                         pool::answer(shared, job, Response::Rejected { id, retry_after_ms });
                         match rx.try_recv() {
                             Ok(ans) => (ans.response, Some((ans.trace, ans.replica))),

@@ -77,11 +77,6 @@ impl Matrix {
         Self { rows: rows.len(), cols, data }
     }
 
-    /// Creates a `1 x n` row vector.
-    pub fn row_vector(values: &[f32]) -> Self {
-        Self::from_vec(1, values.len(), values.to_vec())
-    }
-
     /// Creates an `n x 1` column vector.
     pub fn col_vector(values: &[f32]) -> Self {
         Self::from_vec(values.len(), 1, values.to_vec())

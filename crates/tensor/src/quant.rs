@@ -205,11 +205,6 @@ impl QuantParamSet {
         self.entries.get(id.index()).and_then(|e| e.as_ref())
     }
 
-    /// Looks up by raw parameter index (artifact decoding).
-    pub fn get_index(&self, idx: usize) -> Option<&QuantMatrix> {
-        self.entries.get(idx).and_then(|e| e.as_ref())
-    }
-
     /// Number of quantized parameters in the set.
     pub fn len(&self) -> usize {
         self.entries.iter().filter(|e| e.is_some()).count()

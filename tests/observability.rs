@@ -56,7 +56,7 @@ fn run_campaign(dir: &std::path::Path) -> (RunReport, u64) {
     let cfg = RoundsConfig { rounds: 2, ..RoundsConfig::quick() };
     run_rounds_with_engine(&mut db, &ks, &cfg, &harness, Some(&ck), false, &engine).unwrap();
     std::fs::remove_file(&ck).ok();
-    let report = gnn_dse::build_run_report("rounds", started.elapsed());
+    let report = RunReport::from_current_metrics("rounds", started.elapsed());
     (report, calls.load(Ordering::Relaxed))
 }
 

@@ -1,6 +1,5 @@
-//! Cross-crate parallel-execution integration: jobs-invariant outputs,
-//! prediction/oracle caching, and fault-stat merging across workers — all
-//! through the public API.
+//! Cross-crate parallel-execution integration: jobs-invariant outputs and
+//! fault-stat merging across workers — all through the public API.
 //!
 //! `GNNDSE_JOBS` sets the high worker count these tests compare against
 //! serial (default 8).
@@ -13,9 +12,9 @@ use gnn_dse::harness::{EvalBackend, RetryPolicy};
 use gnn_dse::objective::ObjectiveKind;
 use gnn_dse::rounds::{run_rounds_with_engine, RoundsConfig};
 use gnn_dse::trainer::TrainConfig;
-use gnn_dse::{ExecEngine, Normalizer, Prediction, Predictor};
+use gnn_dse::{ExecEngine, Prediction, Predictor};
 use hls_ir::kernels;
-use merlin_sim::{FaultConfig, MerlinSimulator};
+use merlin_sim::FaultConfig;
 use proggraph::build_graph_bidirectional;
 use std::time::Duration;
 
@@ -113,51 +112,7 @@ fn dse_top_configs_are_jobs_invariant() {
     }
 }
 
-/// (b) A cache hit returns exactly what a fresh evaluation returns, for
-/// both the oracle result cache and the prediction cache.
-#[test]
-fn cache_hits_are_identical_to_fresh_evaluations() {
-    let k = kernels::spmv_ellpack();
-    let space = DesignSpace::from_kernel(&k);
-    let sim = MerlinSimulator::new();
-    let points: Vec<_> = (0..24u64)
-        .map(|i| {
-            space.point_at(u128::from(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % space.size())
-        })
-        .collect();
-
-    let engine = ExecEngine::with_jobs(high_jobs());
-    let fresh: Vec<_> = engine
-        .evaluate_ordered(&sim, &k, &space, &points)
-        .into_iter()
-        .map(|r| r.expect("infallible backend"))
-        .collect();
-    let cached: Vec<_> = engine
-        .evaluate_ordered(&sim, &k, &space, &points)
-        .into_iter()
-        .map(|r| r.expect("cache hit"))
-        .collect();
-    assert_eq!(cached, fresh, "oracle cache hits must reproduce fresh results");
-    // Direct evaluation agrees too: the cache never substitutes results.
-    for (p, r) in points.iter().zip(&fresh) {
-        assert_eq!(*r, sim.evaluate(&k, &space, p));
-    }
-
-    let graph = build_graph_bidirectional(&k, &space);
-    let predictor = Predictor::untrained(
-        gdse_gnn::ModelKind::Transformer,
-        gdse_gnn::ModelConfig { hidden: 16, gnn_layers: 2, mlp_layers: 2, seed: 7 },
-        Normalizer::with_factor(1_000_000.0),
-    );
-    let fresh_preds = engine.predict_ordered(&predictor, &graph, k.name(), &points);
-    let cached_preds = engine.predict_ordered(&predictor, &graph, k.name(), &points);
-    for (a, b) in fresh_preds.iter().zip(&cached_preds) {
-        assert_eq!(a.valid_prob.to_bits(), b.valid_prob.to_bits());
-        assert_eq!(a.cycles, b.cycles);
-    }
-}
-
-/// (c) Worker-local `oracle.*` counters merge to the same totals as one
+/// (b) Worker-local `oracle.*` counters merge to the same totals as one
 /// serial loop over the whole batch: partitioning the workload across the
 /// pool's workers loses nothing.
 #[test]

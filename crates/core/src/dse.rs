@@ -17,7 +17,7 @@
 
 use crate::evaluated::Evaluated;
 use crate::explorer::GFlowSampler;
-use crate::inference::{Prediction, Predictor};
+use crate::inference::{Prediction, Predictor, Template};
 use crate::objective::{Objective, ObjectiveKind, ResourceBudget};
 use crate::parallel::ExecEngine;
 use crate::pareto::{prediction_axes, strictly_dominates, ParetoArchive};
@@ -181,6 +181,7 @@ pub fn run_dse_with_engine(
         ParetoArchive::new(cfg.top_m.max(64));
     let mut inferences = 0usize;
     let mut seen: HashSet<DesignPoint> = HashSet::new();
+    let template = Template::new(predictor, graph);
 
     // Rank `top` by the objective (exact cycle sort for latency/Pareto —
     // bit-identical to the pre-objective code — weighted sum otherwise) and
@@ -223,7 +224,7 @@ pub fn run_dse_with_engine(
         if pending.is_empty() {
             return;
         }
-        let preds = engine.predict_ordered(predictor, graph, pending);
+        let preds = engine.predict_ordered(&template, pending);
         *inferences += pending.len();
         let mut pairs: Vec<(DesignPoint, Prediction)> =
             pending.drain(..).zip(preds).collect();
@@ -240,7 +241,7 @@ pub fn run_dse_with_engine(
         let memo = ShardedCache::default();
         let predict = |points: &[DesignPoint]| {
             evaluate_cached(
-                |misses: &[DesignPoint]| engine.predict_ordered(predictor, graph, misses),
+                |misses: &[DesignPoint]| engine.predict_ordered(&template, misses),
                 &memo,
                 DesignPoint::clone,
                 points,
@@ -503,7 +504,7 @@ mod tests {
         graph: &ProgramGraph,
         cfg: &DseConfig,
     ) -> DseOutcome {
-        let (start, engine, objective) = (Instant::now(), ExecEngine::serial(), cfg.objective());
+        let (start, objective) = (Instant::now(), cfg.objective());
         let exhaustive = space.size() <= cfg.exhaustive_limit;
         let (mut top, mut fallback) = (Vec::new(), Vec::new());
         let mut archive = ParetoArchive::new(cfg.top_m.max(64));
@@ -512,7 +513,7 @@ mod tests {
             if pending.is_empty() {
                 return;
             }
-            let preds = engine.predict_ordered(p, graph, pending);
+            let preds = p.predict_batch(graph, pending);
             *inferences += pending.len();
             for (point, pred) in pending.drain(..).zip(preds) {
                 if objective.feasible_prediction(&pred) {

@@ -4,13 +4,17 @@ use crate::dataset::{Dataset, Normalizer, BRAM_TARGET, CLASS_TARGET, MAIN_TARGET
 use crate::db::Database;
 use crate::trainer::{train_classifier, train_regression, TrainConfig};
 use design_space::DesignPoint;
-use gdse_gnn::{GraphBatch, GraphInput, KernelBatch, ModelConfig, ModelKind, PredictionModel};
+use gdse_gnn::{
+    GraphBatch, GraphInput, KernelBatch, KernelTemplate, ModelConfig, ModelKind, ModelTemplate,
+    PredictionModel,
+};
 use gdse_obs as obs;
-use gdse_tensor::{Matrix, QuantParamSet};
+use gdse_tensor::{arena, Matrix, QuantParamSet};
 use hls_ir::Kernel;
 use merlin_sim::Utilization;
 use proggraph::ProgramGraph;
 use serde::{Deserialize, Serialize};
+use std::ops::Deref;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,7 +39,7 @@ impl Prediction {
 
 /// The GNN-DSE surrogate of the HLS tool: a validity classifier, a main
 /// regressor (latency/DSP/LUT/FF) and a separate BRAM regressor (§5.2.1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Predictor {
     classifier: PredictionModel,
     regressor: PredictionModel,
@@ -185,30 +189,90 @@ impl Predictor {
         &self.bram_model
     }
 
-    /// Predicts a batch of design points of one kernel: the kernel is
-    /// lowered once, for the deepest of the three models, and all three run
-    /// the tape-free [`PredictionModel::infer`].
+    /// Predicts a batch of design points of one kernel through a
+    /// [`Template`] built for this call: the kernel is lowered once, for the
+    /// deepest of the three models, and all three run the tape-free
+    /// [`PredictionModel::infer`]. A caller that predicts one kernel again
+    /// and again keeps a [`Template`] instead.
     pub fn predict_batch(&self, graph: &ProgramGraph, points: &[DesignPoint]) -> Vec<Prediction> {
         if points.is_empty() {
             return Vec::new();
         }
         let started = Instant::now();
-        let depth = self
-            .classifier
-            .convolutions()
-            .max(self.regressor.convolutions())
-            .max(self.bram_model.convolutions());
-        let batch = KernelBatch::new(graph, points, depth);
-        let cls = self.classifier.infer(&batch);
-        let reg = self.regressor.infer(&batch);
-        let bram = self.bram_model.infer(&batch);
-        let heads = [&cls, &reg, &bram].map(|m| m.iter().collect::<Vec<_>>());
-        readout(&self.normalizer, &heads, started, false)
+        Template::new(self, graph).predict_since(points, started)
     }
 
     /// Predicts a single design point.
     pub fn predict(&self, graph: &ProgramGraph, point: &DesignPoint) -> Prediction {
         self.predict_batch(graph, std::slice::from_ref(point))[0]
+    }
+
+    /// The deepest of the three models' convolutions.
+    fn depth(&self) -> usize {
+        [&self.classifier, &self.regressor, &self.bram_model]
+            .map(PredictionModel::convolutions)
+            .into_iter()
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// A predictor's resident template of one kernel: the kernel lowered once
+/// ([`KernelTemplate`]) and, for each of the three models, every row no
+/// design point can change ([`ModelTemplate`]). Each call then lowers only
+/// its points' pragma rows and computes only the rows within reach of a
+/// pragma node, with the same bits as a call that computes them all.
+///
+/// The template holds the predictor that built it (`P` is a `&Predictor` or
+/// an `Arc<Predictor>`), and predicting through it is the only way to read
+/// its rows, so it cannot be used with another model.
+/// [`PredictService`](crate::serving::PredictService) keeps one per kernel
+/// for the life of its model, a DSE run one per run, and
+/// [`Predictor::predict_batch`] one per call.
+#[derive(Debug)]
+pub struct Template<P: Deref<Target = Predictor>> {
+    predictor: P,
+    kernel: KernelTemplate,
+    /// The classifier's, the main regressor's and the BRAM regressor's.
+    models: [ModelTemplate; 3],
+}
+
+impl<P: Deref<Target = Predictor>> Template<P> {
+    /// Lowers `graph` for `predictor` and computes each model's resident
+    /// rows.
+    pub fn new(predictor: P, graph: &ProgramGraph) -> Self {
+        let kernel = KernelTemplate::new(graph, predictor.depth());
+        let p = &*predictor;
+        let models = [&p.classifier, &p.regressor, &p.bram_model].map(|m| m.template(&kernel));
+        Template { predictor, kernel, models }
+    }
+
+    /// Predicts a batch of design points of the template's kernel,
+    /// bit-identically to [`Predictor::predict_batch`].
+    pub fn predict_batch(&self, points: &[DesignPoint]) -> Vec<Prediction> {
+        if points.is_empty() {
+            return Vec::new();
+        }
+        self.predict_since(points, Instant::now())
+    }
+
+    /// [`predict_batch`](Self::predict_batch) of a non-empty batch for a
+    /// call that began at `started`.
+    fn predict_since(&self, points: &[DesignPoint], started: Instant) -> Vec<Prediction> {
+        let p = &*self.predictor;
+        let batch = KernelBatch::new(&self.kernel, points);
+        let [cls, reg, bram] = &self.models;
+        let cls = p.classifier.infer(cls, &batch);
+        let reg = p.regressor.infer(reg, &batch);
+        let bram = p.bram_model.infer(bram, &batch);
+        let heads = [&cls, &reg, &bram].map(|m| m.iter().collect::<Vec<_>>());
+        let preds = readout(&p.normalizer, &heads, started, false);
+        // The heads' outputs came from this thread's arena: give them back,
+        // so a thread that predicts call after call keeps finding buffers.
+        for m in cls.into_iter().chain(reg).chain(bram) {
+            arena::recycle(m);
+        }
+        preds
     }
 }
 

@@ -83,7 +83,7 @@ pub use error::Error;
 pub use evaluated::Evaluated;
 pub use explorer::{Budget, Explorer, GFlowExplorer};
 pub use harness::{EvalBackend, EvalError, Harness, RetryPolicy};
-pub use inference::{Prediction, Predictor, QuantPredictor};
+pub use inference::{Prediction, Predictor, QuantPredictor, Template};
 pub use learn::{ReplayBuffer, ReplayStats};
 pub use objective::{Objective, ObjectiveKind, ObjectiveWeights, ResourceBudget, Score};
 pub use pareto::{hypervolume, ParetoArchive};

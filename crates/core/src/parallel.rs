@@ -15,12 +15,12 @@
 //! regardless of `--jobs`.
 
 use crate::harness::{EvalBackend, EvalError};
-use crate::inference::{Prediction, Predictor};
+use crate::inference::{Prediction, Predictor, Template};
 use design_space::{DesignPoint, DesignSpace};
 use gdse_exec::WorkerPool;
 use hls_ir::Kernel;
 use merlin_sim::HlsResult;
-use proggraph::ProgramGraph;
+use std::ops::Deref;
 
 /// The worker pool every parallel stage runs on (see module docs).
 #[derive(Debug)]
@@ -63,17 +63,17 @@ impl ExecEngine {
         self.pool.map(points, |_, p| eval.try_evaluate(kernel, space, p))
     }
 
-    /// Runs the surrogate over `points`, in parallel, returning predictions
-    /// in input order.
+    /// Runs the surrogate over `points` of the `template`'s kernel, in
+    /// parallel, returning predictions in input order.
     ///
     /// The points are split into one contiguous chunk per worker and scored
-    /// with [`Predictor::predict_batch`], which amortizes graph encoding over
-    /// the chunk. Prediction is item-independent, so any chunking (any
-    /// `--jobs`) produces the same numbers as one serial batch.
-    pub fn predict_ordered(
+    /// with [`Template::predict_batch`], which amortizes lowering over the
+    /// chunk and reads the rows no point changes from the template.
+    /// Prediction is item-independent, so any chunking (any `--jobs`)
+    /// produces the same numbers as one serial batch.
+    pub fn predict_ordered<P: Deref<Target = Predictor> + Sync>(
         &self,
-        predictor: &Predictor,
-        graph: &ProgramGraph,
+        template: &Template<P>,
         points: &[DesignPoint],
     ) -> Vec<Prediction> {
         if points.is_empty() {
@@ -82,7 +82,7 @@ impl ExecEngine {
         let per_worker = points.len().div_ceil(self.pool.jobs());
         let chunks: Vec<&[DesignPoint]> = points.chunks(per_worker).collect();
         self.pool
-            .map(&chunks, |_, chunk| predictor.predict_batch(graph, chunk))
+            .map(&chunks, |_, chunk| template.predict_batch(chunk))
             .into_iter()
             .flatten()
             .collect()
@@ -165,9 +165,10 @@ mod tests {
         let points = sample(&space, 17, 5);
 
         let reference = predictor.predict_batch(&graph, &points);
+        let template = Template::new(&predictor, &graph);
         for jobs in [1, 3, 8] {
             let engine = ExecEngine::with_jobs(jobs);
-            let got = engine.predict_ordered(&predictor, &graph, &points);
+            let got = engine.predict_ordered(&template, &points);
             assert_eq!(got.len(), reference.len());
             for (g, r) in got.iter().zip(&reference) {
                 assert_eq!(g.valid_prob.to_bits(), r.valid_prob.to_bits(), "jobs={jobs}");

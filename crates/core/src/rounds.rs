@@ -13,7 +13,9 @@
 //! [`KernelRound::lost`] — instead of aborting the campaign.
 //!
 //! With a checkpoint path, the loop persists its complete state (database,
-//! reports, carried model) in **one atomic file** after every round. A
+//! reports, carried model) in **one atomic file** after every round: a JSON
+//! document whose carried model is its `.gdse` artifact bytes, in hex, so
+//! the checksummed artifact stays the only model format. A
 //! killed run restarted with `resume = true` replays from the last round
 //! boundary; because the loop itself is deterministic (seeded models,
 //! stateless per-attempt fault decisions), the resumed run converges to a
@@ -36,6 +38,7 @@
 //! [`new`]: CampaignDriver::new
 //! [`step`]: CampaignDriver::step
 
+use crate::artifact::{decode_predictor, encode_predictor, ArtifactMeta};
 use crate::db::Database;
 use crate::dse::{run_dse_with_engine, DseConfig};
 use crate::evaluated::Evaluated;
@@ -202,7 +205,9 @@ struct Checkpoint {
     initial_best: Vec<(String, u64)>,
     best_dse: Vec<Option<u64>>,
     db: Database,
-    carried_model: Option<Predictor>,
+    /// The carried model's `.gdse` artifact bytes ([`encode_predictor`]),
+    /// in lowercase hex.
+    carried_model: Option<String>,
     /// Metric registry state at the round boundary: restored on resume so a
     /// resumed campaign's run report counts the whole campaign, not just the
     /// rounds after the crash.
@@ -210,13 +215,25 @@ struct Checkpoint {
 }
 
 impl Checkpoint {
-    fn load(path: &Path) -> Result<Self, RoundsError> {
+    /// Reads the checkpoint at `path` and decodes its carried model through
+    /// the artifact's checksum.
+    fn load(path: &Path) -> Result<(Self, Option<Predictor>), RoundsError> {
         let json = std::fs::read_to_string(path)
             .map_err(|source| RoundsError::Io { path: path.to_path_buf(), source })?;
-        let mut ck: Checkpoint = serde_json::from_str(&json)
-            .map_err(|e| RoundsError::Corrupt { path: path.to_path_buf(), detail: e.to_string() })?;
+        let corrupt = |detail: String| RoundsError::Corrupt { path: path.to_path_buf(), detail };
+        let mut ck: Checkpoint = serde_json::from_str(&json).map_err(|e| corrupt(e.to_string()))?;
+        let carried = match ck.carried_model.take() {
+            None => None,
+            Some(hex) => {
+                let bytes = from_hex(&hex)
+                    .ok_or_else(|| corrupt("carried model: not a hex string".to_string()))?;
+                let (p, _) = decode_predictor(&bytes)
+                    .map_err(|e| corrupt(format!("carried model: {e}")))?;
+                Some(p)
+            }
+        };
         ck.db.rebuild_index();
-        Ok(ck)
+        Ok((ck, carried))
     }
 
     fn save(&self, path: &Path) -> Result<(), RoundsError> {
@@ -285,7 +302,7 @@ impl<'a, B: EvalBackend + Sync> CampaignDriver<'a, B> {
         // Either resume the saved state or derive a fresh one from `db`.
         let resumed = match checkpoint {
             Some(path) if resume && path.exists() => {
-                let ck = Checkpoint::load(path)?;
+                let (ck, carried) = Checkpoint::load(path)?;
                 let names: Vec<&str> = ck.initial_best.iter().map(|(n, _)| n.as_str()).collect();
                 let expect: Vec<&str> = kernels.iter().map(|k| k.name()).collect();
                 if names != expect {
@@ -294,13 +311,13 @@ impl<'a, B: EvalBackend + Sync> CampaignDriver<'a, B> {
                         detail: format!("checkpoint kernels {names:?}, requested {expect:?}"),
                     });
                 }
-                Some(ck)
+                Some((ck, carried))
             }
             _ => None,
         };
 
         let (mut next_round, reports, initial_best, best_dse, carried) = match resumed {
-            Some(ck) => {
+            Some((ck, carried)) => {
                 *db = ck.db;
                 // Replace (not merge) the registry: the snapshot already covers
                 // everything the campaign did before the crash, so after the
@@ -315,7 +332,7 @@ impl<'a, B: EvalBackend + Sync> CampaignDriver<'a, B> {
                     next_round = ck.next_round,
                     rounds = cfg.rounds,
                 );
-                (ck.next_round, ck.reports, ck.initial_best, ck.best_dse, ck.carried_model)
+                (ck.next_round, ck.reports, ck.initial_best, ck.best_dse, carried)
             }
             None => {
                 let initial_best: Vec<(String, u64)> = kernels
@@ -562,21 +579,56 @@ impl<'a, B: EvalBackend + Sync> CampaignDriver<'a, B> {
 
         if let Some(path) = self.checkpoint {
             let _stage = obs::span::stage("checkpoint");
+            // The carried model only affects later rounds when fine-tuning;
+            // skip its encoding otherwise.
+            let carried = self.carried.as_ref().filter(|_| cfg.fine_tune);
+            let names: Vec<String> = self.kernels.iter().map(|k| k.name().to_string()).collect();
+            let carried_model = carried
+                .map(|p| {
+                    let meta = ArtifactMeta::describe(p, &names, cfg.train_cfg.epochs);
+                    encode_predictor(p, &meta).map(|bytes| to_hex(&bytes))
+                })
+                .transpose()
+                .map_err(|e| RoundsError::Corrupt {
+                    path: path.to_path_buf(),
+                    detail: e.to_string(),
+                })?;
             Checkpoint {
                 next_round: round + 1,
                 reports: self.reports.clone(),
                 initial_best: self.initial_best.clone(),
                 best_dse: self.best_dse.clone(),
                 db: self.db.clone(),
-                // The carried model only affects later rounds when
-                // fine-tuning; skip the (large) serialization otherwise.
-                carried_model: if cfg.fine_tune { self.carried.clone() } else { None },
+                carried_model,
                 metrics: obs::metrics::snapshot(),
             }
             .save(path)?;
         }
         Ok(self.reports.last())
     }
+}
+
+/// `bytes` in lowercase hex, two digits a byte.
+fn to_hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * bytes.len());
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 15)] as char);
+    }
+    out
+}
+
+/// The bytes of a [`to_hex`] string; `None` if it is not one.
+fn from_hex(hex: &str) -> Option<Vec<u8>> {
+    let digit = |c: u8| (c as char).to_digit(16).filter(|_| !c.is_ascii_uppercase());
+    if !hex.len().is_multiple_of(2) {
+        return None;
+    }
+    hex.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| Some((digit(pair[0])? << 4 | digit(pair[1])?) as u8))
+        .collect()
 }
 
 /// Runs `cfg.rounds` rounds of train -> DSE -> validate -> augment over all
@@ -845,6 +897,79 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, RoundsError::Corrupt { .. }), "got {err}");
         std::fs::remove_file(&ck).ok();
+    }
+
+    #[test]
+    fn a_checkpoint_whose_carried_model_is_not_an_artifact_is_a_typed_error() {
+        use serde::Value;
+
+        let dir = std::env::temp_dir().join("gnn_dse_rounds_carried_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let ck = dir.join("ck.json");
+        std::fs::remove_file(&ck).ok();
+        let ks = vec![kernels::spmv_ellpack()];
+        let base_db = generate_database(&ks, &[("spmv-ellpack", 30)], 30, 31);
+        let cfg = RoundsConfig { fine_tune: true, ..RoundsConfig::quick() };
+        let sim = MerlinSimulator::new();
+        let killed = RoundsConfig { stop_after: Some(1), ..cfg.clone() };
+        serial_campaign(&mut base_db.clone(), &ks, &killed, &sim, Some(&ck), false).unwrap();
+
+        let json = std::fs::read_to_string(&ck).unwrap();
+        let Ok(Value::Map(fields)) = serde_json::from_str::<Value>(&json) else {
+            panic!("a checkpoint is a JSON object")
+        };
+        let hex = match fields.iter().find(|(k, _)| k == "carried_model") {
+            Some((_, Value::Str(hex))) => hex.clone(),
+            other => panic!("the carried model is a hex string, got {other:?}"),
+        };
+        let (carried, _) = decode_predictor(&from_hex(&hex).unwrap()).unwrap();
+        let with_model = |model: Value| {
+            let fields: Vec<(String, Value)> = fields
+                .iter()
+                .map(|(k, v)| {
+                    let v = if k == "carried_model" { &model } else { v };
+                    (k.clone(), v.clone())
+                })
+                .collect();
+            serde_json::to_string(&Value::Map(fields)).unwrap()
+        };
+        let mut flipped = hex.clone().into_bytes();
+        let mid = flipped.len() / 2;
+        flipped[mid] = if flipped[mid] == b'0' { b'1' } else { b'0' };
+        // The format before the model travelled as artifact bytes.
+        let json_model = serde_json::from_str(&serde_json::to_string(&carried).unwrap()).unwrap();
+        let cases = [
+            ("JSON model", json_model),
+            ("checksum", Value::Str(String::from_utf8(flipped).unwrap())),
+            ("truncated", Value::Str(hex[..hex.len() / 2].to_string())),
+            ("odd length", Value::Str(hex[1..].to_string())),
+            ("not hex", Value::Str(hex.replacen('a', "g", 1))),
+            ("upper case", Value::Str(hex.to_uppercase())),
+        ];
+        for (case, model) in cases {
+            std::fs::write(&ck, with_model(model)).unwrap();
+            let err = serial_campaign(&mut base_db.clone(), &ks, &cfg, &sim, Some(&ck), true)
+                .expect_err(case);
+            assert!(matches!(err, RoundsError::Corrupt { .. }), "{case}: got {err}");
+        }
+        // The intact hex resumes where the uninterrupted campaign goes.
+        std::fs::write(&ck, with_model(Value::Str(hex))).unwrap();
+        let resumed =
+            serial_campaign(&mut base_db.clone(), &ks, &cfg, &sim, Some(&ck), true).unwrap();
+        let full = serial_campaign(&mut base_db.clone(), &ks, &cfg, &sim, None, false).unwrap();
+        assert_eq!(resumed, full);
+        std::fs::remove_file(&ck).ok();
+    }
+
+    #[test]
+    fn hex_round_trips_every_byte() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        assert_eq!(to_hex(&[0x0f, 0xa0]), "0fa0");
+        assert_eq!(from_hex(&to_hex(&bytes)), Some(bytes));
+        assert_eq!(from_hex(""), Some(Vec::new()));
+        for bad in ["0", "0g", "+1", "AB", "é0"] {
+            assert_eq!(from_hex(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! The [`gdse_serve`] backend: answers service requests through a
-//! per-kernel prediction memo and [`Predictor::predict_batch`].
+//! per-kernel prediction memo and a resident [`Template`].
 //!
 //! [`PredictService`] is the glue between the model-agnostic TCP server and
-//! the GNN surrogate: it resolves kernel names to design spaces and program
-//! graphs (built once per kernel, on first use), bounds-checks design-point
-//! indices, and answers each micro-batch through the kernel's memo, whose
-//! misses go to one engine-routed `predict_ordered` call — so repeated
-//! queries are answered from the memo and fresh ones amortize graph encoding
-//! across the batch, exactly like the offline DSE path. A service holds one
-//! model for its whole life, and [`ArtifactProvider`] builds a new service
-//! for each replica and model epoch, so a memo never outlives the model that
-//! filled it.
+//! the GNN surrogate: it resolves kernel names to design spaces and
+//! templates (built once per kernel, on first use: the kernel lowered once
+//! and every row no design point changes computed once per model),
+//! bounds-checks design-point indices, and answers each micro-batch through
+//! the kernel's memo, whose misses go to one engine-routed
+//! `predict_ordered` call on the template — so repeated queries are
+//! answered from the memo, and a fresh point lowers only its pragma rows and
+//! computes only the rows within reach of a pragma node. The memo is keyed
+//! by the request's design-point index and holds at most [`MEMO_ENTRIES`]
+//! per kernel. A service holds one model for its whole life, and
+//! [`ArtifactProvider`] builds a new service for each replica and model
+//! epoch, so neither a memo nor a template outlives the model that filled
+//! it.
 //!
 //! [`ArtifactProvider`] is the hot-swap source on top: it versions
 //! `.gdse` artifacts by epoch, and a reload only cuts over after the new
@@ -19,38 +23,45 @@
 //! previous model keeps serving.
 
 use crate::artifact::ArtifactMeta;
-use crate::inference::{Prediction, Predictor};
+use crate::inference::{Prediction, Predictor, Template};
 use crate::parallel::ExecEngine;
 use design_space::{DesignPoint, DesignSpace};
 use gdse_exec::{evaluate_cached, ShardedCache};
 use gdse_serve::{BatchPredictor, ModelProvider, PredictionRow};
 use hls_ir::kernels;
-use proggraph::ProgramGraph;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::UNIX_EPOCH;
 
+/// The most predictions a service's memo keeps per kernel, 512 in each of
+/// its 16 shards. A server sent a stream of distinct points keeps at most
+/// this many, not every one. The benchmark's open-loop stream fits: a 4 s
+/// run asks each kernel at most 932 distinct points (72 in its fullest
+/// shard), and a 20 s run at most 4,230 (291).
+pub const MEMO_ENTRIES: usize = 8192;
+
 /// Per-kernel state the service builds lazily and reuses across requests.
 struct KernelEntry {
     space: DesignSpace,
-    graph: ProgramGraph,
-    /// Every prediction the service's model has made for this kernel.
-    memo: ShardedCache<DesignPoint, Prediction>,
+    template: Template<Arc<Predictor>>,
+    /// Predictions the service's model has made for this kernel, by
+    /// design-point index: at most [`MEMO_ENTRIES`].
+    memo: ShardedCache<u128, Prediction>,
 }
 
 /// A loaded predictor exposed as a [`BatchPredictor`] for [`gdse_serve`].
 pub struct PredictService {
-    predictor: Predictor,
+    predictor: Arc<Predictor>,
     engine: ExecEngine,
     kernels: Mutex<HashMap<String, Arc<KernelEntry>>>,
 }
 
 impl PredictService {
     /// Wraps a (typically artifact-loaded) predictor and an engine.
-    pub fn new(predictor: Predictor, engine: ExecEngine) -> Self {
-        PredictService { predictor, engine, kernels: Mutex::new(HashMap::new()) }
+    pub fn new(predictor: impl Into<Arc<Predictor>>, engine: ExecEngine) -> Self {
+        PredictService { predictor: predictor.into(), engine, kernels: Mutex::new(HashMap::new()) }
     }
 
     /// The wrapped predictor's models and normalizer.
@@ -58,13 +69,15 @@ impl PredictService {
         &self.predictor
     }
 
-    /// Resolves `kernel`, building its design space and program graph on
-    /// first use. Knows every built-in kernel plus the `toy` example.
+    /// Resolves `kernel`, building its design space and template on first
+    /// use. Knows every built-in kernel plus the `toy` example.
     fn resolve(&self, kernel: &str) -> Result<Arc<KernelEntry>, String> {
-        let mut cache = self.kernels.lock().expect("kernel cache lock");
-        if let Some(entry) = cache.get(kernel) {
+        if let Some(entry) = self.kernels.lock().expect("kernel cache lock").get(kernel) {
             return Ok(Arc::clone(entry));
         }
+        // Built outside the lock, so a kernel's first request holds up no
+        // other kernel's; of two threads that race to build one kernel's
+        // entry, the first to insert it wins and the other drops its copy.
         let k = if kernel == "toy" {
             kernels::toy()
         } else {
@@ -73,9 +86,11 @@ impl PredictService {
         };
         let space = DesignSpace::from_kernel(&k);
         let graph = proggraph::build_graph_bidirectional(&k, &space);
-        let entry = Arc::new(KernelEntry { space, graph, memo: ShardedCache::default() });
-        cache.insert(kernel.to_string(), Arc::clone(&entry));
-        Ok(entry)
+        let template = Template::new(Arc::clone(&self.predictor), &graph);
+        let memo = ShardedCache::bounded(16, MEMO_ENTRIES);
+        let entry = Arc::new(KernelEntry { space, template, memo });
+        let mut cache = self.kernels.lock().expect("kernel cache lock");
+        Ok(Arc::clone(cache.entry(kernel.to_string()).or_insert(entry)))
     }
 }
 
@@ -85,26 +100,19 @@ impl BatchPredictor for PredictService {
         // self-nesting is safe (inner engine stages book only once).
         let _infer = gdse_obs::span::stage("infer");
         let entry = self.resolve(kernel)?;
-        let points: Vec<DesignPoint> = indices
-            .iter()
-            .map(|&i| {
-                if i >= entry.space.size() {
-                    Err(format!(
-                        "index {i} out of range for `{kernel}` (space size {})",
-                        entry.space.size()
-                    ))
-                } else {
-                    Ok(entry.space.point_at(i))
-                }
-            })
-            .collect::<Result<_, _>>()?;
+        let size = entry.space.size();
+        if let Some(i) = indices.iter().find(|&&i| i >= size) {
+            return Err(format!("index {i} out of range for `{kernel}` (space size {size})"));
+        }
         let preds = evaluate_cached(
-            |misses: &[DesignPoint]| {
-                self.engine.predict_ordered(&self.predictor, &entry.graph, misses)
+            |misses: &[u128]| {
+                let points: Vec<DesignPoint> =
+                    misses.iter().map(|&i| entry.space.point_at(i)).collect();
+                self.engine.predict_ordered(&entry.template, &points)
             },
             &entry.memo,
-            DesignPoint::clone,
-            &points,
+            |&i| i,
+            indices,
         );
         Ok(preds
             .into_iter()
@@ -131,7 +139,7 @@ fn fingerprint(path: &Path) -> Option<Fingerprint> {
 }
 
 struct ProviderState {
-    predictor: Predictor,
+    predictor: Arc<Predictor>,
     meta: ArtifactMeta,
     /// Fingerprint of the artifact version we last *examined* — serving
     /// or rejected. A persistently corrupt file on disk is validated
@@ -176,7 +184,11 @@ impl ArtifactProvider {
             path: path.to_path_buf(),
             jobs,
             epoch: AtomicU64::new(1),
-            state: Mutex::new(ProviderState { predictor, meta, seen: fingerprint(path) }),
+            state: Mutex::new(ProviderState {
+                predictor: Arc::new(predictor),
+                meta,
+                seen: fingerprint(path),
+            }),
         })
     }
 
@@ -185,7 +197,7 @@ impl ArtifactProvider {
         self.state.lock().expect("provider lock").meta.clone()
     }
 
-    fn service(&self, predictor: Predictor) -> PredictService {
+    fn service(&self, predictor: impl Into<Arc<Predictor>>) -> PredictService {
         PredictService::new(predictor, ExecEngine::with_jobs(self.jobs))
     }
 
@@ -216,7 +228,7 @@ impl ModelProvider for ArtifactProvider {
 
     fn build(&self) -> Result<(Box<dyn BatchPredictor>, u64), String> {
         let state = self.state.lock().expect("provider lock");
-        let service = self.service(state.predictor.clone());
+        let service = self.service(Arc::clone(&state.predictor));
         Ok((Box::new(service), self.epoch.load(Ordering::SeqCst)))
     }
 
@@ -224,7 +236,7 @@ impl ModelProvider for ArtifactProvider {
         // Validate entirely outside the lock: replicas keep building the
         // old version while the candidate is checked.
         let fp = fingerprint(&self.path);
-        let outcome: Result<(Predictor, ArtifactMeta), String> = (|| {
+        let outcome: Result<(Arc<Predictor>, ArtifactMeta), String> = (|| {
             let (predictor, meta) =
                 load(&self.path).map_err(|e| format!("artifact rejected: {e}"))?;
             let service = self.service(predictor);
@@ -385,14 +397,20 @@ mod tests {
         assert_eq!(backend.predict("gemm-ncubed", &[0, 1]).unwrap(), baseline);
 
         // A model trained with another seed: the backend rebuilt at epoch 3
-        // answers the indices served before with the new model's bits.
+        // answers the indices served before with the new model's bits, from
+        // a template of its own, while the epoch-2 backend keeps its
+        // template and its model's answers.
         let (other, other_meta) = train_tiny(ModelConfig::small().seed + 1);
         other.save_artifact(&path, &other_meta).unwrap();
+        let old = backend;
         assert_eq!(provider.reload(), Ok(3));
         let (backend, epoch) = provider.build().expect("build at epoch 3");
         assert_eq!(epoch, 3);
+        let templates = gdse_obs::metrics::counter_value("gnn.templates");
         let rows = backend.predict("gemm-ncubed", &[0, 1]).unwrap();
+        assert_eq!(gdse_obs::metrics::counter_value("gnn.templates") - templates, 3);
         assert_ne!(rows, baseline, "the other seed predicts other values");
+        assert_eq!(old.predict("gemm-ncubed", &[0, 1]).unwrap(), baseline);
         let k = kernels::gemm_ncubed();
         let space = DesignSpace::from_kernel(&k);
         let graph = proggraph::build_graph_bidirectional(&k, &space);
@@ -406,6 +424,39 @@ mod tests {
         }
 
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_memo_holds_at_most_its_bound_and_answers_keep_their_bits() {
+        let svc = tiny_service();
+        let k = kernels::mvt();
+        let space = DesignSpace::from_kernel(&k);
+        let graph = proggraph::build_graph_bidirectional(&k, &space);
+        let memo_len = || svc.kernels.lock().unwrap()[k.name()].memo.len();
+        let indices: Vec<u128> = (0..(MEMO_ENTRIES + 600) as u128).map(|i| i * 13).collect();
+        assert!(indices.last() < Some(&space.size()));
+        let mut first = Vec::new();
+        for chunk in indices.chunks(64) {
+            first.extend(svc.predict(k.name(), chunk).expect("serves"));
+            assert!(memo_len() <= MEMO_ENTRIES, "{} entries", memo_len());
+        }
+        // Every answer, from the memo or not, has the model's bits.
+        let points: Vec<_> = indices.iter().map(|&i| space.point_at(i)).collect();
+        let direct = svc.predictor().predict_batch(&graph, &points);
+        for (r, d) in first.iter().zip(&direct) {
+            assert_eq!(r.valid_prob.to_bits(), d.valid_prob.to_bits());
+            assert_eq!(r.cycles, d.cycles);
+            assert_eq!([r.dsp, r.bram, r.lut, r.ff].map(f64::to_bits), [
+                d.util.dsp.to_bits(),
+                d.util.bram.to_bits(),
+                d.util.lut.to_bits(),
+                d.util.ff.to_bits()
+            ]);
+        }
+        for (chunk, want) in indices.chunks(64).zip(first.chunks(64)).step_by(7) {
+            assert_eq!(svc.predict(k.name(), chunk).unwrap(), want);
+        }
+        assert!(memo_len() <= MEMO_ENTRIES);
     }
 
     #[test]

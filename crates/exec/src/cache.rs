@@ -3,10 +3,12 @@
 //! A plain `Mutex<HashMap>` serializes every lookup; sharding by key hash
 //! lets concurrent callers hit disjoint locks almost always. The shard
 //! count is fixed at construction (rounded up to a power of two so shard
-//! selection is a mask, not a division). A cache only grows: it is dropped
-//! with the model whose outputs it memoizes. Lookups are counted where they
-//! are made, by [`evaluate_cached`](crate::evaluate_cached)
-//! (`exec.cache_hits` / `exec.cache_misses`), not by the cache.
+//! selection is a mask, not a division). A cache is dropped with the model
+//! whose outputs it memoizes; until then it grows, or, when
+//! [`bounded`](ShardedCache::bounded), empties a full shard before its next
+//! insert. Lookups are counted where they are made, by
+//! [`evaluate_cached`](crate::evaluate_cached) (`exec.cache_hits` /
+//! `exec.cache_misses`), not by the cache.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -21,13 +23,28 @@ use std::sync::Mutex;
 pub struct ShardedCache<K, V> {
     shards: Vec<Mutex<HashMap<K, V>>>,
     mask: usize,
+    /// The most entries a shard holds.
+    shard_cap: usize,
 }
 
 impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
     /// A cache with at least `shards` shards (rounded up to a power of two).
     pub fn new(shards: usize) -> Self {
+        Self::bounded(shards, usize::MAX)
+    }
+
+    /// A cache of at least `shards` shards that holds at most `max_entries`
+    /// entries: each shard holds its share, and a full shard is emptied
+    /// before the next insert into it, so a stream of distinct keys cannot
+    /// grow it without bound while a working set of keys that fits keeps
+    /// hitting.
+    pub fn bounded(shards: usize, max_entries: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
-        ShardedCache { shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(), mask: n - 1 }
+        ShardedCache {
+            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            mask: n - 1,
+            shard_cap: (max_entries / n).max(1),
+        }
     }
 
     fn shard(&self, key: &K) -> &Mutex<HashMap<K, V>> {
@@ -49,6 +66,9 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
     /// earlier one).
     pub fn insert(&self, key: K, value: V) -> bool {
         let mut shard = self.shard(&key).lock().expect("cache shard lock");
+        if shard.len() >= self.shard_cap && !shard.contains_key(&key) {
+            shard.clear();
+        }
         match shard.entry(key) {
             std::collections::hash_map::Entry::Occupied(_) => false,
             std::collections::hash_map::Entry::Vacant(e) => {
@@ -120,6 +140,24 @@ mod tests {
         assert!(c.insert(7, 1));
         assert!(!c.insert(7, 2), "duplicate insert must be rejected");
         assert_eq!(c.get(&7), Some(1));
+    }
+
+    #[test]
+    fn a_bounded_cache_never_holds_more_than_its_bound() {
+        let c: ShardedCache<u64, u64> = ShardedCache::bounded(4, 64);
+        for k in 0..10_000u64 {
+            c.insert(k, k * 3);
+            assert!(c.len() <= 64, "after {k}: {}", c.len());
+            assert_eq!(c.get(&k), Some(k * 3), "the key just inserted is held");
+        }
+        // Keys that fit keep hitting: a full shard is emptied only by a new key.
+        let hot: ShardedCache<u64, u64> = ShardedCache::bounded(4, 4096);
+        for round in 0..3 {
+            for k in 0..100u64 {
+                let fresh = hot.insert(k, k);
+                assert_eq!(fresh, round == 0, "round {round}, key {k}");
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! Model inputs: program graphs lowered to feature matrices + edge lists,
-//! single or batched as a disjoint union, and [`KernelBatch`], the lowering
-//! of many design points of one kernel that the tape-free forward reads.
+//! single or batched as a disjoint union, and the two lowerings the
+//! tape-free forward reads: [`KernelTemplate`], a kernel lowered once, and
+//! [`KernelBatch`], many design points of it lowered on the template.
 //!
-//! A [`KernelBatch`] computes each node's row once per group of points
-//! that agree, bit for bit, on the features of every pragma node within
-//! reach ([`Layouts`]). Layer 0 builds each pragma node's row once per
-//! distinct value of its slot. The groups of layer `l + 1` are interned per
-//! node from pairs (its group so far, a source's layer-`l` group) in an
+//! The template holds what no design point changes: the incoming-edge
+//! lists, the edge features, the feature rows of the non-pragma nodes and,
+//! for each layer, the *resident* nodes, those no pragma node reaches
+//! within the layer's hops. A [`KernelBatch`] lowers only its points' pragma
+//! rows, and computes each other node's row once per group of points that
+//! agree, bit for bit, on the features of every pragma node within reach
+//! ([`Layouts`]). Layer 0 builds each pragma node's row once per distinct
+//! value of its slot. The groups of layer `l + 1` are interned per node
+//! from pairs (its group so far, a source's layer-`l` group) in an
 //! open-addressing table of at least `2B` slots, reset only where it was
 //! touched, so lowering stays linear in the batch: on the points a DSE run
 //! scores, 2mm, mvt and gemm-ncubed take less time per point at B = 64 and
@@ -15,7 +20,8 @@
 
 use design_space::DesignPoint;
 use gdse_tensor::{InEdges, Matrix};
-use proggraph::{edge_features, node_features, node_row, ProgramGraph, NODE_FEATS};
+use proggraph::{edge_features, node_features, node_row, Node, ProgramGraph, NODE_FEATS};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One graph lowered to the tensors a GNN consumes.
 ///
@@ -125,14 +131,22 @@ impl GraphBatch {
     }
 }
 
-/// Where each node's row sits in one layer's batched node matrix.
+/// Where each node's row sits in one layer's node matrix.
 ///
-/// For each node, the batch's points fall into *groups* whose row for that
-/// node is the same (see [`Layouts`]), and the matrix holds one row per
-/// group. Rows are numbered point by point: the rows first needed at point
-/// `b`, those of the nodes whose group no earlier point is in, come after
-/// the rows of points `0..b`, in node order. So point 0 needs rows `0..N`,
-/// and a node with one group has that row at every point.
+/// A call's matrix is held in two parts. The *resident* rows come first:
+/// one per node that no pragma node reaches within the layer's hops, in node
+/// order, computed once by the [`KernelTemplate`] and read by every call.
+/// Then come the call's own rows. For each other node, the batch's points
+/// fall into *groups* whose row for that node is the same (see
+/// [`Layouts`]), and the call holds one row per group. Own rows are numbered
+/// point by point: the rows first needed at point `b`, those of the nodes
+/// whose group no earlier point is in, come after the rows of points `0..b`,
+/// in node order. So point 0 needs one own row per node that is not
+/// resident, and a node with one group has the same row at every point.
+///
+/// A template's own layouts have no resident rows and one point: each holds
+/// the rows the template computes, and no row (`u32::MAX`) for the other
+/// nodes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Layout {
     /// `N`, the number of nodes.
@@ -141,14 +155,33 @@ pub(crate) struct Layout {
     row: Vec<u32>,
     /// The node of every row.
     node: Vec<u32>,
-    /// The rows first needed at point `b` are `first[b]..first[b + 1]`.
+    /// The rows first needed at point `b` are `first[b]..first[b + 1]`; the
+    /// rows below `first[0]` are resident.
     first: Vec<u32>,
 }
 
 impl Layout {
-    /// Rows of a matrix in this layout.
+    /// The layout of a template's rows of the nodes `keep` selects, in
+    /// node order.
+    fn of_nodes(num_nodes: usize, keep: impl Fn(usize) -> bool) -> Self {
+        let mut row = vec![u32::MAX; num_nodes];
+        let mut node = Vec::new();
+        for (i, r) in row.iter_mut().enumerate().filter(|(i, _)| keep(*i)) {
+            *r = node.len() as u32;
+            node.push(i as u32);
+        }
+        let first = vec![0, node.len() as u32];
+        Layout { num_nodes, row, node, first }
+    }
+
+    /// Rows of a matrix in this layout, resident ones included.
     pub(crate) fn num_rows(&self) -> usize {
         self.node.len()
+    }
+
+    /// The number of resident rows, which come first.
+    pub(crate) fn resident(&self) -> usize {
+        self.first[0] as usize
     }
 
     /// Number of design points.
@@ -240,9 +273,11 @@ impl Grouping {
         &self.ids[i * b_count..(i + 1) * b_count]
     }
 
-    /// Numbers the rows of this grouping point by point, so each node's
-    /// rows come in the order of its group ids. `scratch` is working space.
-    fn layout(&self, scratch: &mut Vec<u32>) -> Layout {
+    /// Numbers the rows of this grouping: the nodes that have a row in
+    /// `resident`, a template's layout of the same layer, keep that row,
+    /// and the own rows follow point by point, so each node's rows come in
+    /// the order of its group ids. `scratch` is working space.
+    fn layout(&self, resident: &Layout, scratch: &mut Vec<u32>) -> Layout {
         let (n, b_count) = (self.counts.len(), self.points());
         // `scratch[i]` is where node `i`'s later groups start in the rest
         // of `scratch`, which holds the row of each (`u32::MAX` until its
@@ -255,19 +290,28 @@ impl Grouping {
         }));
         scratch.resize(n + later as usize, u32::MAX);
         let (start, group_row) = scratch.split_at_mut(n);
-        // Point 0 opens group 0 of every node: rows `0..N`.
+        // Point 0 reads each resident node's row and opens group 0 of every
+        // other node.
         let mut row: Vec<u32> = Vec::with_capacity(b_count * n);
-        row.extend(0..n as u32);
         let mut node = Vec::with_capacity(n + later as usize);
-        node.extend(0..n as u32);
+        node.extend_from_slice(&resident.node);
+        for (i, &r) in resident.rows_at(0).iter().enumerate() {
+            if r == u32::MAX {
+                row.push(node.len() as u32);
+                node.push(i as u32);
+            } else {
+                debug_assert_eq!(self.counts[i], 1, "a resident node has one group");
+                row.push(r);
+            }
+        }
         let mut first = Vec::with_capacity(b_count + 1);
-        first.push(0);
+        first.push(resident.num_rows() as u32);
         for b in 1..b_count {
             first.push(node.len() as u32);
             for i in 0..n {
                 let g = self.ids[i * b_count + b];
                 if g == 0 {
-                    row.push(i as u32);
+                    row.push(row[i]);
                     continue;
                 }
                 let r = &mut group_row[(start[i] + g - 1) as usize];
@@ -338,26 +382,51 @@ impl PairTable {
 /// convolution `l` (layout 0: the node features), so convolution `l` writes
 /// its output in layout `l + 1`.
 ///
-/// Layout 0 groups each node's points by its feature row. Layout `l + 1`
-/// groups node `i`'s points by the tuple of its own layout-`l` group, then
-/// the layout-`l` group of each in-edge source in CSR order: a node's row
-/// after a convolution is a function of exactly those input rows. So a node
-/// no pragma node reaches within `l` hops has one row in layout `l`, as
-/// does a node whose reachable pragma nodes all take one value in the
-/// batch, and a batch of one point has one row per node everywhere. Each
-/// layout refines the one before; the sequence stops at the layout of the
-/// deepest convolution output that will be read, or earlier when no node's
-/// grouping gets finer, and [`get`](Self::get) past that fixpoint returns
-/// the last.
+/// A template's layout `l` holds the *resident* nodes of layer `l`: those no
+/// pragma node reaches within `l` hops along the edges, whose rows are the
+/// same at every design point. A call's layout `l` starts with those rows
+/// (see [`Layout`]) and groups each other node's points: layout 0 by its
+/// feature row, and layout `l + 1` by the tuple of its own layout-`l` group,
+/// then the layout-`l` group of each in-edge source in CSR order, since a
+/// node's row after a convolution is a function of exactly those input
+/// rows. So a node whose reachable pragma nodes all take one value in the
+/// batch has one row in layout `l`, and a batch of one point has one row per
+/// node everywhere. Each layout refines the one before; the sequence stops
+/// at the layout of the deepest convolution output that will be read, or
+/// earlier when neither the grouping nor the resident nodes change any
+/// more, and [`get`](Self::get) past that fixpoint returns the last.
 #[derive(Debug, Clone)]
 pub(crate) struct Layouts(Vec<Layout>);
 
 impl Layouts {
-    /// Layouts `0..=depth`, or up to the fixpoint if it comes first.
-    fn new(in_edges: &InEdges, mut grouping: Grouping, depth: usize) -> Self {
+    /// A template's layouts `0..=depth` of the nodes beyond `l` hops of every
+    /// node in `pragma`, or up to the fixpoint if it comes first.
+    fn resident(in_edges: &InEdges, pragma: impl Iterator<Item = usize>, depth: usize) -> Self {
+        let n = in_edges.num_nodes();
+        let mut reached = vec![false; n];
+        for i in pragma {
+            reached[i] = true;
+        }
+        let mut layouts = vec![Layout::of_nodes(n, |i| !reached[i])];
+        while layouts.len() <= depth {
+            let next: Vec<bool> = (0..n)
+                .map(|i| reached[i] || in_edges.sources(i).iter().any(|&s| reached[s]))
+                .collect();
+            if next == reached {
+                break;
+            }
+            reached = next;
+            layouts.push(Layout::of_nodes(n, |i| !reached[i]));
+        }
+        Self(layouts)
+    }
+
+    /// A call's layouts `0..=depth`, or up to the fixpoint if it comes
+    /// first, with the resident rows of the template's `resident`.
+    fn new(in_edges: &InEdges, mut grouping: Grouping, depth: usize, resident: &Layouts) -> Self {
         let (n, b_count) = (grouping.counts.len(), grouping.points());
         let mut scratch = Vec::new();
-        let mut layouts = vec![grouping.layout(&mut scratch)];
+        let mut layouts = vec![grouping.layout(resident.get(0), &mut scratch)];
         let mut pairs = PairTable::default();
         // The nodes whose grouping got finer at the last layout; at layout
         // 0, finer than one group.
@@ -398,7 +467,8 @@ impl Layouts {
                     ids.truncate(own);
                 }
             }
-            if finer.is_empty() {
+            let l = layouts.len();
+            if finer.is_empty() && std::ptr::eq(resident.get(l), resident.get(l - 1)) {
                 break;
             }
             grew.fill(false);
@@ -409,7 +479,7 @@ impl Layouts {
             }
             finer.clear();
             ids.clear();
-            layouts.push(grouping.layout(&mut scratch));
+            layouts.push(grouping.layout(resident.get(l), &mut scratch));
         }
         Self(layouts)
     }
@@ -422,73 +492,124 @@ impl Layouts {
     }
 }
 
-/// B design points of one kernel, lowered for
-/// [`PredictionModel::infer`](crate::PredictionModel::infer).
-///
-/// The kernel is lowered once: its edge features, its incoming-edge lists,
-/// the layout of every layer a model of up to `depth` convolutions reads
-/// (see [`Layouts`]) and the feature rows of its non-pragma nodes. Each
-/// pragma node adds one row per distinct value its slot takes in the
-/// batch, and each point its M1 pragma encoding. Points that agree on
-/// every pragma value a node can see share that node's row, so with one
-/// point, or with equal points, every layout has one row per node.
-#[derive(Debug, Clone)]
-pub struct KernelBatch {
-    pub(crate) num_nodes: usize,
-    pub(crate) num_graphs: usize,
+/// A kernel lowered once, for every call that predicts its design points
+/// ([`KernelBatch`]) with models of up to `depth` convolutions: its edge
+/// features, its incoming-edge lists, its pragma nodes, the feature rows of
+/// its other nodes and, for each layer, which nodes are *resident*: those
+/// no pragma node reaches within the layer's hops, whose rows no design
+/// point changes. Each model computes its rows of those nodes once
+/// ([`PredictionModel::template`](crate::PredictionModel::template)), so a
+/// call lowers only its points' pragma rows and computes only the rows
+/// within reach of a pragma node.
+#[derive(Debug)]
+pub struct KernelTemplate {
+    /// This template's own number, which each model's template of it
+    /// records, so a call cannot read a model template of another kernel.
+    pub(crate) id: u64,
     /// Edge features `[E, EDGE_FEATS]` of the kernel.
     pub(crate) edge_attr: Matrix,
     pub(crate) in_edges: InEdges,
-    /// The most convolutions a model reading this batch may have.
+    /// The most convolutions a model reading it may have.
     pub(crate) depth: usize,
+    /// Each pragma node, with its slot and its graph node.
+    pragma: Vec<(usize, usize, Node)>,
+    /// Layout `l` holds the resident rows of layer `l`.
     layouts: Layouts,
-    /// Node features in layout 0 (`[N, NODE_FEATS]` in node order for a
-    /// batch of one).
+    /// Feature rows of the resident nodes of layer 0, every node but the
+    /// pragma nodes, in layout 0.
+    pub(crate) x: Matrix,
+}
+
+impl KernelTemplate {
+    /// Lowers `graph` for models of up to `depth` convolutions (the deepest
+    /// [`PredictionModel::convolutions`](crate::PredictionModel::convolutions)
+    /// of the models that will read it).
+    pub fn new(graph: &ProgramGraph, depth: usize) -> Self {
+        let num_nodes = graph.num_nodes();
+        let in_edges = InEdges::new(num_nodes, &graph.edge_sources(), &graph.edge_destinations());
+        let pragma: Vec<(usize, usize, Node)> = graph
+            .pragma_nodes()
+            .into_iter()
+            .map(|(i, slot)| (i, slot, graph.nodes()[i].clone()))
+            .collect();
+        let layouts = Layouts::resident(&in_edges, pragma.iter().map(|p| p.0), depth);
+        let layout = layouts.get(0);
+        let mut x = Matrix::zeros(layout.num_rows(), NODE_FEATS);
+        for (r, &i) in layout.node.iter().enumerate() {
+            node_row(&graph.nodes()[i as usize], None, x.row_mut(r));
+        }
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        Self {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            edge_attr: edge_features(graph),
+            in_edges,
+            depth,
+            pragma,
+            layouts,
+            x,
+        }
+    }
+
+    /// Number of nodes of the kernel's graph.
+    pub(crate) fn num_nodes(&self) -> usize {
+        self.in_edges.num_nodes()
+    }
+
+    /// The template's layout of layer `l` (see [`Layouts`]), for
+    /// `l <= depth`.
+    pub(crate) fn layout(&self, l: usize) -> &Layout {
+        self.layouts.get(l)
+    }
+}
+
+/// B design points of one kernel, lowered on its [`KernelTemplate`] for
+/// [`PredictionModel::infer`](crate::PredictionModel::infer).
+///
+/// Each pragma node adds one row per distinct value its slot takes in the
+/// batch, and each point its M1 pragma encoding. Every layout starts with
+/// the template's resident rows (see [`Layouts`]); points that agree on
+/// every pragma value a node can see share that node's row, so with one
+/// point, or with equal points, every layout has one row per node.
+#[derive(Debug, Clone)]
+pub struct KernelBatch<'t> {
+    pub(crate) template: &'t KernelTemplate,
+    pub(crate) num_graphs: usize,
+    layouts: Layouts,
+    /// The batch's own rows of layout 0: its pragma nodes' feature rows.
     pub(crate) x: Matrix,
     /// Per-point pragma encodings `[B, MAX_SLOTS * SLOT_FEATS]` (M1 input).
     pub(crate) pragma_enc: Matrix,
 }
 
-impl KernelBatch {
-    /// Lowers `graph` once, with the layouts of models of up to `depth`
-    /// convolutions (the deepest
-    /// [`PredictionModel::convolutions`](crate::PredictionModel::convolutions)
-    /// of the models that will read it), and fills in each point's pragma
-    /// rows.
+impl<'t> KernelBatch<'t> {
+    /// Lowers `points` on `template`: the layouts of models of up to the
+    /// template's depth, and each point's pragma rows.
     ///
     /// # Panics
     ///
     /// Panics if `points` is empty.
-    pub fn new(graph: &ProgramGraph, points: &[DesignPoint], depth: usize) -> Self {
+    pub fn new(template: &'t KernelTemplate, points: &[DesignPoint]) -> Self {
         assert!(!points.is_empty(), "empty batch");
-        let num_nodes = graph.num_nodes();
-        let in_edges = InEdges::new(num_nodes, &graph.edge_sources(), &graph.edge_destinations());
-        let (layer_0, rows, mut next) = layer_0(graph, points);
-        let layouts = Layouts::new(&in_edges, layer_0, depth);
+        let (layer_0, rows, mut next) = layer_0(template, points);
+        let layouts = Layouts::new(&template.in_edges, layer_0, template.depth, &template.layouts);
         let layout = layouts.get(0);
-        let mut x = Matrix::zeros(layout.num_rows(), NODE_FEATS);
+        let resident = layout.resident();
+        let mut x = Matrix::zeros(layout.num_rows() - resident, NODE_FEATS);
         for b in 0..points.len() {
             let (first, nodes) = layout.first_needed(b);
             for (r, &i) in nodes.iter().enumerate() {
-                let (i, out) = (i as usize, x.row_mut(first + r));
-                match &mut next[i] {
-                    // A pragma node's rows come in the order of its groups.
-                    Some(k) => {
-                        out.copy_from_slice(&rows[*k * NODE_FEATS..][..NODE_FEATS]);
-                        *k += 1;
-                    }
-                    // Any other node has one row, which no point changes.
-                    None => node_row(graph, i, None, out),
-                }
+                // Only the pragma nodes are not resident in layer 0; each
+                // one's rows come in the order of its groups.
+                let k = next[i as usize].as_mut().expect("a pragma node");
+                let row = &rows[*k * NODE_FEATS..][..NODE_FEATS];
+                x.row_mut(first - resident + r).copy_from_slice(row);
+                *k += 1;
             }
         }
         let encodings: Vec<Matrix> = points.iter().map(crate::model::encode_pragmas).collect();
         Self {
-            num_nodes,
+            template,
             num_graphs: points.len(),
-            edge_attr: edge_features(graph),
-            in_edges,
-            depth,
             layouts,
             x,
             pragma_enc: Matrix::vcat(&encodings.iter().collect::<Vec<_>>()),
@@ -509,18 +630,19 @@ impl KernelBatch {
 /// first row among them (`None` for other nodes); a node's rows follow in
 /// group order.
 fn layer_0(
-    graph: &ProgramGraph,
+    template: &KernelTemplate,
     points: &[DesignPoint],
 ) -> (Grouping, Vec<f32>, Vec<Option<usize>>) {
-    let mut grouping = Grouping::uniform(graph.num_nodes(), points.len());
+    let num_nodes = template.num_nodes();
+    let mut grouping = Grouping::uniform(num_nodes, points.len());
     let (mut rows, mut keys) = (Vec::new(), Vec::new());
-    let mut first_row = vec![None; graph.num_nodes()];
-    for (i, slot) in graph.pragma_nodes() {
-        first_row[i] = Some(rows.len() / NODE_FEATS);
+    let mut first_row = vec![None; num_nodes];
+    for (i, slot, node) in &template.pragma {
+        first_row[*i] = Some(rows.len() / NODE_FEATS);
         grouping.group_by_key(
-            i,
-            |b| points[b].value(slot),
-            |b, row| node_row(graph, i, Some(&points[b]), row),
+            *i,
+            |b| points[b].value(*slot),
+            |b, row| node_row(node, Some(&points[b]), row),
             NODE_FEATS,
             &mut rows,
             &mut keys,
@@ -624,7 +746,33 @@ mod tests {
         for (i, values) in pragma {
             layer_0.set(*i, |b, c| values[b] == values[c]);
         }
-        Layouts::new(in_edges, layer_0, ALL)
+        let resident = Layouts::resident(in_edges, pragma.iter().map(|p| p.0), ALL);
+        Layouts::new(in_edges, layer_0, ALL, &resident)
+    }
+
+    /// Every template, and a batch of `points` on it, lowered with every
+    /// layout.
+    fn lowered(g: &ProgramGraph, points: &[DesignPoint]) -> (KernelTemplate, Layouts, Matrix) {
+        let template = KernelTemplate::new(g, ALL);
+        let kb = KernelBatch::new(&template, points);
+        let (layouts, x) = (kb.layouts, kb.x);
+        (template, layouts, x)
+    }
+
+    /// The feature row of node `i` at point `b` in a batch's layout 0: the
+    /// template's resident row, or one of the batch's own rows `x`.
+    fn feature_row<'a>(
+        template: &'a KernelTemplate,
+        layouts: &Layouts,
+        x: &'a Matrix,
+        i: usize,
+        b: usize,
+    ) -> &'a [f32] {
+        let (layout, row) = (layouts.get(0), layouts.get(0).row(i, b));
+        match row.checked_sub(layout.resident()) {
+            Some(own) => x.row(own),
+            None => template.x.row(row),
+        }
     }
 
     /// Asserts the grouping rule on every layout, one past the last
@@ -679,14 +827,21 @@ mod tests {
             let g = build_graph_bidirectional(&k, &space);
             let n = g.num_nodes();
             let point = space.point_at(space.size() - 1);
-            let kb = KernelBatch::new(&g, std::slice::from_ref(&point), ALL);
-            assert_eq!(kb.layouts.0.len(), 1, "{}", k.name());
+            let (template, layouts, x) = lowered(&g, std::slice::from_ref(&point));
+            // Only the resident rows change from layout to layout.
+            assert_eq!(layouts.0.len(), template.layouts.0.len(), "{}", k.name());
             for l in 0..8 {
-                let layout = kb.layout(l);
+                let layout = layouts.get(l);
                 assert_eq!(layout.num_rows(), n, "{}, layout {l}", k.name());
-                assert_eq!(layout.rows_at(0), (0..n as u32).collect::<Vec<_>>());
+                let mut rows = layout.rows_at(0).to_vec();
+                rows.sort_unstable();
+                assert_eq!(rows, (0..n as u32).collect::<Vec<_>>());
             }
-            assert_eq!(kb.x, node_features(&g, Some(&point)), "{}", k.name());
+            let features = node_features(&g, Some(&point));
+            for i in 0..n {
+                let row = feature_row(&template, &layouts, &x, i, 0);
+                assert_eq!(row, features.row(i), "{}, node {i}", k.name());
+            }
         }
     }
 
@@ -710,7 +865,7 @@ mod tests {
                             || same_bits(features[b].row(i), features[c].row(i))
                     });
                 }
-                let (got, rows, first_row) = layer_0(&g, &points);
+                let (got, rows, first_row) = layer_0(&KernelTemplate::new(&g, 0), &points);
                 assert_eq!(got.ids, want.ids, "{}, B = {}", k.name(), points.len());
                 assert_eq!(got.counts, want.counts, "{}", k.name());
                 // Each group's row is the feature row of each of its points.
@@ -752,15 +907,16 @@ mod tests {
         let g = build_graph_bidirectional(&k, &space);
         let n = g.num_nodes();
         let points = vec![space.point_at(space.size() / 3); 5];
-        let kb = KernelBatch::new(&g, &points, ALL);
-        assert_eq!(kb.layouts.0.len(), 1);
-        let layout = kb.layout(0);
+        let (template, layouts, x) = lowered(&g, &points);
+        assert_eq!(layouts.0.len(), template.layouts.0.len());
+        let layout = layouts.get(0);
         assert_eq!(layout.num_rows(), n);
+        let own = n - layout.resident();
         for b in 0..points.len() {
-            assert_eq!(layout.rows_at(b), (0..n as u32).collect::<Vec<_>>(), "point {b}");
-            assert_eq!(layout.first_needed(b).1.len(), if b == 0 { n } else { 0 }, "point {b}");
+            assert_eq!(layout.rows_at(b), layout.rows_at(0), "point {b}");
+            assert_eq!(layout.first_needed(b).1.len(), if b == 0 { own } else { 0 }, "point {b}");
         }
-        assert_eq!(kb.x, KernelBatch::new(&g, &points[..1], ALL).x);
+        assert_eq!(x, lowered(&g, &points[..1]).2);
     }
 
     #[test]
@@ -772,9 +928,11 @@ mod tests {
         for (l, layout) in layouts.0.iter().enumerate() {
             // Point 0 needs one row per node; point 1 a second row for each
             // node within `l` hops of node 4; points 2 and 3 nothing new.
+            // The nodes out of its reach are resident, and come first.
             let reach: Vec<u32> = (4 - l as u32..5).collect();
             assert_eq!(layout.num_rows(), 5 + reach.len(), "layout {l}");
-            assert_eq!(layout.first_needed(0), (0, &[0, 1, 2, 3, 4][..]), "layout {l}");
+            assert_eq!(layout.resident(), 4 - l, "layout {l}");
+            assert_eq!(layout.first_needed(0), (4 - l, &reach[..]), "layout {l}");
             assert_eq!(layout.first_needed(1), (5, &reach[..]), "layout {l}");
             for b in [2, 3] {
                 assert_eq!(layout.first_needed(b).1, &[] as &[u32], "layout {l}, point {b}");
@@ -794,9 +952,15 @@ mod tests {
             let g = build_graph_bidirectional(&k, &space);
             let n = g.num_nodes();
             for points in batches(&space, 17, 7) {
-                let kb = KernelBatch::new(&g, &points, ALL);
-                for layout in &kb.layouts.0 {
-                    let mut next = 0;
+                let (template, layouts, _) = lowered(&g, &points);
+                for (l, layout) in layouts.0.iter().enumerate() {
+                    // The template's resident rows come first, in node order.
+                    let resident = template.layout(l);
+                    assert_eq!(layout.node[..layout.resident()], resident.node[..]);
+                    for (r, &i) in resident.node.iter().enumerate() {
+                        assert!((0..points.len()).all(|b| layout.row(i as usize, b) == r));
+                    }
+                    let mut next = layout.resident();
                     for b in 0..points.len() {
                         // Point `b`'s new rows follow the earlier points'
                         // rows, in node order, and every row it reads is
@@ -822,6 +986,33 @@ mod tests {
     }
 
     #[test]
+    fn templates_hold_the_rows_no_pragma_node_reaches() {
+        // (kernel, nodes, resident rows of layer 0, of M7's four outputs)
+        for (k, n, layer_0, outputs) in
+            [(kernels::gemm_ncubed(), 28, 21, 30), (kernels::mm2(), 59, 45, 65)]
+        {
+            let space = DesignSpace::from_kernel(&k);
+            let g = build_graph_bidirectional(&k, &space);
+            let template = KernelTemplate::new(&g, 4);
+            assert_eq!(template.num_nodes(), n, "{}", k.name());
+            let pragma = g.pragma_nodes().len();
+            let resident_rows = |l: usize| template.layout(l).num_rows();
+            assert_eq!(resident_rows(0), n - pragma, "{}", k.name());
+            assert_eq!(resident_rows(0), layer_0, "{}", k.name());
+            let resident: usize = (1..=4).map(resident_rows).sum();
+            assert_eq!(resident, outputs, "{}", k.name());
+            assert_eq!(template.x, {
+                let features = node_features(&g, None);
+                let rows: Vec<&[f32]> = (0..n)
+                    .filter(|i| g.nodes()[*i].pragma_slot.is_none())
+                    .map(|i| features.row(i))
+                    .collect();
+                Matrix::from_rows(&rows)
+            });
+        }
+    }
+
+    #[test]
     fn layouts_past_the_last_equal_the_last() {
         let layouts = synthetic(&path(5), 4, &[(4, vec![7, 9, 7, 9])]);
         for l in 4..12 {
@@ -837,8 +1028,10 @@ mod tests {
         assert_eq!(layouts.0.len(), 3);
         for l in 0..6 {
             let layout = layouts.get(l);
+            // Nodes 3 and 4 are the last two resident rows at every point.
+            let r = layout.resident() as u32;
             for b in 0..3 {
-                assert_eq!(&layout.rows_at(b)[3..], [3, 4], "layer {l}, point {b}");
+                assert_eq!(layout.rows_at(b)[3..], [r - 2, r - 1], "layer {l}, point {b}");
             }
         }
         assert_eq!(layouts.get(2).num_rows(), 5 + 2 * 3);
@@ -859,17 +1052,18 @@ mod tests {
                     points.iter().map(|p| GraphInput::from_graph(&g, Some(p))).collect();
                 let items: Vec<_> = inputs.iter().zip(&points).collect();
                 let batch = GraphBatch::new(&items);
-                let kb = KernelBatch::new(&g, &points, ALL);
+                let template = KernelTemplate::new(&g, ALL);
+                let kb = KernelBatch::new(&template, &points);
                 let layout = kb.layout(0);
-                assert_eq!(kb.x.rows(), layout.num_rows());
+                assert_eq!(template.x.rows() + kb.x.rows(), layout.num_rows());
                 for b in 0..len {
                     for i in 0..n {
-                        let row = kb.x.row(layout.row(i, b));
+                        let row = feature_row(&template, &kb.layouts, &kb.x, i, b);
                         assert_eq!(row, batch.x.row(b * n + i), "node {i}, point {b}, B = {len}");
                     }
                 }
                 assert_eq!(kb.pragma_enc, batch.pragma_x);
-                assert_eq!(kb.edge_attr, inputs[0].edge_attr);
+                assert_eq!(template.edge_attr, inputs[0].edge_attr);
             }
         }
     }
@@ -880,10 +1074,10 @@ mod tests {
             let space = DesignSpace::from_kernel(&k);
             let g = build_graph_bidirectional(&k, &space);
             for points in batches(&space, 9, 3) {
-                let kb = KernelBatch::new(&g, &points, ALL);
+                let (template, layouts, _) = lowered(&g, &points);
                 let features: Vec<Matrix> =
                     points.iter().map(|p| node_features(&g, Some(p))).collect();
-                assert_rule(&kb.in_edges, &kb.layouts, points.len(), |i, b, c| {
+                assert_rule(&template.in_edges, &layouts, points.len(), |i, b, c| {
                     same_bits(features[b].row(i), features[c].row(i))
                 });
             }
@@ -912,24 +1106,25 @@ mod tests {
             let n = g.num_nodes();
             for len in [2, 17, 64] {
                 for points in batches(&space, len, 5) {
-                    let kb = KernelBatch::new(&g, &points, ALL);
+                    let (template, layouts, _) = lowered(&g, &points);
                     // The nodes within `l` hops of a pragma node: a row of
                     // their own at every point before row groups.
                     let mut reach = vec![false; n];
                     for (i, _) in g.pragma_nodes() {
                         reach[i] = true;
                     }
-                    for l in 0..kb.layouts.0.len() + 2 {
+                    for l in 0..layouts.0.len() + 2 {
                         let varying = reach.iter().filter(|&&r| r).count();
-                        let layout = kb.layout(l);
+                        let layout = layouts.get(l);
                         assert!(layout.num_rows() <= n - varying + len * varying);
+                        assert_eq!(layout.resident(), n - varying, "layout {l}");
                         for i in (0..n).filter(|&i| !reach[i]) {
                             for b in 0..len {
                                 assert_eq!(layout.row(i, b), layout.row(i, 0), "node {i}");
                             }
                         }
                         let grown: Vec<usize> = (0..n)
-                            .filter(|&i| kb.in_edges.sources(i).iter().any(|&s| reach[s]))
+                            .filter(|&i| template.in_edges.sources(i).iter().any(|&s| reach[s]))
                             .collect();
                         for i in grown {
                             reach[i] = true;
@@ -948,10 +1143,11 @@ mod tests {
         let space = DesignSpace::from_kernel(&k);
         let g = build_graph_bidirectional(&k, &space);
         let points: Vec<_> = (0..64u128).map(|i| space.point_at(i)).collect();
-        let all = KernelBatch::new(&g, &points, ALL);
+        let (all_template, all_m7) = (KernelTemplate::new(&g, ALL), KernelTemplate::new(&g, 4));
+        let all = KernelBatch::new(&all_template, &points);
         assert_eq!(all.layouts.0.len(), 10);
         // M7's 4 convolutions read layouts 0-4 only.
-        let m7 = KernelBatch::new(&g, &points, 4);
+        let m7 = KernelBatch::new(&all_m7, &points);
         assert_eq!(m7.layouts.0.len(), 5);
         assert_eq!(m7.layouts.0[..], all.layouts.0[..5]);
         assert_eq!(m7.x, all.x);
@@ -965,8 +1161,22 @@ mod tests {
         let g = build_graph_bidirectional(&k, &space);
         let model = PredictionModel::new(ModelKind::Full, ModelConfig::small(), &["y"]);
         assert_eq!(model.convolutions(), 3);
-        let points: Vec<_> = (0..4u128).map(|i| space.point_at(i)).collect();
-        let _ = model.infer(&KernelBatch::new(&g, &points, 2));
+        let _ = model.template(&KernelTemplate::new(&g, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "a model template of another kernel template")]
+    fn a_model_template_of_another_kernel_template_panics() {
+        let k = kernels::gemm_ncubed();
+        let space = DesignSpace::from_kernel(&k);
+        let g = build_graph_bidirectional(&k, &space);
+        let model = PredictionModel::new(ModelKind::Full, ModelConfig::small(), &["y"]);
+        let depth = model.convolutions();
+        // Two lowerings of the same kernel: still not each other's.
+        let (built_on, other) = (KernelTemplate::new(&g, depth), KernelTemplate::new(&g, depth));
+        let template = model.template(&built_on);
+        let point = space.default_point();
+        let _ = model.infer(&template, &KernelBatch::new(&other, std::slice::from_ref(&point)));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!
 //! Every model has two forward passes: [`PredictionModel::forward`] records
 //! a tape for training, and [`PredictionModel::infer`] predicts a
-//! [`KernelBatch`] of design points without one, bit-identically.
+//! [`KernelBatch`] of design points without one, bit-identically, reading
+//! the rows no design point changes from the model's [`ModelTemplate`] of
+//! the kernel's [`KernelTemplate`].
 //!
 //! ## Quickstart
 //!
@@ -43,7 +45,8 @@ mod model;
 
 pub use artifact::{Artifact, ArtifactError};
 pub use encoder::{ConvKind, EncoderOutput, GnnEncoder};
-pub use input::{GraphBatch, GraphInput, KernelBatch};
+pub use infer::ModelTemplate;
+pub use input::{GraphBatch, GraphInput, KernelBatch, KernelTemplate};
 pub use model::{
     encode_pragmas, ModelConfig, ModelKind, ModelOutput, PredictionModel, MAX_SLOTS, SLOT_FEATS,
 };

@@ -317,7 +317,8 @@ impl PredictionModel {
 
     /// The number of graph convolutions: [`infer`](Self::infer) reads the
     /// [`KernelBatch`](crate::KernelBatch) layouts up to this one (0 for
-    /// the MLP bodies).
+    /// the MLP bodies), so its [`KernelTemplate`](crate::KernelTemplate)
+    /// must be lowered for at least this depth.
     pub fn convolutions(&self) -> usize {
         match &self.body {
             Body::Gnn(enc) => enc.convs.len(),
@@ -448,6 +449,29 @@ mod tests {
         let p1 = space.point_at(space.size() - 1);
         // Lowered with p0's pragma fill; M1 ignores it anyway.
         (GraphInput::from_graph(&graph, Some(&p0)), p0, p1)
+    }
+
+    #[test]
+    fn a_second_training_step_backward_takes_no_fresh_buffer() {
+        let (input, p0, _) = sample();
+        let model = PredictionModel::new(ModelKind::Full, ModelConfig::small(), &["latency"]);
+        let batch = GraphBatch::new(&[(&input, &p0), (&input, &p0)]);
+        let mut grads = model.store().zero_grads();
+        let mut step = || {
+            let mut out = model.forward(&batch);
+            let loss = out.graph.mse_loss(out.outputs[0], Matrix::filled(2, 1, 0.5));
+            let (takes, hits) = gdse_tensor::arena::stats();
+            out.graph.backward(loss, &mut grads);
+            let (takes_after, hits_after) = gdse_tensor::arena::stats();
+            (takes_after - takes, hits_after - hits)
+        };
+        let (first, _) = step();
+        assert!(first > 0, "backward takes buffers from the arena");
+        // The first step's consumed adjoints went back to the arena, so the
+        // second step's backward finds a buffer for every take.
+        let (takes, hits) = step();
+        assert_eq!(takes, first);
+        assert_eq!(hits, takes, "a fresh buffer in the second backward");
     }
 
     #[test]

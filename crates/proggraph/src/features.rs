@@ -108,13 +108,13 @@ pub fn node_features(graph: &ProgramGraph, point: Option<&DesignPoint>) -> Matri
     m
 }
 
-/// Encodes row `i` of [`node_features`] into `row`, which must be zeroed
-/// and [`NODE_FEATS`] wide. Only the rows of the pragma nodes depend on
-/// `point`, each on its slot's value alone, so a batch of points of one
+/// Encodes `node`'s row of [`node_features`] into `row`, which must be
+/// zeroed and [`NODE_FEATS`] wide. Only the rows of the pragma nodes depend
+/// on `point`, each on its slot's value alone, so a batch of points of one
 /// kernel can lower the other rows once and each pragma row once per
 /// value.
-pub fn node_row(graph: &ProgramGraph, i: usize, point: Option<&DesignPoint>, row: &mut [f32]) {
-    encode_node(&graph.nodes()[i], point, row);
+pub fn node_row(node: &Node, point: Option<&DesignPoint>, row: &mut [f32]) {
+    encode_node(node, point, row);
 }
 
 /// Encodes edge features: `[num_edges, EDGE_FEATS]`.
@@ -175,9 +175,9 @@ mod tests {
         let p = space.point_at(space.size() - 1);
         for point in [None, Some(&p)] {
             let full = node_features(&g, point);
-            for i in 0..g.num_nodes() {
+            for (i, node) in g.nodes().iter().enumerate() {
                 let mut row = vec![0.0; NODE_FEATS];
-                node_row(&g, i, point, &mut row);
+                node_row(node, point, &mut row);
                 assert_eq!(row, full.row(i), "node {i}");
             }
         }

@@ -5,7 +5,8 @@
 //! of hitting the global allocator per layer we recycle the flat `Vec<f32>`
 //! buffers through a thread-local pool: [`take`] hands out a zeroed buffer
 //! (reusing a retired one when its capacity fits), and [`Graph`] returns every
-//! node buffer with [`give`] when the tape is dropped.
+//! adjoint with [`give`] once its backward has consumed it, and every node
+//! buffer when the tape is dropped.
 //!
 //! # Lifetime rules
 //!

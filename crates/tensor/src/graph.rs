@@ -687,9 +687,15 @@ impl Graph {
         for i in (0..=root.0).rev() {
             let Some(g) = adj[i].take() else { continue };
             let adj = &mut adj;
-            match &self.nodes[i].back {
-                Backward::Leaf(_) | Backward::Quantized => {}
-                Backward::Param(pid) => grads.accumulate(*pid, &g),
+            // The arm returns `g`, or the buffer it turned `g` into, unless
+            // it passed it on as an adjoint; a spent one goes back to the
+            // arena.
+            let spent = match &self.nodes[i].back {
+                Backward::Leaf(_) | Backward::Quantized => Some(g),
+                Backward::Param(pid) => {
+                    grads.accumulate(*pid, &g);
+                    Some(g)
+                }
                 Backward::Linear { a, w, bias, act } => {
                     // Same float ops as the unfused chain: activation mask
                     // (derivable from the output: y > 0 iff pre-act > 0),
@@ -697,23 +703,28 @@ impl Graph {
                     let gz = match act {
                         Activation::Relu => {
                             let y = &self.nodes[i].value;
-                            g.zip_map(y, |gy, yv| if yv > 0.0 { gy } else { 0.0 })
+                            let gz = g.zip_map(y, |gy, yv| if yv > 0.0 { gy } else { 0.0 });
+                            arena::recycle(g);
+                            gz
                         }
                         Activation::None => g,
                     };
                     let wv = &self.nodes[w.0].value;
-                    self.send(adj, *a, || gz.matmul(&wv.transpose()));
+                    self.send(adj, *a, || times_transpose(&gz, wv));
                     self.send(adj, *w, || self.weight_grad(*a, &gz));
                     self.send(adj, *bias, || column_sums(&gz));
+                    Some(gz)
                 }
                 Backward::Matmul { a, b } => {
                     let bv = &self.nodes[b.0].value;
-                    self.send(adj, *a, || g.matmul(&bv.transpose()));
+                    self.send(adj, *a, || times_transpose(&g, bv));
                     self.send(adj, *b, || self.weight_grad(*a, &g));
+                    Some(g)
                 }
                 Backward::Add { a, b } => {
                     self.send(adj, *a, || g.clone());
                     self.send(adj, *b, || g);
+                    None
                 }
                 Backward::Sub { a, b } => {
                     self.send(adj, *a, || g.clone());
@@ -722,10 +733,12 @@ impl Graph {
                         gn.scale_in_place(-1.0);
                         gn
                     });
+                    None
                 }
                 Backward::Mul { a, b } => {
                     self.send(adj, *a, || g.zip_map(&self.nodes[b.0].value, |x, y| x * y));
                     self.send(adj, *b, || g.zip_map(&self.nodes[a.0].value, |x, y| x * y));
+                    Some(g)
                 }
                 Backward::MulColBroadcast { a, col } => {
                     let av = &self.nodes[a.0].value;
@@ -748,6 +761,7 @@ impl Graph {
                         }
                         gc
                     });
+                    Some(g)
                 }
                 Backward::AddBias { a, bias } => {
                     let gb = self.nodes[bias.0].needs_grad.then(|| column_sums(&g));
@@ -755,6 +769,7 @@ impl Graph {
                     if let Some(gb) = gb {
                         self.send(adj, *bias, || gb);
                     }
+                    None
                 }
                 Backward::Scale { a, k } => {
                     self.send(adj, *a, || {
@@ -762,17 +777,20 @@ impl Graph {
                         ga.scale_in_place(*k);
                         ga
                     });
+                    None
                 }
                 Backward::Relu { a } => {
                     self.send(adj, *a, || {
                         g.zip_map(&self.nodes[a.0].value, |gy, x| if x > 0.0 { gy } else { 0.0 })
                     });
+                    Some(g)
                 }
                 Backward::LeakyRelu { a, slope } => {
                     let s = *slope;
                     self.send(adj, *a, || {
                         g.zip_map(&self.nodes[a.0].value, |gy, x| if x > 0.0 { gy } else { s * gy })
                     });
+                    Some(g)
                 }
                 Backward::Elu { a, alpha } => {
                     let al = *alpha;
@@ -780,12 +798,15 @@ impl Graph {
                     self.send(adj, *a, || {
                         g.zip_map(&self.nodes[i].value, |gy, y| if y > 0.0 { gy } else { gy * (y + al) })
                     });
+                    Some(g)
                 }
                 Backward::Sigmoid { a } => {
                     self.send(adj, *a, || g.zip_map(&self.nodes[i].value, |gy, y| gy * y * (1.0 - y)));
+                    Some(g)
                 }
                 Backward::Tanh { a } => {
                     self.send(adj, *a, || g.zip_map(&self.nodes[i].value, |gy, y| gy * (1.0 - y * y)));
+                    Some(g)
                 }
                 Backward::GatherRows { a, idx } => {
                     self.send(adj, *a, || {
@@ -798,6 +819,7 @@ impl Graph {
                         }
                         ga
                     });
+                    Some(g)
                 }
                 Backward::ScatterAddRows { a, idx } => {
                     self.send(adj, *a, || {
@@ -808,9 +830,11 @@ impl Graph {
                         }
                         ga
                     });
+                    Some(g)
                 }
                 Backward::SegmentSoftmax { a, seg } => {
                     self.send(adj, *a, || segment_softmax_backward(&self.nodes[i].value, &g, seg));
+                    Some(g)
                 }
                 Backward::RowDot { a, b } => {
                     // `0.0 + g[r] * other[r][c]`: the sum into a zeroed
@@ -826,6 +850,7 @@ impl Graph {
                     };
                     self.send(adj, *a, || scaled(&self.nodes[b.0].value));
                     self.send(adj, *b, || scaled(&self.nodes[a.0].value));
+                    Some(g)
                 }
                 Backward::ConcatCols { parts } => {
                     let mut offset = 0;
@@ -840,6 +865,7 @@ impl Graph {
                         });
                         offset += pv.cols();
                     }
+                    Some(g)
                 }
                 Backward::MaxStack { parts, argmax } => {
                     // One walk over argmax routes each entry to its part.
@@ -856,6 +882,7 @@ impl Graph {
                             self.send(adj, p, || gp);
                         }
                     }
+                    Some(g)
                 }
                 Backward::AttentionAggregate { qkve, src, dst, scale, alpha } => {
                     let need = qkve.map(|p| self.nodes[p.0].needs_grad);
@@ -867,6 +894,7 @@ impl Graph {
                             self.send(adj, p, || gp);
                         }
                     }
+                    Some(g)
                 }
                 Backward::GatedResidual { aggr, root, w, bias, beta } => {
                     let need = [*aggr, *root, *w].map(|p| self.nodes[p.0].needs_grad);
@@ -879,6 +907,7 @@ impl Graph {
                         }
                     }
                     self.send(adj, *bias, || column_sums(&g));
+                    Some(g)
                 }
                 Backward::SumRows { a } => {
                     self.send(adj, *a, || {
@@ -889,6 +918,7 @@ impl Graph {
                         }
                         ga
                     });
+                    Some(g)
                 }
                 Backward::MeanRows { a } => {
                     self.send(adj, *a, || {
@@ -902,6 +932,7 @@ impl Graph {
                         }
                         ga
                     });
+                    Some(g)
                 }
                 Backward::LayerNorm { a, inv_std } => {
                     // dL/dx = istd * (g - mean(g) - y * mean(g * y)) per row.
@@ -921,6 +952,7 @@ impl Graph {
                         }
                         ga
                     });
+                    Some(g)
                 }
                 Backward::MseLoss { pred, target } => {
                     self.send(adj, *pred, || {
@@ -929,6 +961,7 @@ impl Graph {
                         let gy = g.scalar();
                         pv.zip_map(target, |p, t| gy * 2.0 * (p - t) / n)
                     });
+                    Some(g)
                 }
                 Backward::BceLogitsLoss { logits, target } => {
                     self.send(adj, *logits, || {
@@ -937,7 +970,11 @@ impl Graph {
                         let gy = g.scalar();
                         zv.zip_map(target, |z, y| gy * (stable_sigmoid(z) - y) / n)
                     });
+                    Some(g)
                 }
+            };
+            if let Some(g) = spent {
+                arena::recycle(g);
             }
         }
     }
@@ -950,10 +987,22 @@ impl Graph {
         }
         let g = grad();
         match &mut adj[id.0] {
-            Some(existing) => existing.add_assign(&g),
+            Some(existing) => {
+                existing.add_assign(&g);
+                arena::recycle(g);
+            }
             slot @ None => *slot = Some(g),
         }
     }
+}
+
+/// `g · bᵀ`, the left adjoint of a product with `b`; the transposed copy
+/// goes back to the arena.
+fn times_transpose(g: &Matrix, b: &Matrix) -> Matrix {
+    let bt = b.transpose();
+    let out = g.matmul(&bt);
+    arena::recycle(bt);
+    out
 }
 
 /// `[1, F]` column sums of `g`, summed into a zeroed row in row order.

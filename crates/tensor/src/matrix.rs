@@ -204,7 +204,8 @@ impl Matrix {
     /// The pre-blocking scalar i-k-j kernel (with its per-element zero skip),
     /// kept as the parity baseline for tests. The skip also makes it the
     /// faster kernel for one-hot rows, such as the node features the
-    /// tape-free inference path projects in layer 0.
+    /// tape-free inference path projects in layer 0. Like the GEMM, it
+    /// takes its output buffer from the [`crate::arena`].
     ///
     /// # Panics
     ///
@@ -216,7 +217,7 @@ impl Matrix {
             self.shape(),
             rhs.shape()
         );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
+        let mut out = crate::arena::zeros(self.rows, rhs.cols);
         for i in 0..self.rows {
             let a_row = self.row(i);
             let out_row = &mut out.data[i * rhs.cols..(i + 1) * rhs.cols];

@@ -43,7 +43,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 
 /// Deserializes a `T` from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { text: s, bytes: s.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.parse_value()?;
     p.skip_ws();
@@ -146,6 +146,8 @@ fn write_string(out: &mut String, s: &str) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
+    /// The document; `bytes` is the same text as bytes.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -295,13 +297,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 char.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash. Both
+                    // are ASCII, so the run ends on a character boundary of
+                    // the (valid UTF-8) text.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -363,6 +367,27 @@ mod tests {
         let text = to_string(&v).unwrap();
         let back: Value = from_str(&text).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn strings_with_multi_byte_characters_and_escapes_round_trip() {
+        let texts = [
+            "plain",
+            "",
+            "größe 2×2 — ≤ 5 µs, 😀 and 日本語",
+            "\"quoted\" \\ back\\slash\n\r\t\u{1} tab",
+            "é\"😀\\日",
+            "ends with é",
+        ];
+        for t in texts {
+            let v = Value::Seq(vec![Value::Str(t.into()), Value::Str(format!("{t}{t}"))]);
+            let text = to_string(&v).unwrap();
+            assert_eq!(from_str::<Value>(&text).unwrap(), v, "{text}");
+        }
+        // `\u` escapes, a surrogate pair among them, between raw runs.
+        let parsed: Value = from_str(r#""a\u00e9b\ud83d\ude00c/\/""#).unwrap();
+        assert_eq!(parsed, Value::Str("aéb😀c//".into()));
+        assert!(from_str::<Value>("\"unterminated é").is_err());
     }
 
     #[test]

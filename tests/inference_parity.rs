@@ -1,14 +1,18 @@
 //! The tape-free `PredictionModel::infer` against the tape `forward`: bit
 //! for bit, on every model kind and every kernel, at batch sizes that take
-//! both GEMM kernels, before and after training.
+//! both GEMM kernels, before and after training, and through a template
+//! kept across calls.
 
 use design_space::{order::ordered_slots, rules, DesignPoint, DesignSpace};
-use gdse_gnn::{GraphBatch, GraphInput, KernelBatch, ModelConfig, ModelKind, PredictionModel};
+use gdse_gnn::{
+    GraphBatch, GraphInput, KernelBatch, KernelTemplate, ModelConfig, ModelKind, ModelTemplate,
+    PredictionModel,
+};
 use gdse_obs::metrics;
 use gdse_tensor::Matrix;
 use gnn_dse::dataset::MAIN_TARGETS;
 use gnn_dse::trainer::{train_regression, TrainConfig};
-use gnn_dse::{dbgen, Dataset, Normalizer, Prediction, Predictor};
+use gnn_dse::{dbgen, Dataset, Normalizer, Prediction, Predictor, Template};
 use hls_ir::kernels;
 use proggraph::{build_graph_bidirectional, ProgramGraph};
 use proptest::prelude::*;
@@ -93,22 +97,36 @@ fn bits(m: &Matrix) -> Vec<u32> {
     m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
+/// `graph` lowered once for `models`, with each model's template of it.
+fn templates(
+    graph: &ProgramGraph,
+    models: &[PredictionModel],
+) -> (KernelTemplate, Vec<ModelTemplate>) {
+    let kernel = KernelTemplate::new(graph, depth(models));
+    let per_model = models.iter().map(|m| m.template(&kernel)).collect();
+    (kernel, per_model)
+}
+
+/// The tape's forward of `points` on `graph`.
+fn tape_batch(graph: &ProgramGraph, points: &[DesignPoint]) -> GraphBatch {
+    let inputs: Vec<GraphInput> =
+        points.iter().map(|p| GraphInput::from_graph(graph, Some(p))).collect();
+    let refs: Vec<(&GraphInput, &DesignPoint)> = inputs.iter().zip(points).collect();
+    GraphBatch::new(&refs)
+}
+
 /// Asserts `infer` equals the tape on every head of every model, on every
 /// kernel, at every batch size.
 fn assert_parity(models: &[PredictionModel], seed: u64) {
     for (name, space, graph) in targets() {
+        let (kernel, per_model) = templates(graph, models);
         for (bi, &b) in BATCH_SIZES.iter().enumerate() {
             let points = random_points(space, b, seed ^ ((bi as u64) << 32));
-            let inputs: Vec<GraphInput> = points
-                .iter()
-                .map(|p| GraphInput::from_graph(graph, Some(p)))
-                .collect();
-            let refs: Vec<(&GraphInput, &DesignPoint)> = inputs.iter().zip(&points).collect();
-            let tape_batch = GraphBatch::new(&refs);
-            let kernel_batch = KernelBatch::new(graph, &points, depth(models));
-            for model in models {
+            let tape_batch = tape_batch(graph, &points);
+            let kernel_batch = KernelBatch::new(&kernel, &points);
+            for (model, template) in models.iter().zip(&per_model) {
                 let tape = model.forward(&tape_batch);
-                let free = model.infer(&kernel_batch);
+                let free = model.infer(template, &kernel_batch);
                 assert_eq!(free.len(), tape.outputs.len());
                 for (head, (got, &want)) in free.iter().zip(&tape.outputs).enumerate() {
                     assert_eq!(
@@ -161,16 +179,14 @@ fn assert_sweep_parity(kernel: usize, seed: u64) {
         .iter()
         .map(|m| Predictor::untrained(m.kind(), m.config().clone(), Normalizer::with_factor(1e6)))
         .collect();
+    let (kernel, per_model) = templates(graph, &models);
     for (shape, b) in (0..3).flat_map(|shape| [2, 3, 17, 64].map(|b| (shape, b))) {
         let points = sweep_points(space, b, seed, shape);
-        let inputs: Vec<GraphInput> =
-            points.iter().map(|p| GraphInput::from_graph(graph, Some(p))).collect();
-        let refs: Vec<(&GraphInput, &DesignPoint)> = inputs.iter().zip(&points).collect();
-        let tape_batch = GraphBatch::new(&refs);
-        let kernel_batch = KernelBatch::new(graph, &points, depth(&models));
-        for (model, predictor) in models.iter().zip(&predictors) {
+        let tape_batch = tape_batch(graph, &points);
+        let kernel_batch = KernelBatch::new(&kernel, &points);
+        for ((model, template), predictor) in models.iter().zip(&per_model).zip(&predictors) {
             let tape = model.forward(&tape_batch);
-            let free = model.infer(&kernel_batch);
+            let free = model.infer(template, &kernel_batch);
             for (head, (got, &want)) in free.iter().zip(&tape.outputs).enumerate() {
                 assert_eq!(
                     bits(got),
@@ -235,14 +251,12 @@ fn infer_matches_the_tape_on_dse_windows() {
         let (_, space, graph) = targets().iter().find(|(n, ..)| n == name).expect("kernel");
         let points = dse_stream(name, space, 512);
         assert_eq!(points.len(), 512, "{name}");
-        let inputs: Vec<GraphInput> =
-            points.iter().map(|p| GraphInput::from_graph(graph, Some(p))).collect();
-        let refs: Vec<(&GraphInput, &DesignPoint)> = inputs.iter().zip(&points).collect();
-        let tape_batch = GraphBatch::new(&refs);
-        let kernel_batch = KernelBatch::new(graph, &points, depth(&models));
-        for model in &models {
+        let tape_batch = tape_batch(graph, &points);
+        let (kernel, per_model) = templates(graph, &models);
+        let kernel_batch = KernelBatch::new(&kernel, &points);
+        for (model, template) in models.iter().zip(&per_model) {
             let tape = model.forward(&tape_batch);
-            let free = model.infer(&kernel_batch);
+            let free = model.infer(template, &kernel_batch);
             for (head, (got, &want)) in free.iter().zip(&tape.outputs).enumerate() {
                 assert_eq!(
                     bits(got),
@@ -336,4 +350,82 @@ fn predict_batch_books_three_forwards_and_one_inference_per_point() {
             "B = {b}"
         );
     }
+}
+
+/// One template per kernel and model, kept across calls of B = 1, 2 and 17
+/// points: every call's `infer` equals the tape, and every row of a
+/// resident `Template` equals the point's own `predict`, bit for bit, on
+/// all 13 kernels and 7 model kinds.
+#[test]
+fn a_resident_template_answers_every_call_bit_for_bit() {
+    let models = untrained();
+    let predictors: Vec<Predictor> = models
+        .iter()
+        .map(|m| Predictor::untrained(m.kind(), m.config().clone(), Normalizer::with_factor(1e6)))
+        .collect();
+    for (k, (name, space, graph)) in targets().iter().enumerate() {
+        let (kernel, per_model) = templates(graph, &models);
+        let resident: Vec<Template<&Predictor>> =
+            predictors.iter().map(|p| Template::new(p, graph)).collect();
+        for (call, b) in [1, 2, 17, 1, 2, 17].into_iter().enumerate() {
+            let points = random_points(space, b, (k as u64) << 8 | call as u64);
+            let tape_batch = tape_batch(graph, &points);
+            let kernel_batch = KernelBatch::new(&kernel, &points);
+            for (model, template) in models.iter().zip(&per_model) {
+                let tape = model.forward(&tape_batch);
+                let free = model.infer(template, &kernel_batch);
+                for (head, (got, &want)) in free.iter().zip(&tape.outputs).enumerate() {
+                    assert_eq!(
+                        bits(got),
+                        bits(tape.graph.value(want)),
+                        "{:?} on {name}, call {call}, B = {b}, head {head}",
+                        model.kind()
+                    );
+                }
+            }
+            for (predictor, template) in predictors.iter().zip(&resident) {
+                let rows = template.predict_batch(&points);
+                for (i, (row, point)) in rows.iter().zip(&points).enumerate() {
+                    assert_eq!(
+                        prediction_bits(row),
+                        prediction_bits(&predictor.predict(graph, point)),
+                        "{:?} on {name}, call {call}, B = {b}, point {i}",
+                        predictor.regressor().kind()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A call on a resident template computes only the rows a pragma node can
+/// reach: on gemm-ncubed, M7's four convolutions have 112 rows per point,
+/// 30 of which no pragma node reaches, so each of the three models books
+/// 82 rows at B = 1, and the template books the 30 once.
+#[test]
+fn a_batch_of_one_computes_only_the_rows_a_point_can_change() {
+    let config = ModelConfig {
+        hidden: 32,
+        gnn_layers: 4,
+        mlp_layers: 4,
+        seed: 42,
+    };
+    let predictor = Predictor::untrained(ModelKind::Full, config, Normalizer::with_factor(1e6));
+    let (_, space, graph) = targets()
+        .iter()
+        .find(|(name, ..)| name == "gemm-ncubed")
+        .expect("gemm-ncubed");
+    let count = metrics::counter_value;
+    let (templates, template_rows) = (count("gnn.templates"), count("gnn.template_rows"));
+    let template = Template::new(&predictor, graph);
+    assert_eq!(count("gnn.templates") - templates, 3);
+    assert_eq!(count("gnn.template_rows") - template_rows, 3 * 30);
+    for point in random_points(space, 4, 9) {
+        let (rows, unshared) = (count("gnn.infer_rows"), count("gnn.infer_rows_unshared"));
+        let got = template.predict_batch(std::slice::from_ref(&point));
+        assert_eq!(count("gnn.infer_rows") - rows, 3 * 82);
+        assert_eq!(count("gnn.infer_rows_unshared") - unshared, 3 * 112);
+        assert_eq!(prediction_bits(&got[0]), prediction_bits(&predictor.predict(graph, &point)));
+    }
+    assert_eq!(count("gnn.templates") - templates, 3 + 4 * 3, "one template per predict");
 }
